@@ -20,6 +20,7 @@ from .core import (
     inflate,
     load_domain,
     robust_deviation,
+    robust_deviations,
     robust_loss,
 )
 from .dimensions import (
@@ -59,7 +60,6 @@ from .oracles import (
     weak_learner_check,
 )
 from .pipelines import (
-    DualPointMatrix,
     PipelineConfig,
     PipelineReport,
     agnostic_eta_learn,

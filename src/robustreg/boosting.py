@@ -13,35 +13,25 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap
+from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
 from .errors import DegenerateWeights, Infeasible, InvalidParameter, WeakLearnerNotFound
 from .oracles import PointDistribution, weak_learner_check
 
 
-def weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Lower weighted median: smallest value whose cumulative normalized
-    weight reaches 1/2."""
+def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Column-wise lower weighted median of a (members x points) matrix:
+    per column, the smallest value whose cumulative normalized weight
+    reaches 1/2."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if v.size == 0 or v.size != w.size:
+    if v.ndim != 2 or v.shape[0] == 0 or v.shape[0] != w.size:
         raise InvalidParameter("values and weights must be equal-length and nonempty")
     if (w < 0).any():
         raise InvalidParameter("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise DegenerateWeights("total weight must be positive")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order]) / total
-    return float(v[order][int(np.argmax(cum >= 0.5))])
-
-
-def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Column-wise lower weighted median of a (members x points) matrix."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
     total = w.sum()
     if total <= 0:
         raise DegenerateWeights("total weight must be positive")
@@ -49,6 +39,21 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     cum = np.cumsum(w[order], axis=0) / total
     idx = np.argmax(cum >= 0.5, axis=0)
     return np.take_along_axis(np.take_along_axis(v, order, 0), idx[None, :], 0)[0]
+
+
+def weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
+    """Lower weighted median of one list of values."""
+    return float(weighted_median_columns(np.asarray(values, dtype=float)[:, None], weights)[0])
+
+
+def aggregate(matrix: np.ndarray, alphas: Sequence[float], median: bool) -> np.ndarray:
+    """Per column of a (members x n) matrix, the lower weighted median or
+    the average.  The average reduces rows of the contiguous (n x members)
+    copy, adding as ``np.mean`` over one point's values does; ``mean(axis=0)``
+    adds in another order and can differ in the last bit."""
+    if median:
+        return weighted_median_columns(matrix, alphas)
+    return np.ascontiguousarray(matrix.T).mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -77,19 +82,18 @@ class WeightedEnsemble:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Member values, (members x n)."""
+        return np.stack([h.values for h in self.members])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The aggregated value vector, computed once."""
+        return aggregate(self.matrix, self.alphas, self.aggregation == "weighted_median")
+
     def evaluate(self, z: int) -> float:
-        values = [h(z) for h in self.members]
-        if self.aggregation == "average":
-            return float(np.mean(values))
-        return weighted_median(values, self.alphas)
-
-    def member_values(self, zs: Sequence[int]) -> np.ndarray:
-        return np.stack([h.values(zs) for h in self.members])
-
-    def as_hypothesis(self) -> Hypothesis:
-        descriptor = ("ensemble", self.aggregation,
-                      tuple(h.descriptor for h in self.members), self.alphas)
-        return Hypothesis(self.evaluate, descriptor)
+        return float(self.values[z])
 
 
 def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:
@@ -138,6 +142,7 @@ def find_weak_learner(
         raise InvalidParameter(f"d must be >= 1, got {d}")
     if not cover:
         raise InvalidParameter("cover must be nonempty")
+    zs, ys = examples_arrays(cover)
     best = None
     for _ in range(max(1, retries)):
         origins = _draw_origins(P, cover, sample, d, rng)
@@ -147,8 +152,7 @@ def find_weak_learner(
             continue
         if weak_learner_check(h, P, cover, eta / 4, 1 / 6):
             return h, origins
-        violated = np.array([abs(h(pt.z) - pt.y) > eta / 4 for pt in cover])
-        mass = P.mass(violated)
+        mass = P.mass(np.abs(h.values[zs] - ys) > eta / 4)
         best = mass if best is None else min(best, mass)
     raise WeakLearnerNotFound(
         f"no (eta/4, 1/6)-weak learner in {retries} draws"
@@ -186,8 +190,7 @@ def medboost(
     if not cover:
         raise InvalidParameter("cover must be nonempty")
     rng = rng if rng is not None else np.random.default_rng(0)
-    zs = [pt.z for pt in cover]
-    ys = np.array([pt.y for pt in cover])
+    zs, ys = examples_arrays(cover)
     P = PointDistribution.uniform(len(cover))
     members: list[Hypothesis] = []
     alphas: list[float] = []
@@ -197,7 +200,7 @@ def medboost(
         for attempt in range(max(1, round_retries)):
             h, src = find_weak_learner(P, cover, sample, U, eta, rerm, d,
                                        retries, rng, rerm_scale=rerm_scale)
-            values = h.values(zs)
+            values = h.values[zs]
             w = np.where(np.abs(values - ys) > eta / 4, -1, 1)
             alpha = medboost_alpha(P, w)
             if alpha > 0:

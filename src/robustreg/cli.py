@@ -148,7 +148,7 @@ def _cmd_cover(args) -> str:
     inflated = inflate(list(domain.sample), domain.perturbations)
     pool = [oracle.hypothesis(i) for i in range(oracle.cls.n_hypotheses)]
     dual = dual_embed(pool, inflated)
-    centers, assignment = greedy_cover(dual.matrix, args.t)
+    centers, assignment = greedy_cover(dual, args.t)
     lines = ["point,center"]
     lines += [f"{i},{c}" for i, c in enumerate(assignment)]
     return "\n".join(lines) + "\n"

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import WeightedEnsemble, weighted_median
-from .core import Hypothesis, LabeledExample, PerturbationMap, robust_deviation
+from .boosting import WeightedEnsemble, aggregate
+from .core import Hypothesis, LabeledExample, PerturbationMap, robust_deviations
 from .errors import Infeasible, InvalidParameter, NotCompressible, ReconstructionFailed
 
 
@@ -101,27 +101,23 @@ def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
     """Refit every group and recombine under the stored aggregation."""
     eta = scheme.eta if eta is None else eta
     scale = eta / 8 if scheme.aggregation == "median" else eta / 4
-    members = []
+    members, refits = [], {}
     for g, group in enumerate(scheme.groups):
-        points = [sample[i] for i in sorted(set(group))]
-        try:
-            members.append(rerm(points, U, scale))
-        except Infeasible as exc:
-            raise ReconstructionFailed(
-                f"group {g} is infeasible at {scale:.6g}: {exc}"
-            ) from exc
+        points = tuple(sorted(set(group)))
+        if points not in refits:  # the oracle is deterministic: refit once
+            try:
+                refits[points] = rerm([sample[i] for i in points], U, scale)
+            except Infeasible as exc:
+                raise ReconstructionFailed(
+                    f"group {g} is infeasible at {scale:.6g}: {exc}"
+                ) from exc
+        members.append(refits[points])
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
-
-    if scheme.aggregation == "median":
-        def evaluate(z, members=members, alphas=alphas):
-            return weighted_median([h(z) for h in members], alphas)
-    else:
-        def evaluate(z, members=members):
-            return float(np.mean([h(z) for h in members]))
-
+    values = aggregate(np.stack([h.values for h in members]), alphas,
+                       scheme.aggregation == "median")
     descriptor = ("reconstruction", scheme.aggregation,
                   tuple(h.descriptor for h in members), tuple(alphas))
-    return Hypothesis(evaluate, descriptor)
+    return Hypothesis(values, descriptor)
 
 
 def verify_approximation(h: Hypothesis, sample: Sequence[LabeledExample],
@@ -135,8 +131,7 @@ def verify_approximation(h: Hypothesis, sample: Sequence[LabeledExample],
     """
     if len(sample) == 0:
         raise InvalidParameter("verification needs a nonempty sample")
-    violations = [robust_deviation(h, ex, U) >= eta for ex in sample]
-    rate = sum(violations) / len(sample)
+    rate = int((robust_deviations(h.values, sample, U) >= eta).sum()) / len(sample)
     return rate == 0.0, rate
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -46,9 +47,10 @@ class InflatedExample:
 class PerturbationMap:
     """Finite set-valued map ``x -> U(x)`` with ``x in U(x)``.
 
-    Entries are stored as duplicate-free tuples in their given order.
-    Instances without an entry raise :class:`MissingPerturbation` when
-    looked up; the map makes no assumption about unseen instances.
+    Entries are stored as duplicate-free tuples in their given order, and
+    as a padded index matrix whose row x lists U(x) padded with x itself,
+    which leaves every maximum over the row unchanged.  Instances without
+    an entry raise :class:`MissingPerturbation` when looked up.
     """
 
     def __init__(self, table: Mapping[int, Sequence[int]]):
@@ -63,12 +65,39 @@ class PerturbationMap:
                 raise InvalidParameter(f"instance {x} missing from its own set")
             frozen[int(x)] = zs
         self._table = frozen
+        sizes = np.fromiter(map(len, frozen.values()), np.intp, len(frozen))
+        ids = np.fromiter(chain.from_iterable(frozen.values()), np.intp, sizes.sum())
+        if ids.size and ids.min() < 0:
+            raise InvalidParameter("perturbation sets must hold nonnegative ids")
+        keys = np.fromiter(frozen, np.intp, len(frozen))
+        # -1 marks an id without an entry; a row with an entry is padded with x
+        index = np.full((ids.max(initial=-1) + 1, sizes.max(initial=1)), -1, np.intp)
+        index[keys] = keys[:, None]
+        slots = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        index[np.repeat(keys, sizes), slots] = ids
+        self._index = index
 
     def of(self, x: int) -> tuple[int, ...]:
         try:
             return self._table[x]
         except KeyError:
             raise MissingPerturbation(x) from None
+
+    def index(self, xs: np.ndarray) -> np.ndarray:
+        """Padded rows of U(x) for every id in ``xs``, shape (len(xs), width)."""
+        xs = np.asarray(xs, dtype=np.intp)
+        missing = (xs < 0) | (xs >= self.domain_size)
+        if not missing.any():
+            rows = self._index[xs]
+            missing = rows[:, 0] < 0
+            if not missing.any():
+                return rows
+        raise MissingPerturbation(int(xs[missing][0]))
+
+    @property
+    def domain_size(self) -> int:
+        """One past the largest id the map mentions."""
+        return self._index.shape[0]
 
     def __contains__(self, x: int) -> bool:
         return x in self._table
@@ -91,19 +120,34 @@ class PerturbationMap:
         })
 
 
+class _FunctionValues:
+    """Index access to a function of the instance id."""
+
+    def __init__(self, fn: Callable[[int], float]):
+        self.fn = fn
+
+    def __getitem__(self, z):
+        return self.fn(z)
+
+
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
-    """An evaluable map from instance ids to [0, 1].
+    """A map from instance ids ``0..n-1`` to [0, 1], held as its n values.
 
-    The descriptor identifies the hypothesis (class tag plus parameters)
-    and carries equality; evaluation is deterministic.
+    The descriptor (class tag plus parameters) carries equality.  A
+    function of the id may stand in for the vector in a hand-built
+    hypothesis that is only called; the library builds only vectors.
     """
 
-    evaluator: Callable[[int], float]
+    values: np.ndarray
     descriptor: tuple
 
+    def __post_init__(self):
+        if callable(self.values):
+            object.__setattr__(self, "values", _FunctionValues(self.values))
+
     def __call__(self, z: int) -> float:
-        return self.evaluator(z)
+        return float(self.values[z])
 
     def __eq__(self, other):
         return isinstance(other, Hypothesis) and self.descriptor == other.descriptor
@@ -111,15 +155,12 @@ class Hypothesis:
     def __hash__(self):
         return hash(self.descriptor)
 
-    def values(self, zs: Sequence[int]) -> np.ndarray:
-        return np.array([self.evaluator(int(z)) for z in zs], dtype=float)
 
-
-def constant_hypothesis(value: float) -> Hypothesis:
+def constant_hypothesis(value: float, domain_size: int) -> Hypothesis:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise InvalidParameter(f"constant must be in [0, 1], got {value}")
-    return Hypothesis(lambda z, c=value: c, ("constant", value))
+    return Hypothesis(np.full(domain_size, value), ("constant", value))
 
 
 @dataclass(frozen=True)
@@ -162,27 +203,44 @@ def inflate(sample: Sequence[LabeledExample], U: PerturbationMap) -> list[Inflat
     return sorted(claimed.values(), key=lambda e: (e.origin, e.z))
 
 
+def examples_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, labels) of labeled or inflated examples, as arrays."""
+    inflated = bool(examples) and isinstance(examples[0], InflatedExample)
+    ids = [ex.z if inflated else ex.x for ex in examples]
+    return (np.array(ids, dtype=np.intp),
+            np.array([ex.y for ex in examples], dtype=float))
+
+
+def robust_deviations(values: np.ndarray, sample: Sequence[LabeledExample],
+                      U: PerturbationMap) -> np.ndarray:
+    """Exact worst ``|values[r, z] - y|`` over z in U(x), for every row r
+    of a (rows x n) value matrix and every example (x, y): (rows, m)."""
+    xs, ys = examples_arrays(sample)
+    values = np.atleast_2d(values)
+    return np.abs(values[:, U.index(xs)] - ys[:, None]).max(axis=2)
+
+
 def robust_deviation(h: Hypothesis, ex: LabeledExample, U: PerturbationMap) -> float:
     """max over z in U(x) of |h(z) - y|, an exact maximum over the finite set."""
-    return max(abs(h(z) - ex.y) for z in U.of(ex.x))
+    return float(robust_deviations(h.values, [ex], U)[0, 0])
 
 
 def robust_loss(h: Hypothesis, ex: LabeledExample, U: PerturbationMap, mode: LossMode) -> float:
-    dev = robust_deviation(h, ex, U)
-    if isinstance(mode, EtaBall):
-        return 1.0 if dev >= mode.eta else 0.0
-    return dev ** mode.p
+    return empirical_error(h, [ex], U, mode)
 
 
-def empirical_error(
-    h: Hypothesis,
-    sample: Sequence[LabeledExample],
-    U: PerturbationMap,
-    mode: LossMode,
-) -> float:
+def empirical_error(h: Hypothesis, sample: Sequence[LabeledExample],
+                    U: PerturbationMap, mode: LossMode) -> float:
     if len(sample) == 0:
         raise EmptySample("empirical error over an empty sample")
-    return sum(robust_loss(h, ex, U, mode) for ex in sample) / len(sample)
+    devs = robust_deviations(h.values, sample, U)[0].tolist()
+    if isinstance(mode, EtaBall):
+        losses = (1.0 if dev >= mode.eta else 0.0 for dev in devs)
+    else:
+        losses = (dev ** mode.p for dev in devs)
+    # the builtin sum adds in sample order; numpy's pairwise sum would
+    # change the last bit of Lp errors over eight or more points
+    return sum(losses) / len(sample)
 
 
 @dataclass(frozen=True)

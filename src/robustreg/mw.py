@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import WeightedEnsemble, _draw_origins
-from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap
+from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
 from .errors import Infeasible, InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
 
@@ -27,7 +27,8 @@ def mw_update(P: PointDistribution, h: Hypothesis,
     """Downweight points the hypothesis handles within eta/2, renormalize."""
     if xi <= 0:
         raise InvalidParameter(f"xi must be positive, got {xi}")
-    correct = np.array([abs(h(pt.z) - pt.y) <= eta / 2 for pt in cover])
+    zs, ys = examples_arrays(cover)
+    correct = np.abs(h.values[zs] - ys) <= eta / 2
     return P.reweight(np.exp(-xi * correct.astype(float)))
 
 
@@ -52,6 +53,7 @@ def find_strong_learner(
         raise InvalidParameter(f"d must be >= 1, got {d}")
     if not cover:
         raise InvalidParameter("cover must be nonempty")
+    zs, ys = examples_arrays(cover)
     best = None
     for _ in range(max(1, retries)):
         origins = _draw_origins(P, cover, sample, d, rng)
@@ -59,8 +61,7 @@ def find_strong_learner(
             h = rerm([sample[j] for j in origins], U, eta * rerm_scale)
         except Infeasible:
             continue
-        bad = np.array([abs(h(pt.z) - pt.y) >= eta / 2 for pt in cover])
-        mass = P.mass(bad)
+        mass = P.mass(np.abs(h.values[zs] - ys) >= eta / 2)
         if mass <= epsilon:
             return h, origins
         best = mass if best is None else min(best, mass)
@@ -100,8 +101,7 @@ def mw_boost(
         raise InvalidParameter(f"T must be >= 1, got {T}")
     if not cover:
         raise InvalidParameter("cover must be nonempty")
-    zs = [pt.z for pt in cover]
-    ys = np.array([pt.y for pt in cover])
+    zs, ys = examples_arrays(cover)
     seq = np.random.SeedSequence(seed)
     ensemble = None
     for attempt, child in enumerate(seq.spawn(max_doublings + 1)):
@@ -120,8 +120,8 @@ def mw_boost(
             members=tuple(members), alphas=(1.0,) * len(members),
             sources=tuple(sources), aggregation="average",
         )
-        avg = ensemble.member_values(zs).mean(axis=0)
-        rate = float((np.abs(avg - ys) >= eta / 2).mean())
+        # the aggregation the returned ensemble and its reconstruction use
+        rate = float((np.abs(ensemble.values[zs] - ys) >= eta / 2).mean())
         if rate <= epsilon:
             break
     return ensemble

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, constant_hypothesis
+from .core import (
+    Hypothesis,
+    InflatedExample,
+    LabeledExample,
+    PerturbationMap,
+    constant_hypothesis,
+    examples_arrays,
+    robust_deviations,
+)
 from .errors import CapExceeded, Infeasible, InvalidParameter
 
 
@@ -49,8 +57,7 @@ class FiniteClass:
         return self.matrix.shape[1]
 
     def hypothesis(self, row: int) -> Hypothesis:
-        values = self.matrix[row]
-        return Hypothesis(lambda z, v=values: float(v[z]), ("finite", int(row)))
+        return Hypothesis(self.matrix[row], ("finite", int(row)))
 
 
 def load_class_csv(path) -> FiniteClass:
@@ -106,22 +113,12 @@ class PointDistribution:
         return float(self.weights[np.asarray(mask, dtype=bool)].sum())
 
 
-def _worst_deviations(cls: FiniteClass, subset, U) -> np.ndarray:
-    """Per-row worst-case robust deviation over the subset."""
-    worst = np.zeros(cls.n_hypotheses)
-    for ex in subset:
-        zs = list(U.of(ex.x))
-        dev = np.abs(cls.matrix[:, zs] - ex.y).max(axis=1)
-        worst = np.maximum(worst, dev)
-    return worst
-
-
 def rerm_finite(cls: FiniteClass, subset: Sequence[LabeledExample],
                 U: PerturbationMap, eta: float) -> Hypothesis:
     """Lowest-index row whose worst robust deviation on the subset is <= eta."""
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
-    worst = _worst_deviations(cls, subset, U)
+    worst = robust_deviations(cls.matrix, subset, U).max(axis=1, initial=0.0)
     feasible = np.flatnonzero(worst <= eta)
     if feasible.size == 0:
         best = float(worst.min())
@@ -150,7 +147,7 @@ def rerm_constant(subset: Sequence[LabeledExample], U: PerturbationMap,
             f"constant intervals have empty intersection (gap {lo - hi:.6g})",
             min_deviation=lo - hi,
         )
-    return constant_hypothesis((lo + hi) / 2.0)
+    return constant_hypothesis((lo + hi) / 2.0, U.domain_size)
 
 
 def weak_learner_check(h: Hypothesis, P: PointDistribution,
@@ -166,8 +163,8 @@ def weak_learner_check(h: Hypothesis, P: PointDistribution,
         raise InvalidParameter(f"beta must be in [0, 1/2], got {beta}")
     if len(P) != len(points):
         raise InvalidParameter("distribution and point list lengths differ")
-    violated = np.array([abs(h(pt.z) - pt.y) > eta for pt in points])
-    return P.mass(violated) < 0.5 - beta - 1e-12
+    zs, ys = examples_arrays(points)
+    return P.mass(np.abs(h.values[zs] - ys) > eta) < 0.5 - beta - 1e-12
 
 
 class FiniteClassOracle:
@@ -221,16 +218,9 @@ class FiniteClassOracle:
 
         Returns (sorted index tuple, witness hypothesis).
         """
-        best_idx, best_fit = 0, ()
-        for row in range(self.cls.n_hypotheses):
-            values = self.cls.matrix[row]
-            fit = tuple(
-                i for i, ex in enumerate(sample)
-                if max(abs(values[z] - ex.y) for z in U.of(ex.x)) < eta
-            )
-            if len(fit) > len(best_fit):
-                best_idx, best_fit = row, fit
-        return best_fit, self.cls.hypothesis(best_idx)
+        fits = robust_deviations(self.cls.matrix, sample, U) < eta
+        best = int(np.argmax(fits.sum(axis=1)))
+        return tuple(np.flatnonzero(fits[best]).tolist()), self.cls.hypothesis(best)
 
 
 class ConstantClassOracle:
@@ -256,7 +246,7 @@ class ConstantClassOracle:
             if kind != "constant":
                 return None
             values.append(value)
-        return constant_hypothesis(float(np.mean(values)))
+        return constant_hypothesis(float(np.mean(values)), len(members[0].values))
 
     def max_fit_subset(self, sample, U, eta):
         """Sweep of open intervals (y - eta, y + eta); the best stabbing
@@ -267,7 +257,7 @@ class ConstantClassOracle:
         [0, 1]) enumerate every achievable fit set.
         """
         if not sample:
-            return (), constant_hypothesis(0.5)
+            return (), constant_hypothesis(0.5, U.domain_size)
         ys = np.array([ex.y for ex in sample])
         endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
         mids = (endpoints[:-1] + endpoints[1:]) / 2.0
@@ -277,4 +267,4 @@ class ConstantClassOracle:
             if count > best_count:
                 best_c, best_count = float(c), count
         fit = tuple(i for i, y in enumerate(ys) if abs(y - best_c) < eta)
-        return fit, constant_hypothesis(best_c)
+        return fit, constant_hypothesis(best_c, U.domain_size)

@@ -27,7 +27,9 @@ from .core import (
     Lp,
     PerturbationMap,
     empirical_error,
+    examples_arrays,
     inflate,
+    robust_deviations,
 )
 from .dimensions import greedy_cover
 from .errors import (
@@ -139,29 +141,6 @@ class PipelineReport:
         return json.dumps(doc, separators=(",", ":"), default=str)
 
 
-@dataclass(frozen=True)
-class DualPointMatrix:
-    """Rows: inflated points; columns: pool members; entry |h(z) - y|."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise InvalidParameter("dual matrix must be 2-D")
-        if m.size and not ((m >= 0.0) & (m <= 1.0)).all():
-            raise InvalidParameter("dual deviations must lie in [0, 1]")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_pool(self) -> int:
-        return self.matrix.shape[1]
-
-
 def build_pool(
     sample: Sequence[LabeledExample],
     U: PerturbationMap,
@@ -219,15 +198,13 @@ def build_pool(
 
 
 def dual_embed(pool: Sequence[Hypothesis],
-               inflated: Sequence[InflatedExample]) -> DualPointMatrix:
-    """Deviation profile of every inflated point across the pool."""
+               inflated: Sequence[InflatedExample]) -> np.ndarray:
+    """Deviation profile of every inflated point across the pool:
+    (points x pool) matrix of |h(z) - y|."""
     if not pool:
         raise InvalidParameter("pool must be nonempty")
-    zs = [pt.z for pt in inflated]
-    ys = np.array([pt.y for pt in inflated])
-    cols = np.stack([np.abs(h.values(zs) - ys) for h in pool]) if inflated else \
-        np.zeros((len(pool), 0))
-    return DualPointMatrix(cols.T)
+    zs, ys = examples_arrays(inflated)
+    return np.abs(np.stack([h.values[zs] for h in pool]) - ys).T
 
 
 def _log_factor(eta: float) -> int:
@@ -245,35 +222,17 @@ def _pool_for(sample, U, rerm, eta_rerm, d, cfg, rng):
 
 def _cover_stage(pool, inflated, t):
     dual = dual_embed(pool, inflated)
-    centers, assignment = greedy_cover(dual.matrix, t)
-    cert = 0.0
-    for i, c in enumerate(assignment):
-        cert = max(cert, float(np.abs(dual.matrix[i] - dual.matrix[c]).max()))
+    centers, assignment = greedy_cover(dual, t)
+    cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
     if cert > t:
         raise ChainAssertionFailed(f"cover certificate {cert:.6g} exceeds radius {t:.6g}")
     cover = [inflated[i] for i in centers]
     return dual, cover, cert
 
 
-def _domain_points(U: PerturbationMap) -> tuple[int, ...]:
-    return U.instances()
-
-
-def _round_trip_check(ensemble: WeightedEnsemble, h: Hypothesis, U) -> None:
-    for z in _domain_points(U):
-        if ensemble.evaluate(z) != h(z):
-            raise ChainAssertionFailed(f"reconstruction differs from the run at {z}")
-
-
-def _max_dev_on(evaluate, points: Sequence[InflatedExample]) -> float:
-    return max((abs(evaluate(pt.z) - pt.y) for pt in points), default=0.0)
-
-
-def _max_robust_dev(evaluate, sample, U) -> float:
-    worst = 0.0
-    for ex in sample:
-        worst = max(worst, max(abs(evaluate(z) - ex.y) for z in U.of(ex.x)))
-    return worst
+def _round_trip_check(ensemble: WeightedEnsemble, h: Hypothesis) -> None:
+    if not np.array_equal(ensemble.values, h.values):
+        raise ChainAssertionFailed("reconstruction differs from the run")
 
 
 def _bounds_for(scheme, m, delta):
@@ -330,13 +289,15 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     t3 = time.perf_counter()
     scheme = compress(ensemble, sample, eta, group_size=min(d, len(sample)))
     h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(ensemble, h, U)
+    _round_trip_check(ensemble, h)
 
-    cover_rate = float(np.mean([abs(h(pt.z) - pt.y) >= eta / 2 for pt in cover]))
+    zs, ys = examples_arrays(cover)
+    cover_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta / 2))
     if cover_rate > epsilon:
         raise ChainAssertionFailed(
             f"cover rate {cover_rate:.4f} exceeds epsilon {epsilon}")
-    inflated_rate = float(np.mean([abs(h(pt.z) - pt.y) >= eta for pt in inflated]))
+    zs, ys = examples_arrays(inflated)
+    inflated_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta))
     if inflated_rate > epsilon:
         raise ChainAssertionFailed(
             f"inflated-set rate {inflated_rate:.4f} exceeds epsilon {epsilon}")
@@ -393,15 +354,17 @@ def _improper_core(oracle, sample, U, eta, cfg, seed):
     timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
-    cover_dev = _max_dev_on(ensemble.evaluate, cover)
+    zs, ys = examples_arrays(cover)
+    cover_dev = np.abs(ensemble.values[zs] - ys).max()
     if cover_dev > eta / 4:
         raise ChainAssertionFailed(
             f"median deviates {cover_dev:.4g} > eta/4 on the cover")
-    inflated_dev = _max_dev_on(ensemble.evaluate, inflated)
+    zs, ys = examples_arrays(inflated)
+    inflated_dev = np.abs(ensemble.values[zs] - ys).max()
     if inflated_dev > eta / 2:
         raise ChainAssertionFailed(
             f"median deviates {inflated_dev:.4g} > eta/2 on the inflated set")
-    sample_dev = _max_robust_dev(ensemble.evaluate, sample, U)
+    sample_dev = robust_deviations(ensemble.values, sample, U).max()
     if sample_dev > eta / 2:
         raise ChainAssertionFailed(
             f"median robustly deviates {sample_dev:.4g} > eta/2 on the sample")
@@ -447,8 +410,8 @@ def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     scheme = compress(final, sample, eta, group_size=min(core["d"], len(sample)),
                       store_alphas=core["sparsify_failed"])
     h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(final, h, U)
-    worst = _max_robust_dev(h, sample, U)
+    _round_trip_check(final, h)
+    worst = float(robust_deviations(h.values, sample, U).max())
     if worst > eta:
         raise ChainAssertionFailed(
             f"reconstruction robustly deviates {worst:.4g} > eta on the sample")
@@ -502,8 +465,8 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
     scheme = compress(remapped, sample, eta, group_size=min(core["d"], len(sub)),
                       store_alphas=core["sparsify_failed"])
     h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(remapped, h, U)
-    worst_sub = _max_robust_dev(h, sub, U)
+    _round_trip_check(remapped, h)
+    worst_sub = robust_deviations(h.values, sub, U).max()
     if worst_sub > eta:
         raise ChainAssertionFailed(
             f"reconstruction robustly deviates {worst_sub:.4g} > eta on the fitted subset")
@@ -615,16 +578,6 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
 
 
 _THEOREM_EXPONENT = {"3.1": 3, "4.1": 1, "4.2": 2, "5.1": 1, "5.2": 2}
-
-
-def theorem_scale(theorem: str, epsilon: float, eta: float | None,
-                  p: float = 1.0) -> float:
-    """Fat-shattering scale each guarantee evaluates its dimensions at."""
-    if theorem in ("5.1", "5.2"):
-        return epsilon ** (1.0 / p)
-    if eta is None:
-        raise InvalidParameter(f"guarantee {theorem} needs eta")
-    return eta
 
 
 def sample_complexity(theorem: str, fat: int, fat_star: int, epsilon: float,

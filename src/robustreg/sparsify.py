@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import WeightedEnsemble, weighted_median_columns
-from .core import InflatedExample
+from .core import InflatedExample, examples_arrays
 from .errors import InvalidParameter, RobustRegError, SparsifyFailed
 
 
@@ -41,9 +41,8 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[InflatedExample],
     if total <= 0:
         raise InvalidParameter("ensemble alphas are not normalizable")
     probs = np.asarray(ensemble.alphas, dtype=float) / total
-    zs = [pt.z for pt in cover]
-    ys = np.array([pt.y for pt in cover])
-    values = ensemble.member_values(zs)  # (T, n_cover)
+    zs, ys = examples_arrays(cover)
+    values = ensemble.matrix[:, zs]  # (T, n_cover)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(1, max_iters)):

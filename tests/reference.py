@@ -112,3 +112,48 @@ def brute_max_fit_subsets(matrix, sample, U, eta: float):
             elif len(idx) == best_size:
                 best.append(frozenset(idx))
     return best_size, best
+
+
+def scalar_weighted_median(values, weights) -> float:
+    """Lower weighted median of one list: sort stably, then take the first
+    value whose cumulative normalized weight reaches 1/2."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order]) / w.sum()
+    return float(v[order][int(np.argmax(cum >= 0.5))])
+
+
+def scalar_robust_deviation(values, ex, U) -> float:
+    """max over z in U(x) of |values[z] - y|, one perturbation at a time."""
+    return max(abs(float(values[z]) - ex.y) for z in U.of(ex.x))
+
+
+def scalar_rerm(matrix, subset, U, eta):
+    """(lowest feasible row or None, per-row worst deviation), row by row."""
+    worst = [max((scalar_robust_deviation(row, ex, U) for ex in subset), default=0.0)
+             for row in np.asarray(matrix, dtype=float)]
+    feasible = [r for r, w in enumerate(worst) if w <= eta]
+    return (feasible[0] if feasible else None), worst
+
+
+def scalar_max_fit_subset(matrix, sample, U, eta):
+    """(fit indices, row) of the first row fitting the most points with
+    robust deviation strictly below eta."""
+    best_row, best_fit = 0, ()
+    for r, row in enumerate(np.asarray(matrix, dtype=float)):
+        fit = tuple(i for i, ex in enumerate(sample)
+                    if scalar_robust_deviation(row, ex, U) < eta)
+        if len(fit) > len(best_fit):
+            best_row, best_fit = r, fit
+    return best_fit, best_row
+
+
+def scalar_empirical_error(values, sample, U, eta=None, p=None) -> float:
+    """Mean tube loss (eta given) or mean p-th power loss, added by the
+    builtin sum in sample order."""
+    losses = []
+    for ex in sample:
+        dev = scalar_robust_deviation(values, ex, U)
+        losses.append((1.0 if dev >= eta else 0.0) if eta is not None else dev ** p)
+    return sum(losses) / len(sample)

@@ -16,11 +16,12 @@ from robustreg import (
     medboost_alpha,
     weighted_median,
 )
-from robustreg.boosting import weighted_median_columns
+from robustreg.boosting import aggregate, weighted_median_columns
 from robustreg.errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import rerm_finite
 
 from conftest import labeled, make_class
+from reference import scalar_weighted_median
 
 
 class TestWeightedMedian:
@@ -46,14 +47,37 @@ class TestWeightedMedian:
 
     @given(st.data())
     def test_columnwise_matches_scalar(self, data):
-        rows = data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 200))
         cols = data.draw(st.integers(1, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
         values = rng.uniform(size=(rows, cols))
+        if data.draw(st.booleans()):  # ties exercise the stable order
+            values = np.round(values * 4) / 4
         weights = rng.uniform(0.1, 1.0, size=rows)
+        if data.draw(st.booleans()):
+            weights[rng.uniform(size=rows) < 0.3] = 0.0
+            weights[0] = 0.5
         med = weighted_median_columns(values, weights)
         for j in range(cols):
-            assert med[j] == weighted_median(values[:, j], weights)
+            assert med[j] == scalar_weighted_median(values[:, j], weights)
+            assert weighted_median(values[:, j], weights) == med[j]
+
+    @pytest.mark.parametrize("values, weights, error", [
+        (np.zeros((0, 2)), [], InvalidParameter),
+        (np.zeros((3, 2)), [1.0, 1.0], InvalidParameter),
+        (np.zeros((2, 2)), [1.0, -1.0], InvalidParameter),
+        (np.zeros((2, 2)), [0.0, 0.0], DegenerateWeights),
+    ])
+    def test_columnwise_checks_its_inputs(self, values, weights, error):
+        with pytest.raises(error):
+            weighted_median_columns(values, weights)
+
+    @given(st.integers(8, 200), st.integers(0, 10 ** 6))
+    def test_average_aggregation_equals_the_per_point_mean(self, members, seed):
+        values = np.random.default_rng(seed).uniform(size=(members, 7))
+        avg = aggregate(values, (1.0,) * members, median=False)
+        for j in range(7):
+            assert avg[j] == np.mean(values[:, j].tolist())
 
 
 class TestMedboostAlpha:
@@ -163,19 +187,19 @@ class TestMedboost:
 
 class TestWeightedEnsemble:
     def test_lengths_must_match(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         with pytest.raises(InvalidParameter):
             WeightedEnsemble(members=(h,), alphas=(1.0, 1.0), sources=((0,),),
                              aggregation="weighted_median")
 
     def test_median_requires_positive_alpha(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         with pytest.raises(InvalidParameter):
             WeightedEnsemble(members=(h,), alphas=(0.0,), sources=((0,),),
                              aggregation="weighted_median")
 
     def test_average_evaluation(self):
         ens = WeightedEnsemble(
-            members=(constant_hypothesis(0.2), constant_hypothesis(0.6)),
+            members=(constant_hypothesis(0.2, 1), constant_hypothesis(0.6, 1)),
             alphas=(1.0, 1.0), sources=((0,), (1,)), aggregation="average")
         assert ens.evaluate(0) == pytest.approx(0.4)

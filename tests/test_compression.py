@@ -29,29 +29,29 @@ def median_ensemble(members, sources, alphas=None):
 
 class TestCompress:
     def test_single_member(self):
-        ens = median_ensemble([constant_hypothesis(0.4)], [(0, 1)])
+        ens = median_ensemble([constant_hypothesis(0.4, 3)], [(0, 1)])
         scheme = compress(ens, labeled([(0, 0.4), (1, 0.4)]), eta=0.2)
         assert scheme.groups == ((0, 1),)
         assert scheme.size == 2
 
     def test_three_members_group_size_two(self):
-        ens = median_ensemble([constant_hypothesis(0.5)] * 3,
+        ens = median_ensemble([constant_hypothesis(0.5, 3)] * 3,
                               [(0, 1), (1, 2), (0, 2)])
         scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), eta=0.2)
         assert scheme.size == 6
 
     def test_padding_repeats_last_index(self):
-        ens = median_ensemble([constant_hypothesis(0.5)] * 2, [(0,), (1, 2)])
+        ens = median_ensemble([constant_hypothesis(0.5, 3)] * 2, [(0,), (1, 2)])
         scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), eta=0.2)
         assert scheme.groups == ((0, 0), (1, 2))
 
     def test_empty_sources_not_compressible(self):
-        ens = median_ensemble([constant_hypothesis(0.5)], [()])
+        ens = median_ensemble([constant_hypothesis(0.5, 3)], [()])
         with pytest.raises(NotCompressible):
             compress(ens, labeled([(0, 0.5)]), eta=0.2)
 
     def test_average_schemes_store_no_alphas(self):
-        ens = WeightedEnsemble(members=(constant_hypothesis(0.5),),
+        ens = WeightedEnsemble(members=(constant_hypothesis(0.5, 3),),
                                alphas=(1.0,), sources=((0,),),
                                aggregation="average")
         scheme = compress(ens, labeled([(0, 0.5)]), eta=0.2)
@@ -89,18 +89,18 @@ class TestVerifyApproximation:
     U = PerturbationMap.identity(4)
 
     def test_exact_interpolant(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 4)
         uniform, rate = verify_approximation(h, labeled([(0, 0.5)] * 3), self.U, 0.1)
         assert uniform and rate == 0.0
 
     def test_one_violation_in_four(self):
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, 4)
         sample = labeled([(0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)])
         uniform, rate = verify_approximation(h, sample, self.U, 0.5)
         assert not uniform and rate == 0.25
 
     def test_exact_eta_deviation_counts(self):
-        h = constant_hypothesis(0.75)
+        h = constant_hypothesis(0.75, 4)
         uniform, rate = verify_approximation(h, labeled([(0, 0.5)]), self.U, 0.25)
         assert rate > 0.0 and not uniform
 

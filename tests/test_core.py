@@ -23,7 +23,7 @@ from conftest import labeled
 
 def hyp_from_values(values):
     v = np.asarray(values, dtype=float)
-    return Hypothesis(lambda z, v=v: float(v[z]), ("table", tuple(v)))
+    return Hypothesis(v, ("table", tuple(v)))
 
 
 class TestInflate:
@@ -76,7 +76,7 @@ class TestInflate:
 
 class TestRobustLoss:
     def test_zero_deviation(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         ex = LabeledExample(0, 0.5)
         assert robust_loss(h, ex, PerturbationMap.identity(1), EtaBall(0.1)) == 0.0
 
@@ -89,13 +89,13 @@ class TestRobustLoss:
         assert robust_loss(h, ex, U, Lp(2)) == pytest.approx(0.16)
 
     def test_boundary_deviation_counts(self):
-        h = constant_hypothesis(0.75)
+        h = constant_hypothesis(0.75, 1)
         ex = LabeledExample(0, 0.5)
         assert robust_loss(h, ex, PerturbationMap.identity(1), EtaBall(0.25)) == 1.0
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     def test_eta_ball_monotone_in_eta(self, v, y, eta):
-        h = constant_hypothesis(v)
+        h = constant_hypothesis(v, 1)
         ex = LabeledExample(0, round(y, 6))
         U = PerturbationMap.identity(1)
         small = robust_loss(h, ex, U, EtaBall(min(eta, 0.5)))
@@ -104,7 +104,7 @@ class TestRobustLoss:
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(1, 4))
     def test_lp_loss_is_power_of_deviation(self, v, y, p):
-        h = constant_hypothesis(v)
+        h = constant_hypothesis(v, 1)
         ex = LabeledExample(0, y)
         U = PerturbationMap.identity(1)
         dev = robust_deviation(h, ex, U)
@@ -112,7 +112,7 @@ class TestRobustLoss:
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_singleton_set_equals_plain_loss(self, v, y):
-        h = constant_hypothesis(v)
+        h = constant_hypothesis(v, 1)
         ex = LabeledExample(0, y)
         U = PerturbationMap.identity(1)
         assert robust_deviation(h, ex, U) == abs(v - y)
@@ -120,25 +120,25 @@ class TestRobustLoss:
 
 class TestEmpiricalError:
     def test_single_zero_loss(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         U = PerturbationMap.identity(1)
         assert empirical_error(h, labeled([(0, 0.5)]), U, EtaBall(0.1)) == 0.0
 
     def test_mean_of_indicators(self):
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, 2)
         U = PerturbationMap.identity(2)
         sample = labeled([(0, 0.9), (1, 0.0)])
         assert empirical_error(h, sample, U, EtaBall(0.5)) == 0.5
 
     def test_mean_of_lp_losses(self):
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, 3)
         U = PerturbationMap.identity(3)
         sample = labeled([(0, 0.1), (1, 0.2), (2, 0.3)])
         assert empirical_error(h, sample, U, Lp(1)) == pytest.approx(0.2)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
-            empirical_error(constant_hypothesis(0.5), [],
+            empirical_error(constant_hypothesis(0.5, 1), [],
                             PerturbationMap.identity(1), EtaBall(0.1))
 
 
@@ -150,6 +150,12 @@ class TestValidation:
     def test_perturbation_rejects_duplicates(self):
         with pytest.raises(InvalidParameter):
             PerturbationMap({0: (0, 0)})
+
+    @pytest.mark.parametrize("table", [{-1: (-1,)}, {0: (0, -2)}])
+    def test_perturbation_rejects_negative_ids(self, table):
+        # a negative id would index the padded matrix from its end
+        with pytest.raises(InvalidParameter):
+            PerturbationMap(table)
 
     def test_label_range(self):
         with pytest.raises(InvalidParameter):

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from robustreg import (
     PerturbationMap,
     PointDistribution,
+    compress,
     constant_hypothesis,
     find_strong_learner,
     inflate,
     mw_boost,
     mw_update,
+    reconstruct,
 )
 from robustreg.errors import StrongLearnerNotFound
 from robustreg.oracles import ConstantClassOracle, rerm_constant, rerm_finite
@@ -29,21 +31,21 @@ def cover_of(values, labels):
 class TestMwUpdate:
     def test_correct_nowhere_leaves_p_unchanged(self):
         U, sample, cover = cover_of([0, 1], [1.0, 1.0])
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, len(cover))
         P = PointDistribution.uniform(2)
         Q = mw_update(P, h, cover, eta=0.2, xi=0.5)
         assert np.allclose(Q.weights, P.weights)
 
     def test_downweights_the_handled_point(self):
         U, sample, cover = cover_of([0, 1], [0.0, 1.0])
-        h = constant_hypothesis(0.0)  # handles the first point only
+        h = constant_hypothesis(0.0, len(cover))  # handles the first point only
         P = PointDistribution.uniform(2)
         Q = mw_update(P, h, cover, eta=0.2, xi=math.log(2.0))
         assert np.allclose(Q.weights, [1 / 3, 2 / 3])
 
     def test_correct_everywhere_leaves_p_unchanged(self):
         U, sample, cover = cover_of([0, 1], [0.5, 0.5])
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, len(cover))
         P = PointDistribution.uniform(2)
         Q = mw_update(P, h, cover, eta=0.2, xi=0.7)
         assert np.allclose(Q.weights, P.weights)
@@ -53,7 +55,7 @@ class TestMwUpdate:
     def test_support_is_preserved(self, labels, xi):
         U, sample, cover = cover_of(range(len(labels)), labels)
         P = PointDistribution.uniform(len(labels))
-        Q = mw_update(P, constant_hypothesis(0.5), cover, eta=0.3, xi=xi)
+        Q = mw_update(P, constant_hypothesis(0.5, len(cover)), cover, eta=0.3, xi=xi)
         assert (Q.weights > 0).all()
 
 
@@ -113,7 +115,11 @@ class TestMwBoost:
         T = math.ceil(4 * math.log(8))
         ens = mw_boost(cover, sample, U, eta=0.2, epsilon=0.1, xi=0.5, T=T,
                        rerm=rerm, d=3, seed=5)
-        avg = ens.member_values([pt.z for pt in cover]).mean(axis=0)
+        # the condition must hold for what a reconstruction evaluates
+        scheme = compress(ens, sample, eta=0.2)
+        h = reconstruct(scheme, sample, rerm, U)
+        assert np.array_equal(h.values, ens.values)
+        avg = h.values[[pt.z for pt in cover]]
         ys = np.array([pt.y for pt in cover])
         assert float((np.abs(avg - ys) >= 0.1).mean()) <= 0.1
 

@@ -109,23 +109,23 @@ class TestWeakLearnerCheck:
         return [InflatedExample(z=0, y=y, origin=0) for y in ys]
 
     def test_exact_fit_passes_any_beta(self):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         pts = self.cover([0.5, 0.5])
         assert weak_learner_check(h, PointDistribution.uniform(2), pts, 0.1, 0.49)
 
     def test_quarter_mass_violation_passes(self):
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, 1)
         pts = self.cover([0.0, 0.0, 0.0, 1.0])
         assert weak_learner_check(h, PointDistribution.uniform(4), pts, 0.1, 1 / 6)
 
     def test_third_mass_violation_fails_strictly(self):
-        h = constant_hypothesis(0.0)
+        h = constant_hypothesis(0.0, 1)
         pts = self.cover([0.0, 0.0, 1.0])
         assert not weak_learner_check(h, PointDistribution.uniform(3), pts, 0.1, 1 / 6)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=12))
     def test_implied_by_indicator_error_below_half(self, ys):
-        h = constant_hypothesis(0.5)
+        h = constant_hypothesis(0.5, 1)
         pts = self.cover(ys)
         P = PointDistribution.uniform(len(ys))
         err = np.mean([abs(h(p.z) - p.y) >= 0.2 for p in pts])
@@ -167,7 +167,7 @@ class TestOracleWrappers:
         assert all(abs(c - sample[i].y) < 0.15 for i in fit)
 
     def test_constant_fold_average(self):
-        members = [constant_hypothesis(v) for v in (0.2, 0.4)]
+        members = [constant_hypothesis(v, 1) for v in (0.2, 0.4)]
         folded = ConstantClassOracle().fold_average(members)
         assert folded.descriptor == ("constant", pytest.approx(0.3))
 

@@ -89,22 +89,22 @@ class TestDualEmbed:
         U = PerturbationMap.identity(2)
         sample = labeled([(0, 0.3), (1, 0.7)])
         dual = dual_embed([cls.hypothesis(0)], inflate(sample, U))
-        assert np.allclose(dual.matrix, 0.0)
+        assert np.allclose(dual, 0.0)
 
     def test_constant_zero_pool_entry_is_the_label(self):
         from robustreg import constant_hypothesis
         U = PerturbationMap.identity(1)
-        dual = dual_embed([constant_hypothesis(0.0)],
+        dual = dual_embed([constant_hypothesis(0.0, 1)],
                           inflate(labeled([(0, 0.7)]), U))
-        assert dual.matrix.tolist() == [[0.7]]
+        assert dual.tolist() == [[0.7]]
 
     def test_pool_reorder_permutes_columns(self):
         from robustreg import constant_hypothesis
         U = PerturbationMap.identity(2)
         inflated = inflate(labeled([(0, 0.1), (1, 0.9)]), U)
-        a, b = constant_hypothesis(0.2), constant_hypothesis(0.8)
-        m1 = dual_embed([a, b], inflated).matrix
-        m2 = dual_embed([b, a], inflated).matrix
+        a, b = constant_hypothesis(0.2, 2), constant_hypothesis(0.8, 2)
+        m1 = dual_embed([a, b], inflated)
+        m2 = dual_embed([b, a], inflated)
         assert np.allclose(m1, m2[:, ::-1])
 
 

@@ -11,8 +11,8 @@ def cover_points(labels):
     return [InflatedExample(z=i, y=y, origin=i) for i, y in enumerate(labels)]
 
 
-def ensemble_of(constants, alphas, sources=None):
-    members = tuple(constant_hypothesis(c) for c in constants)
+def ensemble_of(constants, alphas, sources=None, domain_size=3):
+    members = tuple(constant_hypothesis(c, domain_size) for c in constants)
     sources = sources or tuple((i,) for i in range(len(members)))
     return WeightedEnsemble(members=members, alphas=tuple(alphas),
                             sources=tuple(sources), aggregation="weighted_median")
