@@ -69,6 +69,7 @@ from .pipelines import (
     improper_learn,
     proper_learn,
     realizable_regression,
+    run_pipeline,
     sample_complexity,
     theta_grid,
 )

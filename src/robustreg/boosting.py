@@ -4,8 +4,9 @@ Base learners are drawn by sampling cover points from the current round
 distribution, mapping them back to their originating sample points, and
 refitting with the RERM oracle at an eighth of the working radius; a
 candidate is kept only if it passes the weak-learner mass check, making
-the acquisition a verified Las Vegas draw.  Aggregation is the lower
-weighted median.
+the acquisition a verified Las Vegas draw.  The draw loop is shared with
+the strong-learner draws of ``mw``.  Aggregation is the lower weighted
+median.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ import numpy as np
 from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
 from .errors import DegenerateWeights, Infeasible, InvalidParameter, WeakLearnerNotFound
 from .oracles import PointDistribution, weak_learner_check
+
+# The paper's refit radii, as fractions of eta: every RERM fit of a median
+# scheme (pool, weak-learner draws, reconstruction) runs at eta/8, of an
+# average scheme at eta/4, so that a stored scheme replays its run.
+MEDIAN_REFIT = 1 / 8
+AVERAGE_REFIT = 1 / 4
 
 
 def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -111,17 +118,39 @@ def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:
     return 0.5 * math.log(((1 - 1 / 6) * right) / ((1 + 1 / 6) * wrong))
 
 
-def _draw_origins(P, cover, sample, d, rng) -> tuple[int, ...]:
-    """Origins of d cover points drawn from P, topped up with uniform
-    sample indices so the refit subset has the full working size."""
-    drawn = P.sample(rng, d)
-    origins = {cover[int(i)].origin for i in drawn}
-    want = min(d, len(sample))
-    if len(origins) < want:
-        rest = [j for j in range(len(sample)) if j not in origins]
-        extra = rng.choice(len(rest), size=want - len(origins), replace=False)
-        origins.update(rest[int(j)] for j in extra)
-    return tuple(sorted(origins))
+def draw_learner(P, cover, sample, U, rerm, eta_rerm: float, d: int,
+                 retries: int, rng: np.random.Generator, accept, violated,
+                 failure, wanted: str):
+    """Up to ``retries`` draws of d cover points from P, topped up with
+    uniform sample indices to the full working size; their origins are
+    refit at ``eta_rerm``.  Returns ``(h, origins)`` for the first fit that
+    ``accept`` passes; otherwise raises ``failure`` with the least
+    ``violated`` mass seen (None if every refit was infeasible)."""
+    if d < 1:
+        raise InvalidParameter(f"d must be >= 1, got {d}")
+    if not cover:
+        raise InvalidParameter("cover must be nonempty")
+    want, best = min(d, len(sample)), None
+    for _ in range(max(1, retries)):
+        origins = {cover[int(i)].origin for i in P.sample(rng, d)}
+        if len(origins) < want:
+            rest = [j for j in range(len(sample)) if j not in origins]
+            extra = rng.choice(len(rest), size=want - len(origins), replace=False)
+            origins.update(rest[int(j)] for j in extra)
+        origins = tuple(sorted(origins))
+        try:
+            h = rerm([sample[j] for j in origins], U, eta_rerm)
+        except Infeasible:
+            continue
+        if accept(h):
+            return h, origins
+        mass = violated(h)
+        best = mass if best is None else min(best, mass)
+    raise failure(
+        f"no {wanted} in {retries} draws"
+        + (f" (best violated mass {best:.4f})" if best is not None else ""),
+        best_mass=best,
+    )
 
 
 def find_weak_learner(
@@ -134,31 +163,15 @@ def find_weak_learner(
     d: int,
     retries: int,
     rng: np.random.Generator,
-    rerm_scale: float = 1 / 8,
 ) -> tuple[Hypothesis, tuple[int, ...]]:
-    """Sample d cover points from P, refit their origins, keep the first
-    candidate passing the (eta/4, 1/6) mass check."""
-    if d < 1:
-        raise InvalidParameter(f"d must be >= 1, got {d}")
-    if not cover:
-        raise InvalidParameter("cover must be nonempty")
+    """Sample d cover points from P, refit their origins at eta/8, keep the
+    first candidate passing the (eta/4, 1/6) mass check."""
     zs, ys = examples_arrays(cover)
-    best = None
-    for _ in range(max(1, retries)):
-        origins = _draw_origins(P, cover, sample, d, rng)
-        try:
-            h = rerm([sample[j] for j in origins], U, eta * rerm_scale)
-        except Infeasible:
-            continue
-        if weak_learner_check(h, P, cover, eta / 4, 1 / 6):
-            return h, origins
-        mass = P.mass(np.abs(h.values[zs] - ys) > eta / 4)
-        best = mass if best is None else min(best, mass)
-    raise WeakLearnerNotFound(
-        f"no (eta/4, 1/6)-weak learner in {retries} draws"
-        + (f" (best violated mass {best:.4f})" if best is not None else ""),
-        best_mass=best,
-    )
+    return draw_learner(
+        P, cover, sample, U, rerm, eta * MEDIAN_REFIT, d, retries, rng,
+        accept=lambda h: weak_learner_check(h, P, cover, eta / 4, 1 / 6),
+        violated=lambda h: P.mass(np.abs(h.values[zs] - ys) > eta / 4),
+        failure=WeakLearnerNotFound, wanted="(eta/4, 1/6)-weak learner")
 
 
 def medboost(
@@ -174,7 +187,6 @@ def medboost(
     round_retries: int = 5,
     early_stop: bool = True,
     rng: np.random.Generator | None = None,
-    rerm_scale: float = 1 / 8,
 ) -> WeightedEnsemble:
     """Boost weak learners into a weighted-median ensemble.
 
@@ -199,7 +211,7 @@ def medboost(
     for _ in range(T):
         for attempt in range(max(1, round_retries)):
             h, src = find_weak_learner(P, cover, sample, U, eta, rerm, d,
-                                       retries, rng, rerm_scale=rerm_scale)
+                                       retries, rng)
             values = h.values[zs]
             w = np.where(np.abs(values - ys) > eta / 4, -1, 1)
             alpha = medboost_alpha(P, w)

@@ -9,23 +9,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import load_domain
+from .core import inflate, load_domain
 from .dimensions import dual_fat_shattering, fat_shattering, greedy_cover
 from .compression import generalization_bound
 from .errors import InvalidParameter, RobustRegError
 from .harness import ExperimentConfig, gen_instance, instance_to_domain_json, run_experiment, write_csv
 from .oracles import FiniteClass, FiniteClassOracle, load_class_csv
-from .pipelines import (
-    PipelineConfig,
-    agnostic_eta_learn,
-    agnostic_regression,
-    dual_embed,
-    improper_learn,
-    proper_learn,
-    realizable_regression,
-    sample_complexity,
-)
-from .core import inflate
+from .pipelines import dual_embed, run_pipeline, sample_complexity
+
+
+# learn subcommands: the pipeline each runs and the parameters it takes
+LEARN = {
+    "learn-proper": ("proper", ("eta", "epsilon")),
+    "learn-improper": ("improper", ("eta",)),
+    "agnostic-eta": ("agnostic-eta", ("eta",)),
+    "regress": ("regress", ("epsilon", "p")),
+    "agnostic-regress": ("agnostic-regress", ("epsilon", "delta", "p")),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -53,20 +53,11 @@ def _parser() -> argparse.ArgumentParser:
                         help="greedy sup-norm cover of the inflated set")
     sp.add_argument("--t", type=float, required=True)
 
-    for name in ("learn-proper", "learn-improper", "agnostic-eta"):
+    for name, (_, params) in LEARN.items():
         sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--eta", type=float, required=True)
-        if name == "learn-proper":
-            sp.add_argument("--epsilon", type=float, required=True)
-
-    sp = sub.add_parser("regress", parents=[common])
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--p", type=float, default=1.0)
-
-    sp = sub.add_parser("agnostic-regress", parents=[common])
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--p", type=float, default=1.0)
+        for param in params:
+            sp.add_argument(f"--{param}", type=float, required=param in ("eta", "epsilon"),
+                            default={"delta": 0.1, "p": 1.0}.get(param))
 
     sp = sub.add_parser("bounds", parents=[common],
                         help="generalization and sample-size calculators")
@@ -97,10 +88,10 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _require_config(args):
+def _require_config(args, load=load_domain):
     if not args.config:
         raise InvalidParameter("missing --config")
-    return load_domain(args.config)
+    return load(args.config)
 
 
 def _oracle_from(domain):
@@ -110,9 +101,7 @@ def _oracle_from(domain):
 
 
 def _cmd_gen(args) -> str:
-    if not args.config:
-        raise InvalidParameter("missing --config")
-    config = ExperimentConfig.from_json(args.config)
+    config = _require_config(args, ExperimentConfig.from_json)
     seed = args.seed if args.seed is not None else config.seed
     cls, U, sample, holdout = gen_instance(config, seed, m=args.m)
     return instance_to_domain_json(cls, U, sample, holdout) + "\n"
@@ -128,10 +117,7 @@ def _cmd_fatdim(args) -> str:
     if args.matrix:
         cls = load_class_csv(args.matrix)
     else:
-        domain = _require_config(args)
-        if domain.class_matrix is None:
-            raise InvalidParameter("domain document has no class_matrix")
-        cls = FiniteClass(domain.class_matrix)
+        cls = _oracle_from(_require_config(args)).cls
     lines = ["gamma,fat,dual_fat"]
     for g in gammas:
         fat = fat_shattering(cls, g, max_points=args.max_points,
@@ -154,27 +140,13 @@ def _cmd_cover(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_learn(args, name: str) -> str:
+def _cmd_learn(args) -> str:
     domain = _require_config(args)
-    oracle = _oracle_from(domain)
-    sample = list(domain.sample)
-    U = domain.perturbations
-    cfg = PipelineConfig()
-    seed = args.seed if args.seed is not None else 0
-    if name == "learn-proper":
-        report = proper_learn(oracle, sample, U, args.eta, args.epsilon, cfg, seed)
-    elif name == "learn-improper":
-        report = improper_learn(oracle, sample, U, args.eta, cfg, seed)
-    elif name == "agnostic-eta":
-        report = agnostic_eta_learn(oracle, sample, U, args.eta, cfg, seed)
-    elif name == "regress":
-        report = realizable_regression(oracle, sample, U, args.epsilon, args.p,
-                                       cfg, seed)
-    else:
-        if not domain.holdout:
-            raise InvalidParameter("agnostic-regress needs a holdout in the domain document")
-        report = agnostic_regression(oracle, sample, list(domain.holdout), U,
-                                     args.epsilon, args.delta, args.p, cfg, seed)
+    pipeline, params = LEARN[args.command]
+    report = run_pipeline(pipeline, _oracle_from(domain), list(domain.sample),
+                          domain.perturbations, holdout=list(domain.holdout),
+                          seed=args.seed if args.seed is not None else 0,
+                          **{k: getattr(args, k) for k in params})
     return report.to_json() + "\n"
 
 
@@ -196,11 +168,15 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_experiment(args) -> str:
-    if not args.config:
-        raise InvalidParameter("missing --config")
-    config = ExperimentConfig.from_json(args.config)
-    rows = run_experiment(config)
+    rows = run_experiment(_require_config(args, ExperimentConfig.from_json))
     return write_csv(rows)
+
+
+COMMANDS = {
+    "gen": _cmd_gen, "fatdim": _cmd_fatdim, "cover": _cmd_cover,
+    **dict.fromkeys(LEARN, _cmd_learn),
+    "bounds": _cmd_bounds, "experiment": _cmd_experiment,
+}
 
 
 def main(argv=None) -> int:
@@ -213,22 +189,7 @@ def main(argv=None) -> int:
         parser.print_usage()
         return 1
     try:
-        if args.command == "gen":
-            text = _cmd_gen(args)
-        elif args.command == "fatdim":
-            text = _cmd_fatdim(args)
-        elif args.command == "cover":
-            text = _cmd_cover(args)
-        elif args.command in ("learn-proper", "learn-improper", "agnostic-eta",
-                              "regress", "agnostic-regress"):
-            text = _cmd_learn(args, args.command)
-        elif args.command == "bounds":
-            text = _cmd_bounds(args)
-        elif args.command == "experiment":
-            text = _cmd_experiment(args)
-        else:  # pragma: no cover
-            parser.print_usage()
-            return 1
+        text = COMMANDS[args.command](args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

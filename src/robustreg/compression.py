@@ -6,7 +6,8 @@ boundaries decode without delimiters).  Reconstruction refits every
 group with the deterministic RERM oracle and recombines under the
 stored aggregation tag, which replays the original ensemble
 bit-identically.  Median schemes refit at eta/8; average schemes at
-eta/4.  Post-sparsification schemes carry no coefficients (the median
+eta/4 (``boosting.MEDIAN_REFIT`` and ``AVERAGE_REFIT``, the radii the
+runs fit at).  Post-sparsification schemes carry no coefficients (the median
 is unweighted); earlier median schemes store them as side information.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import WeightedEnsemble, aggregate
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
 from .core import Hypothesis, LabeledExample, PerturbationMap, robust_deviations
 from .errors import Infeasible, InvalidParameter, NotCompressible, ReconstructionFailed
 
@@ -97,10 +98,11 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
 
 
 def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
-                rerm, U: PerturbationMap, eta: float | None = None) -> Hypothesis:
-    """Refit every group and recombine under the stored aggregation."""
-    eta = scheme.eta if eta is None else eta
-    scale = eta / 8 if scheme.aggregation == "median" else eta / 4
+                rerm, U: PerturbationMap) -> Hypothesis:
+    """Refit every group at the scheme's refit radius and recombine under
+    the stored aggregation."""
+    median = scheme.aggregation == "median"
+    scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
     members, refits = [], {}
     for g, group in enumerate(scheme.groups):
         points = tuple(sorted(set(group)))
@@ -113,8 +115,7 @@ def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
                 ) from exc
         members.append(refits[points])
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
-    values = aggregate(np.stack([h.values for h in members]), alphas,
-                       scheme.aggregation == "median")
+    values = aggregate(np.stack([h.values for h in members]), alphas, median)
     descriptor = ("reconstruction", scheme.aggregation,
                   tuple(h.descriptor for h in members), tuple(alphas))
     return Hypothesis(values, descriptor)

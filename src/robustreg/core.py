@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -252,7 +252,6 @@ class DomainData:
     perturbations: PerturbationMap
     class_matrix: np.ndarray | None = None
     holdout: tuple[LabeledExample, ...] = ()
-    extras: dict = field(default_factory=dict)
 
 
 def _parse_examples(raw, domain_size, what):
@@ -298,7 +297,5 @@ def load_domain(source) -> DomainData:
         if matrix.ndim != 2 or matrix.shape[1] != n:
             raise InvalidParameter("class_matrix must be 2-D with one column per instance")
     holdout = _parse_examples(doc.get("holdout", []), n, "holdout")
-    extras = {k: v for k, v in doc.items()
-              if k not in ("domain_size", "samples", "perturbations", "class_matrix", "holdout")}
     return DomainData(domain_size=n, sample=sample, perturbations=U,
-                      class_matrix=matrix, holdout=holdout, extras=extras)
+                      class_matrix=matrix, holdout=holdout)

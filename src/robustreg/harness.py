@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -19,15 +19,7 @@ import numpy as np
 from .core import EtaBall, LabeledExample, PerturbationMap, empirical_error
 from .errors import InvalidParameter, RobustRegError, UnrealizableSpec
 from .oracles import FiniteClass, FiniteClassOracle
-from .pipelines import (
-    PipelineConfig,
-    PipelineReport,
-    agnostic_eta_learn,
-    agnostic_regression,
-    improper_learn,
-    proper_learn,
-    realizable_regression,
-)
+from .pipelines import PipelineConfig, run_pipeline
 
 CSV_HEADER = [
     "m", "trial", "pipeline", "eta", "epsilon", "emp_robust_err",
@@ -87,28 +79,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
+        """Parse a config document; fields it leaves out keep their
+        defaults, and a key that names no field is refused."""
         if isinstance(source, dict):
             doc = source
         else:
             text = open(source).read() if not str(source).lstrip().startswith("{") else str(source)
             doc = json.loads(text)
-        return cls(
-            instance=InstanceSpec(**doc.get("instance", {})),
-            perturbation=PerturbationSpec(**doc.get("perturbation", {})),
-            target=TargetSpec(**doc.get("target", {})),
-            pipeline=doc.get("pipeline", "improper"),
-            eta=float(doc.get("eta", 0.2)),
-            epsilon=float(doc.get("epsilon", 0.1)),
-            p=float(doc.get("p", 1.0)),
-            delta=float(doc.get("delta", 0.1)),
-            m_grid=tuple(int(m) for m in doc.get("m_grid", [20])),
-            holdout_size=int(doc.get("holdout_size", 100)),
-            trials=int(doc.get("trials", 1)),
-            seed=int(doc.get("seed", 0)),
-            realizable_margin=doc.get("realizable_margin"),
-            rejection_budget=int(doc.get("rejection_budget", 500)),
-            pipeline_config=PipelineConfig(**doc.get("pipeline_config", {})),
-        )
+        kwargs = dict(_known_keys(doc, cls, "the experiment config"))
+        for key, convert in _CONVERT.items():
+            if key in kwargs:
+                kwargs[key] = convert(kwargs[key])
+        for key, spec in _SECTIONS.items():
+            if key in kwargs:
+                kwargs[key] = spec(**_known_keys(kwargs[key], spec, key))
+        return cls(**kwargs)
+
+
+_CONVERT = {"eta": float, "epsilon": float, "p": float, "delta": float,
+            "m_grid": lambda ms: tuple(int(m) for m in ms), "holdout_size": int,
+            "trials": int, "seed": int, "rejection_budget": int}
+_SECTIONS = {"instance": InstanceSpec, "perturbation": PerturbationSpec,
+             "target": TargetSpec, "pipeline_config": PipelineConfig}
+
+
+def _known_keys(doc, spec, where: str) -> dict:
+    """``doc`` if it is an object whose keys all name fields of ``spec``."""
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"{where} must be a JSON object")
+    names = {f.name for f in fields(spec)}
+    for key in doc:
+        if key not in names:
+            raise InvalidParameter(f"unknown key {key!r} in {where}")
+    return doc
 
 
 def _build_class(spec: InstanceSpec, rng: np.random.Generator,
@@ -205,26 +208,6 @@ def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
     return cls, U, sample, holdout
 
 
-def _run_pipeline(config: ExperimentConfig, oracle, sample, holdout, U,
-                  run_seed: int) -> PipelineReport:
-    pcfg = config.pipeline_config
-    name = config.pipeline
-    if name == "improper":
-        return improper_learn(oracle, sample, U, config.eta, pcfg, run_seed)
-    if name == "proper":
-        return proper_learn(oracle, sample, U, config.eta, config.epsilon,
-                            pcfg, run_seed)
-    if name == "agnostic-eta":
-        return agnostic_eta_learn(oracle, sample, U, config.eta, pcfg, run_seed)
-    if name == "regress":
-        return realizable_regression(oracle, sample, U, config.epsilon,
-                                     config.p, pcfg, run_seed)
-    if name == "agnostic-regress":
-        return agnostic_regression(oracle, sample, holdout, U, config.epsilon,
-                                   config.delta, config.p, pcfg, run_seed)
-    raise InvalidParameter(f"unknown pipeline {name!r}")
-
-
 def _fmt(value) -> str:
     return "" if value is None else str(value)
 
@@ -245,7 +228,10 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
             try:
                 cls, U, sample, holdout = gen_instance(config, run_seed, m=m)
                 oracle = FiniteClassOracle(cls)
-                report = _run_pipeline(config, oracle, sample, holdout, U, run_seed)
+                report = run_pipeline(
+                    config.pipeline, oracle, sample, U, holdout=holdout,
+                    eta=config.eta, epsilon=config.epsilon, delta=config.delta,
+                    p=config.p, config=config.pipeline_config, seed=run_seed)
                 if report.status != "ok" or report.hypothesis is None:
                     row["status"] = report.status
                 else:

@@ -15,9 +15,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .boosting import WeightedEnsemble, _draw_origins
+from .boosting import AVERAGE_REFIT, WeightedEnsemble, draw_learner
 from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
-from .errors import Infeasible, InvalidParameter, StrongLearnerNotFound
+from .errors import InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
 
 
@@ -43,33 +43,20 @@ def find_strong_learner(
     d: int,
     retries: int,
     rng: np.random.Generator,
-    rerm_scale: float = 1 / 4,
 ) -> tuple[Hypothesis, tuple[int, ...]]:
     """Like the weak-learner draw, but refits at eta/4 and accepts only
     candidates whose P-mass of deviations >= eta/2 is at most epsilon."""
     if not 0.0 < epsilon <= 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
-    if d < 1:
-        raise InvalidParameter(f"d must be >= 1, got {d}")
-    if not cover:
-        raise InvalidParameter("cover must be nonempty")
     zs, ys = examples_arrays(cover)
-    best = None
-    for _ in range(max(1, retries)):
-        origins = _draw_origins(P, cover, sample, d, rng)
-        try:
-            h = rerm([sample[j] for j in origins], U, eta * rerm_scale)
-        except Infeasible:
-            continue
-        mass = P.mass(np.abs(h.values[zs] - ys) >= eta / 2)
-        if mass <= epsilon:
-            return h, origins
-        best = mass if best is None else min(best, mass)
-    raise StrongLearnerNotFound(
-        f"no learner with P-error <= {epsilon} in {retries} draws"
-        + (f" (best {best:.4f})" if best is not None else ""),
-        best_mass=best,
-    )
+
+    def violated(h):
+        return P.mass(np.abs(h.values[zs] - ys) >= eta / 2)
+
+    return draw_learner(
+        P, cover, sample, U, rerm, eta * AVERAGE_REFIT, d, retries, rng,
+        accept=lambda h: violated(h) <= epsilon, violated=violated,
+        failure=StrongLearnerNotFound, wanted=f"learner with P-error <= {epsilon}")
 
 
 def mw_boost(
@@ -86,7 +73,6 @@ def mw_boost(
     retries: int = 30,
     seed: int = 0,
     max_doublings: int = 4,
-    rerm_scale: float = 1 / 4,
 ) -> WeightedEnsemble:
     """Run T rounds of strong-learner draws with the correctness-discount
     update; average the learners.
@@ -111,8 +97,7 @@ def mw_boost(
         members, sources = [], []
         for _ in range(rounds):
             h, src = find_strong_learner(P, cover, sample, U, eta, epsilon,
-                                         rerm, d, retries, rng,
-                                         rerm_scale=rerm_scale)
+                                         rerm, d, retries, rng)
             members.append(h)
             sources.append(src)
             P = mw_update(P, h, cover, eta, xi)

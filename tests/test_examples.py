@@ -1,0 +1,40 @@
+"""The README's library quick start and the scripts in ``scripts/`` run.
+
+Both call the public API by name, so a change to a signature or a default
+shows up here even though nothing else imports them.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_runs_as_printed():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+
+
+# the smallest arguments of each script; a script missing here fails
+SMALLEST_ARGS = {
+    "fatdim_sweep.py": ["--hypotheses", "8"],
+    "learning_curve.py": ["--trials", "1"],
+    "noise_sweep.py": ["--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *SMALLEST_ARGS[script]],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -230,6 +230,20 @@ class TestCli:
         assert doc["pipeline"] == "agnostic-regress"
         assert doc["selected_theta"] is not None
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("experiment", {"pipeline_config": {"pool_mode": "auto"}}, "pool_mode"),
+        ("experiment", {"pipeline_config": {"epsilon": 0.1}}, "epsilon"),
+        ("gen", {"instance": {"n_hyp": 3}}, "n_hyp"),
+        ("gen", {"etta": 0.2}, "etta"),
+    ])
+    def test_unknown_config_key_exits_one_naming_it(self, tmp_path, capsys,
+                                                    command, doc, key):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, "--config", str(path)])
+        assert code == 1 and out == ""
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_agnostic_regress_needs_holdout(self, tmp_path):
         cfg = config_for()
         cls, U, sample, _ = gen_instance(cfg, 6, m=10)

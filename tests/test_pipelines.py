@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from robustreg import (
     PerturbationMap,
-    PipelineConfig,
     agnostic_eta_learn,
     agnostic_regression,
     build_pool,
@@ -18,6 +18,9 @@ from robustreg import (
     sample_complexity,
     theta_grid,
 )
+import robustreg.boosting as boosting
+import robustreg.mw as mw
+import robustreg.pipelines as pl
 from robustreg.errors import EmptyPool, InvalidParameter
 from robustreg.harness import (
     ExperimentConfig,
@@ -46,9 +49,21 @@ def smooth_instance(seed, m=40, eta=0.2, n_hyp=25, domain=30, noise=0.0,
     return FiniteClassOracle(cls), U, sample, holdout
 
 
+def recording_rerm():
+    """rerm_constant that records the sample ids of every subset it fits."""
+    calls = []
+
+    def rerm(subset, U, eta):
+        calls.append(tuple(ex.x for ex in subset))
+        return rerm_constant(subset, U, eta)
+    return rerm, calls
+
+
 class TestBuildPool:
     U3 = PerturbationMap.identity(3)
     SAMPLE = labeled([(0, 0.2), (1, 0.2), (2, 0.2)])
+    U6 = PerturbationMap.identity(6)
+    SAMPLE6 = labeled([(i, 0.5) for i in range(6)])
 
     def test_enumerate_three_choose_two(self):
         pool, skipped = build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 2)
@@ -59,12 +74,19 @@ class TestBuildPool:
         assert len(pool) == 1
 
     def test_sample_mode_is_reproducible(self):
-        draws = [build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 2,
-                            mode="sample", n_samples=10,
-                            rng=np.random.default_rng(5))[0]
-                 for _ in range(2)]
-        assert len(draws[0]) <= 10
-        assert [h.descriptor for h in draws[0]] == [h.descriptor for h in draws[1]]
+        # above the threshold exactly the deduplicated sampled subsets are
+        # refit, in the order drawn
+        rng = np.random.default_rng(5)
+        drawn = [tuple(sorted(rng.choice(6, size=2, replace=False).tolist()))
+                 for _ in range(10)]
+        runs = []
+        for _ in range(2):
+            rerm, calls = recording_rerm()
+            pool, _ = build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=14,
+                                 n_samples=10, rng=np.random.default_rng(5))
+            assert calls == list(dict.fromkeys(drawn)) and len(pool) == len(calls)
+            runs.append(calls)
+        assert len(runs[0]) < 10 and runs[0] == runs[1]
 
     def test_infeasible_subsets_are_counted(self):
         spread = labeled([(0, 0.0), (1, 1.0), (2, 0.5)])
@@ -78,9 +100,16 @@ class TestBuildPool:
             build_pool(spread, self.U3, rerm_constant, 0.1, 2)
 
     def test_enumerate_cap(self):
-        sample = labeled([(i % 3, 0.5) for i in range(20)])
+        # up to the threshold every subset is refit, in lexicographic order
+        rerm, calls = recording_rerm()
+        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=15)
+        assert calls == list(itertools.combinations(range(6), 2))
+        rerm, calls = recording_rerm()
+        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=14, n_samples=3)
+        assert 1 <= len(calls) <= 3
         with pytest.raises(InvalidParameter):
-            build_pool(sample, self.U3, rerm_constant, 0.1, 10, cap=100)
+            build_pool(self.SAMPLE6, self.U6, rerm_constant, 0.1, 2, threshold=14,
+                       n_samples=0)
 
 
 class TestDualEmbed:
@@ -155,13 +184,6 @@ class TestImproperLearn:
             ok += rep.uniform
         assert ok == 20
 
-    def test_epsilon_is_never_read(self):
-        oracle, U, sample, _ = smooth_instance(41, m=25)
-        reports = [improper_learn(oracle, sample, U, eta=0.2,
-                                  config=PipelineConfig(epsilon=eps), seed=9)
-                   for eps in (0.05, 0.2)]
-        assert reports[0].scheme.to_json() == reports[1].scheme.to_json()
-
     def test_round_trip_on_domain(self):
         oracle, U, sample, _ = smooth_instance(43, m=20)
         rep = improper_learn(oracle, sample, U, eta=0.2, seed=4)
@@ -222,6 +244,53 @@ class TestAgnosticEtaLearn:
         assert rep.status == "infeasible"
         assert rep.subset_size == 0
         assert rep.hypothesis is None
+
+
+def staged_radii(monkeypatch, oracle, stages):
+    """Shadow the oracle's rerm and wrap each (module, name) in ``stages``;
+    returns the (innermost running stage, radius) of every rerm call."""
+    calls, running, rerm = [], ["run"], oracle.rerm
+
+    def recording(subset, U, eta):
+        calls.append((running[-1], eta))
+        return rerm(subset, U, eta)
+    oracle.rerm = recording
+    for module, name in stages:
+        def wrapped(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            running.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                running.pop()
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+class TestRefitRadius:
+    MEDIAN = [(pl, "build_pool"), (boosting, "find_weak_learner"), (pl, "reconstruct")]
+
+    def test_median_runs_refit_at_an_eighth(self, monkeypatch):
+        oracle, U, sample, _ = smooth_instance(43, m=20)
+        calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
+        improper_learn(oracle, sample, U, eta=0.2, seed=4)
+        assert {stage for stage, _ in calls} == {name for _, name in self.MEDIAN}
+        assert {radius for _, radius in calls} == {0.2 / 8}
+
+    def test_average_runs_refit_at_a_quarter(self, monkeypatch):
+        oracle, U, sample, _ = smooth_instance(17, m=50, margin=0.2 / 8)
+        stages = [(pl, "build_pool"), (mw, "find_strong_learner"), (pl, "reconstruct")]
+        calls = staged_radii(monkeypatch, oracle, stages)
+        proper_learn(oracle, sample, U, eta=0.2, epsilon=0.1, seed=17)
+        assert {stage for stage, _ in calls} == {name for _, name in stages}
+        assert {radius for _, radius in calls} == {0.2 / 4}
+
+    def test_agnostic_runs_refit_at_an_eighth_and_time_every_stage(self, monkeypatch):
+        oracle, U, sample, _ = smooth_instance(53, m=20)
+        calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
+        rep = agnostic_eta_learn(oracle, sample, U, eta=0.2, seed=6)
+        assert {stage for stage, _ in calls} == {name for _, name in self.MEDIAN}
+        assert {radius for _, radius in calls} == {0.2 / 8}
+        assert list(rep.timings) == ["pool", "cover", "boost", "sparsify", "verify"]
 
 
 class TestRealizableRegression:
