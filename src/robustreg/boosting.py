@@ -27,6 +27,8 @@ from .oracles import PointDistribution, weak_learner_check
 # average scheme at eta/4, so that a stored scheme replays its run.
 MEDIAN_REFIT = 1 / 8
 AVERAGE_REFIT = 1 / 4
+# Redraws of a round whose accepted learner has a nonpositive coefficient.
+ROUND_RETRIES = 5
 
 
 def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -184,8 +186,6 @@ def medboost(
     d: int,
     *,
     retries: int = 30,
-    round_retries: int = 5,
-    early_stop: bool = True,
     rng: np.random.Generator | None = None,
 ) -> WeightedEnsemble:
     """Boost weak learners into a weighted-median ensemble.
@@ -196,6 +196,7 @@ def medboost(
     infinite coefficient short-circuits to T copies of that learner with
     unit weights.  Rounds with nonpositive coefficients are redrawn
     (they certify a failed draw and cannot occur after a passed check).
+    The run stops once the median is within eta/4 on every cover point.
     """
     if T < 1:
         raise InvalidParameter(f"T must be >= 1, got {T}")
@@ -209,7 +210,7 @@ def medboost(
     sources: list[tuple[int, ...]] = []
     rows: list[np.ndarray] = []
     for _ in range(T):
-        for attempt in range(max(1, round_retries)):
+        for attempt in range(ROUND_RETRIES):
             h, src = find_weak_learner(P, cover, sample, U, eta, rerm, d,
                                        retries, rng)
             values = h.values[zs]
@@ -219,7 +220,7 @@ def medboost(
                 break
         else:
             raise WeakLearnerNotFound(
-                f"{round_retries} accepted learners in a row had nonpositive alpha"
+                f"{ROUND_RETRIES} accepted learners in a row had nonpositive alpha"
             )
         if math.isinf(alpha):
             return WeightedEnsemble(
@@ -231,10 +232,9 @@ def medboost(
         sources.append(src)
         rows.append(values)
         P = P.reweight(np.exp(-alpha * w))
-        if early_stop:
-            med = weighted_median_columns(np.stack(rows), np.array(alphas))
-            if (np.abs(med - ys) <= eta / 4).all():
-                break
+        med = weighted_median_columns(np.stack(rows), np.array(alphas))
+        if (np.abs(med - ys) <= eta / 4).all():
+            break
     return WeightedEnsemble(
         members=tuple(members), alphas=tuple(alphas), sources=tuple(sources),
         aggregation="weighted_median",

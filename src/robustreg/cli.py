@@ -71,8 +71,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--fat", type=int)
     sp.add_argument("--fat-star", type=int)
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--with-logs", action="store_true")
 
     sub.add_parser("experiment", parents=[common],
@@ -156,8 +154,7 @@ def _cmd_bounds(args) -> str:
             if getattr(args, field_name) is None:
                 raise InvalidParameter(f"missing --{field_name.replace('_', '-')}")
         value = sample_complexity(args.theorem, args.fat, args.fat_star,
-                                  args.epsilon, args.delta, eta=args.eta,
-                                  p=args.p, c=args.c,
+                                  args.epsilon, args.delta, c=args.c,
                                   suppress_logs=not args.with_logs)
         return f"{value}\n"
     if args.kind is None or args.k is None or args.m is None:

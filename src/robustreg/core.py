@@ -99,9 +99,6 @@ class PerturbationMap:
         """One past the largest id the map mentions."""
         return self._index.shape[0]
 
-    def __contains__(self, x: int) -> bool:
-        return x in self._table
-
     def instances(self) -> tuple[int, ...]:
         return tuple(sorted(self._table))
 
@@ -266,6 +263,25 @@ def _parse_examples(raw, domain_size, what):
     return tuple(out)
 
 
+def read_document(source) -> dict:
+    """A JSON object given as a parsed dict, a JSON string or a file path."""
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    try:
+        if not text.lstrip().startswith("{"):
+            with open(text) as fh:
+                text = fh.read()
+        doc = json.loads(text)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {source}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidParameter(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParameter("the document must be a JSON object")
+    return doc
+
+
 def load_domain(source) -> DomainData:
     """Load a domain document from a path, JSON string, or parsed dict.
 
@@ -273,11 +289,7 @@ def load_domain(source) -> DomainData:
     "perturbations": {"id": [ids...]}}`` with optional ``"class_matrix"``
     (rows are hypotheses) and ``"holdout"`` (same shape as samples).
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = open(source).read() if not str(source).lstrip().startswith("{") else str(source)
-        doc = json.loads(text)
+    doc = read_document(source)
     for key in ("domain_size", "samples", "perturbations"):
         if key not in doc:
             raise InvalidParameter(f"domain document missing key '{key}'")

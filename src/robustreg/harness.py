@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EtaBall, LabeledExample, PerturbationMap, empirical_error
+from .boosting import MEDIAN_REFIT
+from .core import EtaBall, LabeledExample, PerturbationMap, empirical_error, read_document
 from .errors import InvalidParameter, RobustRegError, UnrealizableSpec
 from .oracles import FiniteClass, FiniteClassOracle
 from .pipelines import PipelineConfig, run_pipeline
@@ -67,7 +68,7 @@ class ExperimentConfig:
     holdout_size: int = 100
     trials: int = 1
     seed: int = 0
-    realizable_margin: float | None = None  # default eta/8
+    realizable_margin: float | None = None  # default eta * MEDIAN_REFIT
     rejection_budget: int = 500
     pipeline_config: PipelineConfig = field(default_factory=PipelineConfig)
 
@@ -80,16 +81,14 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
         """Parse a config document; fields it leaves out keep their
-        defaults, and a key that names no field is refused."""
-        if isinstance(source, dict):
-            doc = source
-        else:
-            text = open(source).read() if not str(source).lstrip().startswith("{") else str(source)
-            doc = json.loads(text)
-        kwargs = dict(_known_keys(doc, cls, "the experiment config"))
+        defaults, and unknown keys and ill-typed values are refused."""
+        kwargs = dict(_known_keys(read_document(source), cls, "the experiment config"))
         for key, convert in _CONVERT.items():
             if key in kwargs:
-                kwargs[key] = convert(kwargs[key])
+                try:
+                    kwargs[key] = convert(kwargs[key])
+                except (TypeError, ValueError):
+                    raise InvalidParameter(f"bad value {kwargs[key]!r} for {key!r}") from None
         for key, spec in _SECTIONS.items():
             if key in kwargs:
                 kwargs[key] = spec(**_known_keys(kwargs[key], spec, key))
@@ -198,7 +197,7 @@ def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
     U = _build_perturbation(config.perturbation, config.instance.domain_size, rng)
     margin = config.realizable_margin
     if margin is None:
-        margin = config.eta / 8
+        margin = config.eta * MEDIAN_REFIT
     values = cls.matrix[target]
     m = m if m is not None else config.m_grid[0]
     sample = _draw_points(values, U, m, margin, config.target.noise_rate,
@@ -252,16 +251,12 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
     return [[_fmt(r.get(col)) for col in CSV_HEADER] for r in rows]
 
 
-def write_csv(rows: Sequence[Sequence], out=None) -> str:
+def write_csv(rows: Sequence[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+    return buffer.getvalue()
 
 
 def instance_to_domain_json(cls: FiniteClass, U: PerturbationMap,

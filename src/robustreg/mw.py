@@ -20,6 +20,8 @@ from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, 
 from .errors import InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
 
+MAX_DOUBLINGS = 4
+
 
 def mw_update(P: PointDistribution, h: Hypothesis,
               cover: Sequence[InflatedExample], eta: float,
@@ -72,7 +74,6 @@ def mw_boost(
     *,
     retries: int = 30,
     seed: int = 0,
-    max_doublings: int = 4,
 ) -> WeightedEnsemble:
     """Run T rounds of strong-learner draws with the correctness-discount
     update; average the learners.
@@ -90,7 +91,7 @@ def mw_boost(
     zs, ys = examples_arrays(cover)
     seq = np.random.SeedSequence(seed)
     ensemble = None
-    for attempt, child in enumerate(seq.spawn(max_doublings + 1)):
+    for attempt, child in enumerate(seq.spawn(MAX_DOUBLINGS + 1)):
         rng = np.random.default_rng(child)
         rounds = T * (2 ** attempt)
         P = PointDistribution.uniform(len(cover))

@@ -32,7 +32,6 @@ class FiniteClass:
     """An explicit hypothesis class: row h, column x gives h(x)."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -43,10 +42,6 @@ class FiniteClass:
         if not ((m >= 0.0) & (m <= 1.0)).all():
             raise InvalidParameter("class matrix entries must lie in [0, 1]")
         object.__setattr__(self, "matrix", m)
-        labels = self.labels or tuple(f"h{i}" for i in range(m.shape[0]))
-        if len(labels) != m.shape[0]:
-            raise InvalidParameter("one label per hypothesis row required")
-        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def n_hypotheses(self) -> int:
@@ -177,10 +172,8 @@ class FiniteClassOracle:
 
     convex = False
 
-    def __init__(self, cls: FiniteClass, fat_max_points: int = 16,
-                 fat_max_hypotheses: int = 256):
+    def __init__(self, cls: FiniteClass):
         self.cls = cls
-        self._caps = (fat_max_points, fat_max_hypotheses)
         self._fat_cache: dict[tuple[float, bool], int] = {}
 
     def rerm(self, subset, U, eta) -> Hypothesis:
@@ -194,9 +187,7 @@ class FiniteClassOracle:
 
         if key not in self._fat_cache:
             try:
-                value = fat_shattering(matrix, gamma,
-                                       max_points=self._caps[0],
-                                       max_hypotheses=self._caps[1])
+                value = fat_shattering(matrix, gamma)
             except CapExceeded:
                 value = min(int(math.floor(math.log2(max(matrix.shape[0], 2)))),
                             matrix.shape[1])

@@ -50,34 +50,21 @@ from .sparsify import default_k, sparsify
 # that sizes the refit subsets of median and of average schemes.
 MEDIAN_FAT = 1 / 64
 AVERAGE_FAT = 1 / 32
+# Boosting rounds per log of the cover size: T = O(log |cover|).
+ROUNDS_PER_LOG_COVER = 4.0
+# The multiplicative-weights discount of a correctly handled cover point.
+MW_XI = 0.5
+# Confidence of the reported compression bounds.
+BOUND_DELTA = 0.05
 
 
 @dataclass
 class PipelineConfig:
-    """Knobs for pool construction, boosting, and sparsification.
-
-    ``d`` and ``T`` override the dimension-driven defaults; the c_*
-    constants scale them.  The pool enumerates every size-d subset while
-    there are at most ``pool_auto_cap`` of them, and samples
-    ``pool_samples`` of them otherwise.
-    """
+    """Overrides of the subset size ``d`` and the round count ``T``, which
+    otherwise follow from the fat-shattering dimension and the cover size."""
 
     d: int | None = None
     T: int | None = None
-    k: int | None = None
-    pool_samples: int = 64
-    pool_auto_cap: int = 256
-    c_d: float = 1.0
-    c_T: float = 4.0
-    c_k: float = 1.0
-    xi: float = 0.5
-    retries: int = 30
-    round_retries: int = 5
-    sparsify_max_iters: int = 200
-    max_doublings: int = 4
-    early_stop: bool = True
-    p: float = 1.0
-    delta: float = 0.05
 
 
 @dataclass
@@ -111,7 +98,7 @@ class PipelineReport:
     timings: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def to_json(self, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "pipeline": self.pipeline,
             "eta": self.eta,
@@ -137,8 +124,6 @@ class PipelineReport:
             "scheme": json.loads(self.scheme.to_json()) if self.scheme else None,
             "extra": {k: v for k, v in self.extra.items()},
         }
-        if include_timings:
-            doc["timings"] = self.timings
         return json.dumps(doc, separators=(",", ":"), default=str)
 
 
@@ -209,19 +194,19 @@ _Head = NamedTuple("_Head", [("inflated", list), ("pool", list), ("skipped", int
                              ("timings", dict)])
 
 
-def _head(oracle, sample, U, eta, median: bool, epsilon: float, cfg,
-          pool_ss) -> _Head:
+def _head(oracle, sample, U, eta, median: bool, epsilon: float,
+          config: PipelineConfig | None, pool_ss) -> _Head:
     """Inflate; d from the fat-shattering dimension over ``epsilon`` (1 for
     median schemes); pool RERM fits at the scheme's refit radius; cover the
     inflated set in the dual at eta/4 (median) or eta/2 (average)."""
+    cfg = config or PipelineConfig()
     t0 = time.perf_counter()
     inflated = inflate(sample, U)
     fat = oracle.fat(eta * (MEDIAN_FAT if median else AVERAGE_FAT))
     log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
-    d = cfg.d or max(1, math.ceil(cfg.c_d * fat * log_factor / epsilon))
+    d = cfg.d or max(1, math.ceil(fat * log_factor / epsilon))
     pool, skipped = build_pool(
         sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
-        threshold=cfg.pool_auto_cap, n_samples=cfg.pool_samples,
         rng=np.random.default_rng(pool_ss))
     timings = {"pool": time.perf_counter() - t0}
 
@@ -233,7 +218,7 @@ def _head(oracle, sample, U, eta, median: bool, epsilon: float, cfg,
     _check("cover certificate", cert, radius)
     cover = [inflated[i] for i in centers]
     timings["cover"] = time.perf_counter() - t1
-    T = cfg.T or math.ceil(cfg.c_T * math.log(max(len(cover), 2)))
+    T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
     return _Head(inflated, pool, skipped, cover, cert, d, T, timings)
 
 
@@ -255,20 +240,20 @@ def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float,
     return scheme, h
 
 
-def _report(pipeline, eta, cfg, seed, sample, U, scheme, h, head: _Head,
+def _report(pipeline, eta, seed, sample, U, scheme, h, head: _Head,
             eta_err: float, **fields) -> PipelineReport:
     """The report fields every pipeline fills the same way, plus ``fields``."""
     bounds = []
     for kind in ("realizable", "agnostic"):
         try:
-            bounds.append(generalization_bound(kind, scheme.size, len(sample), cfg.delta))
+            bounds.append(generalization_bound(kind, scheme.size, len(sample), BOUND_DELTA))
         except InvalidParameter:
             bounds.append(None)
     return PipelineReport(
-        pipeline=pipeline, eta=eta, p=cfg.p, seed=seed,
+        pipeline=pipeline, eta=eta, seed=seed,
         scheme=scheme, hypothesis=h,
         emp_eta_robust_err=eta_err,
-        emp_lp_robust_err=empirical_error(h, sample, U, Lp(cfg.p)),
+        emp_lp_robust_err=empirical_error(h, sample, U, Lp(1.0)),
         compression_size=scheme.size, cover_size=len(head.cover),
         pool_size=len(head.pool),
         bound_realizable=bounds[0], bound_agnostic=bounds[1],
@@ -289,15 +274,13 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     if not 0.0 < epsilon <= 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
-    cfg = config or PipelineConfig()
     pool_ss, boost_ss = _seeds(seed, 2)
-    head = _head(oracle, sample, U, eta, False, epsilon, cfg, pool_ss)
+    head = _head(oracle, sample, U, eta, False, epsilon, config, pool_ss)
 
     t2 = time.perf_counter()
     ensemble = mw_boost(
-        head.cover, sample, U, eta, epsilon, cfg.xi, head.T, oracle.rerm, head.d,
-        retries=cfg.retries, seed=int(boost_ss.generate_state(1)[0]),
-        max_doublings=cfg.max_doublings,
+        head.cover, sample, U, eta, epsilon, MW_XI, head.T, oracle.rerm, head.d,
+        seed=int(boost_ss.generate_state(1)[0]),
     )
     head.timings["boost"] = time.perf_counter() - t2
 
@@ -316,7 +299,7 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
 
     folded = oracle.fold_average(ensemble.members)
     return _report(
-        "proper", eta, cfg, seed, sample, U, scheme, h, head, sample_err,
+        "proper", eta, seed, sample, U, scheme, h, head, sample_err,
         epsilon=epsilon, rounds=len(ensemble),
         properness=folded.descriptor if folded is not None else None,
         extra={"cover_certificate": head.cert, "cover_rate": cover_rate,
@@ -325,21 +308,18 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     )
 
 
-def _median_learn(oracle, sample, U, eta, cfg, seed, pipeline: str,
+def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
                   fit: tuple[int, ...]):
     """The median learner fitted to the points ``fit`` of the sample and
     compressed over the whole sample.  Returns the report, the head, k and
     the worst robust deviation of the replay on the fitted points."""
     sub = [sample[i] for i in fit]
     pool_ss, boost_ss, sparsify_ss = _seeds(seed, 3)
-    head = _head(oracle, sub, U, eta, True, 1.0, cfg, pool_ss)
+    head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
 
     t2 = time.perf_counter()
-    ensemble = medboost(
-        head.cover, sub, U, eta, head.T, oracle.rerm, head.d,
-        retries=cfg.retries, round_retries=cfg.round_retries,
-        early_stop=cfg.early_stop, rng=np.random.default_rng(boost_ss),
-    )
+    ensemble = medboost(head.cover, sub, U, eta, head.T, oracle.rerm, head.d,
+                        rng=np.random.default_rng(boost_ss))
     head.timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
@@ -353,11 +333,10 @@ def _median_learn(oracle, sample, U, eta, cfg, seed, pipeline: str,
 
     t3 = time.perf_counter()
     fat_star = max(1, oracle.dual_fat(eta))
-    k = cfg.k or default_k(fat_star, eta, cfg.c_k)
+    k = default_k(fat_star, eta)
     sparsify_failed = False
     try:
         final = sparsify(ensemble, head.cover, eta / 2, k,
-                         max_iters=cfg.sparsify_max_iters,
                          seed=int(sparsify_ss.generate_state(1)[0]))
     except SparsifyFailed:
         final = ensemble
@@ -374,7 +353,7 @@ def _median_learn(oracle, sample, U, eta, cfg, seed, pipeline: str,
     head.timings["verify"] = time.perf_counter() - t4
 
     report = _report(
-        pipeline, eta, cfg, seed, sample, U, scheme, h, head,
+        pipeline, eta, seed, sample, U, scheme, h, head,
         empirical_error(h, sample, U, EtaBall(eta)),
         rounds=len(ensemble), sparsify_failed=sparsify_failed,
     )
@@ -394,7 +373,7 @@ def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     report, head, k, worst = _median_learn(
-        oracle, sample, U, eta, config or PipelineConfig(), seed, "improper",
+        oracle, sample, U, eta, config, seed, "improper",
         tuple(range(len(sample))))
     report.uniform = bool(worst <= eta)
     report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
@@ -410,17 +389,16 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
     median-boosting learner on it."""
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
-    cfg = config or PipelineConfig()
     if len(sample) == 0:
         raise InvalidParameter("agnostic learner needs a nonempty sample")
     fit, witness = oracle.max_fit_subset(sample, U, eta)
     if not fit:
         return PipelineReport(
-            pipeline="agnostic-eta", eta=eta, p=cfg.p, seed=seed,
+            pipeline="agnostic-eta", eta=eta, seed=seed,
             status="infeasible", subset_size=0,
             extra={"certificate": "every hypothesis violates every point"},
         )
-    report, head, k, _ = _median_learn(oracle, sample, U, eta, cfg, seed,
+    report, head, k, _ = _median_learn(oracle, sample, U, eta, config, seed,
                                        "agnostic-eta", fit)
     report.subset_size = len(fit)
     report.extra = {"cover_certificate": head.cert, "d": head.d, "k": k,
@@ -438,11 +416,11 @@ def realizable_regression(oracle, sample: Sequence[LabeledExample],
         raise InvalidParameter(f"epsilon must be in (0, 1), got {epsilon}")
     if p < 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
-    cfg = replace(config or PipelineConfig(), p=p)
     eta = epsilon ** (1.0 / p)
-    report = improper_learn(oracle, sample, U, eta, cfg, seed)
+    report = improper_learn(oracle, sample, U, eta, config, seed)
+    report.p = p
+    lp_err = report.emp_lp_robust_err = empirical_error(report.hypothesis, sample, U, Lp(p))
     eta_err = report.emp_eta_robust_err
-    lp_err = report.emp_lp_robust_err
     bound = eta_err * (1.0 - eta ** p) + eta ** p
     if lp_err > bound:
         raise ChainAssertionFailed(
@@ -485,7 +463,6 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     if len(holdout) < needed:
         raise InvalidParameter(
             f"holdout of size {len(holdout)} is below the required {needed}")
-    cfg = replace(config or PipelineConfig(), p=p)
     grid = theta_grid(len(sample))
     children = _seeds(seed, len(grid))
     candidates = []
@@ -493,7 +470,7 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     for theta, child in zip(grid, children):
         child_seed = int(child.generate_state(1)[0])
         try:
-            rep = agnostic_eta_learn(oracle, sample, U, theta, cfg, child_seed)
+            rep = agnostic_eta_learn(oracle, sample, U, theta, config, child_seed)
             if rep.status != "ok":
                 trail.append((theta, rep.status, None))
                 continue
@@ -509,6 +486,8 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     best.epsilon = epsilon
     best.selected_theta = best_theta
     best.holdout_eta_err = best_err
+    best.p = p
+    best.emp_lp_robust_err = empirical_error(best.hypothesis, sample, U, Lp(p))
     best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, Lp(p))
     best.extra["grid"] = [(t, s, e) for t, s, e in trail]
     return best
@@ -540,8 +519,8 @@ _THEOREM_EXPONENT = {"3.1": 3, "4.1": 1, "4.2": 2, "5.1": 1, "5.2": 2}
 
 
 def sample_complexity(theorem: str, fat: int, fat_star: int, epsilon: float,
-                      delta: float, eta: float | None = None, p: float = 1.0,
-                      c: float = 1.0, suppress_logs: bool = True) -> float:
+                      delta: float, c: float = 1.0,
+                      suppress_logs: bool = True) -> float:
     """c * (fat * fat_star / eps^k + ln(1/delta) / eps^k) with the
     exponent k per guarantee; the optional log factor multiplies the
     leading term by ln^2 of the leading dimensional ratio."""
@@ -551,8 +530,6 @@ def sample_complexity(theorem: str, fat: int, fat_star: int, epsilon: float,
         raise InvalidParameter("dimensions must be nonnegative")
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise InvalidParameter("epsilon and delta must be in (0, 1)")
-    if p < 1.0:
-        raise InvalidParameter(f"p must be >= 1, got {p}")
     if c <= 0:
         raise InvalidParameter(f"c must be positive, got {c}")
     k = _THEOREM_EXPONENT[theorem]

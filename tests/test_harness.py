@@ -195,6 +195,12 @@ class TestCli:
         assert code == 0
         assert float(out) == pytest.approx(70.0)
 
+    @pytest.mark.parametrize("option", [["--eta", "0.2"], ["--p", "2"]])
+    def test_bounds_has_no_unread_options(self, option):
+        code, out = run_cli(["bounds", "--theorem", "4.1", "--fat", "2",
+                             "--fat-star", "3", "--epsilon", "0.1", *option])
+        assert code == 1 and out == ""
+
     def test_experiment_writes_file(self, exp_file, tmp_path):
         out_path = tmp_path / "runs.csv"
         code, _ = run_cli(["experiment", "--config", exp_file,
@@ -233,6 +239,8 @@ class TestCli:
     @pytest.mark.parametrize("command, doc, key", [
         ("experiment", {"pipeline_config": {"pool_mode": "auto"}}, "pool_mode"),
         ("experiment", {"pipeline_config": {"epsilon": 0.1}}, "epsilon"),
+        ("experiment", {"pipeline_config": {"retries": 3}}, "retries"),
+        ("experiment", {"pipeline_config": {"xi": 0.5}}, "xi"),
         ("gen", {"instance": {"n_hyp": 3}}, "n_hyp"),
         ("gen", {"etta": 0.2}, "etta"),
     ])
@@ -243,6 +251,23 @@ class TestCli:
         code, out = run_cli([command, "--config", str(path)])
         assert code == 1 and out == ""
         assert f"'{key}'" in capsys.readouterr().err
+
+    # a missing file, text that is not JSON, and values of the wrong type
+    @pytest.mark.parametrize("command, content", [
+        *((command, content) for command in ("experiment", "gen")
+          for content in (None, "{not json", '{"eta": null}', '{"m_grid": 40}')),
+        ("learn-improper", None), ("learn-improper", "{not json"),
+    ])
+    def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
+        path = tmp_path / "exp.json"
+        if content is not None:
+            path.write_text(content)
+        argv = [command, "--config", str(path)]
+        if command == "learn-improper":
+            argv += ["--eta", "0.2"]
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_agnostic_regress_needs_holdout(self, tmp_path):
         cfg = config_for()

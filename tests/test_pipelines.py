@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from robustreg import (
+    Lp,
     PerturbationMap,
     agnostic_eta_learn,
     agnostic_regression,
     build_pool,
     dual_embed,
+    empirical_error,
     improper_learn,
     inflate,
     proper_learn,
@@ -315,6 +317,12 @@ class TestRealizableRegression:
             bound = rep.emp_eta_robust_err * (1 - eta ** rep.p) + eta ** rep.p
             assert rep.emp_lp_robust_err <= bound
 
+    def test_p_reaches_the_report(self):
+        oracle, U, sample, _ = smooth_instance(61, m=20, eta=0.2)
+        rep = realizable_regression(oracle, sample, U, epsilon=0.04, p=2.0, seed=2)
+        assert rep.p == 2.0
+        assert rep.emp_lp_robust_err == empirical_error(rep.hypothesis, sample, U, Lp(2.0))
+
     def test_paper_style_arithmetic(self):
         # a tube error of 0.1 at radius 0.1 caps the p=1 loss at 0.19
         assert 0.1 * (1 - 0.1) + 0.1 == pytest.approx(0.19)
@@ -344,6 +352,14 @@ class TestAgnosticRegression:
         # points inside the selected tube contribute at most theta^p each
         assert rep.holdout_lp_err <= (rep.selected_theta ** rep.p
                                       + rep.holdout_eta_err + 1e-12)
+
+    def test_p_reaches_the_report(self):
+        oracle, U, sample, holdout = smooth_instance(83, m=32, eta=0.2)
+        rep = agnostic_regression(oracle, sample, holdout, U, epsilon=0.3,
+                                  delta=0.2, p=2.0, seed=7)
+        assert rep.p == 2.0
+        assert rep.emp_lp_robust_err == empirical_error(rep.hypothesis, sample, U, Lp(2.0))
+        assert rep.holdout_lp_err == empirical_error(rep.hypothesis, holdout, U, Lp(2.0))
 
     def test_holdout_size_precondition(self):
         oracle, U, sample, holdout = smooth_instance(89, m=10)
