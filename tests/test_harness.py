@@ -239,10 +239,10 @@ class TestCli:
     @pytest.mark.parametrize("command, doc, key", [
         ("experiment", {"pipeline_config": {"pool_mode": "auto"}}, "pool_mode"),
         ("experiment", {"pipeline_config": {"epsilon": 0.1}}, "epsilon"),
-        ("experiment", {"pipeline_config": {"retries": 3}}, "retries"),
-        ("experiment", {"pipeline_config": {"xi": 0.5}}, "xi"),
         ("gen", {"instance": {"n_hyp": 3}}, "n_hyp"),
         ("gen", {"etta": 0.2}, "etta"),
+        ("experiment", {"pipeline_config": {"retries": 3}}, "retries"),
+        ("experiment", {"pipeline_config": {"xi": 0.5}}, "xi"),
     ])
     def test_unknown_config_key_exits_one_naming_it(self, tmp_path, capsys,
                                                     command, doc, key):
