@@ -36,7 +36,8 @@ def main():
         trials=args.trials, seed=args.seed)
     rows = run_experiment(config)
     if args.out:
-        write_csv(rows, args.out)
+        with open(args.out, "w") as fh:
+            fh.write(write_csv(rows))
         print(f"wrote {len(rows)} rows to {args.out}")
 
     errs = collections.defaultdict(list)

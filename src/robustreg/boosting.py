@@ -29,6 +29,8 @@ MEDIAN_REFIT = 1 / 8
 AVERAGE_REFIT = 1 / 4
 # Redraws of a round whose accepted learner has a nonpositive coefficient.
 ROUND_RETRIES = 5
+# Candidate draws per learner in medboost and mw_boost.
+DRAW_RETRIES = 30
 
 
 def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -185,7 +187,6 @@ def medboost(
     rerm,
     d: int,
     *,
-    retries: int = 30,
     rng: np.random.Generator | None = None,
 ) -> WeightedEnsemble:
     """Boost weak learners into a weighted-median ensemble.
@@ -212,7 +213,7 @@ def medboost(
     for _ in range(T):
         for attempt in range(ROUND_RETRIES):
             h, src = find_weak_learner(P, cover, sample, U, eta, rerm, d,
-                                       retries, rng)
+                                       DRAW_RETRIES, rng)
             values = h.values[zs]
             w = np.where(np.abs(values - ys) > eta / 4, -1, 1)
             alpha = medboost_alpha(P, w)

@@ -130,7 +130,7 @@ def _cmd_cover(args) -> str:
     domain = _require_config(args)
     oracle = _oracle_from(domain)
     inflated = inflate(list(domain.sample), domain.perturbations)
-    pool = [oracle.hypothesis(i) for i in range(oracle.cls.n_hypotheses)]
+    pool = [oracle.cls.hypothesis(i) for i in range(oracle.cls.n_hypotheses)]
     dual = dual_embed(pool, inflated)
     centers, assignment = greedy_cover(dual, args.t)
     lines = ["point,center"]

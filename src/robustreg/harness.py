@@ -234,11 +234,10 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
                 if report.status != "ok" or report.hypothesis is None:
                     row["status"] = report.status
                 else:
-                    eta_eval = report.eta
                     row.update({
                         "emp_robust_err": report.emp_eta_robust_err,
                         "holdout_robust_err": empirical_error(
-                            report.hypothesis, holdout, U, EtaBall(eta_eval)),
+                            report.hypothesis, holdout, U, EtaBall(report.eta)),
                         "compression_size": report.compression_size,
                         "cover_size": report.cover_size,
                         "bound_realizable": report.bound_realizable,

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .boosting import AVERAGE_REFIT, WeightedEnsemble, draw_learner
+from .boosting import AVERAGE_REFIT, DRAW_RETRIES, WeightedEnsemble, draw_learner
 from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
 from .errors import InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
@@ -72,7 +72,6 @@ def mw_boost(
     rerm,
     d: int,
     *,
-    retries: int = 30,
     seed: int = 0,
 ) -> WeightedEnsemble:
     """Run T rounds of strong-learner draws with the correctness-discount
@@ -98,7 +97,7 @@ def mw_boost(
         members, sources = [], []
         for _ in range(rounds):
             h, src = find_strong_learner(P, cover, sample, U, eta, epsilon,
-                                         rerm, d, retries, rng)
+                                         rerm, d, DRAW_RETRIES, rng)
             members.append(h)
             sources.append(src)
             P = mw_update(P, h, cover, eta, xi)

@@ -170,17 +170,12 @@ class FiniteClassOracle:
     the number of hypotheses stands in.
     """
 
-    convex = False
-
     def __init__(self, cls: FiniteClass):
         self.cls = cls
         self._fat_cache: dict[tuple[float, bool], int] = {}
 
     def rerm(self, subset, U, eta) -> Hypothesis:
         return rerm_finite(self.cls, subset, U, eta)
-
-    def hypothesis(self, row: int) -> Hypothesis:
-        return self.cls.hypothesis(row)
 
     def _fat(self, matrix, gamma, key) -> int:
         from .dimensions import fat_shattering
@@ -216,8 +211,6 @@ class FiniteClassOracle:
 
 class ConstantClassOracle:
     """The convex class of all constants in [0, 1]."""
-
-    convex = True
 
     def rerm(self, subset, U, eta) -> Hypothesis:
         return rerm_constant(subset, U, eta)

@@ -267,8 +267,8 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     """Averaging learner: strong per-round fits, cover at eta/2.
 
     The output average stays inside classes closed under averaging; when
-    the oracle declares convexity the folded single-member descriptor is
-    reported as the properness witness.
+    the oracle folds the average into one member, that member's descriptor
+    is reported as the properness witness.
     """
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
@@ -419,8 +419,9 @@ def realizable_regression(oracle, sample: Sequence[LabeledExample],
     eta = epsilon ** (1.0 / p)
     report = improper_learn(oracle, sample, U, eta, config, seed)
     report.p = p
-    lp_err = report.emp_lp_robust_err = empirical_error(report.hypothesis, sample, U, Lp(p))
-    eta_err = report.emp_eta_robust_err
+    if p != 1.0:  # the learner reported the Lp error at p = 1
+        report.emp_lp_robust_err = empirical_error(report.hypothesis, sample, U, Lp(p))
+    lp_err, eta_err = report.emp_lp_robust_err, report.emp_eta_robust_err
     bound = eta_err * (1.0 - eta ** p) + eta ** p
     if lp_err > bound:
         raise ChainAssertionFailed(
@@ -487,7 +488,8 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     best.selected_theta = best_theta
     best.holdout_eta_err = best_err
     best.p = p
-    best.emp_lp_robust_err = empirical_error(best.hypothesis, sample, U, Lp(p))
+    if p != 1.0:  # the learner reported the Lp error at p = 1
+        best.emp_lp_robust_err = empirical_error(best.hypothesis, sample, U, Lp(p))
     best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, Lp(p))
     best.extra["grid"] = [(t, s, e) for t, s, e in trail]
     return best

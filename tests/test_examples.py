@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from robustreg.harness import CSV_HEADER
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,19 +24,24 @@ def test_readme_quick_start_runs_as_printed():
     exec(compile(code, "README.md quick start", "exec"), {})
 
 
-# the smallest arguments of each script; a script missing here fails
+# the smallest arguments of each script, "{tmp}" standing for a fresh
+# directory; a script missing here fails
 SMALLEST_ARGS = {
     "fatdim_sweep.py": ["--hypotheses", "8"],
-    "learning_curve.py": ["--trials", "1"],
+    "learning_curve.py": ["--trials", "1", "--out", "{tmp}/runs.csv"],
     "noise_sweep.py": ["--trials", "1"],
 }
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
-def test_script_runs(script):
+def test_script_runs(script, tmp_path):
+    args = [a.format(tmp=tmp_path) for a in SMALLEST_ARGS[script]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *SMALLEST_ARGS[script]],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if "--out" in args:
+        out = Path(args[args.index("--out") + 1]).read_text()
+        assert out.startswith(",".join(CSV_HEADER) + "\n")
