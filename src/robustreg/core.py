@@ -252,15 +252,25 @@ class DomainData:
 
 
 def _parse_examples(raw, domain_size, what):
+    if not isinstance(raw, list):
+        raise InvalidParameter(f"{what} must be a list of [id, label] pairs")
     out = []
     for item in raw:
-        if len(item) != 2:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise InvalidParameter(f"{what} entries must be [id, label] pairs")
-        x, y = int(item[0]), float(item[1])
+        x, y = as_number(item[0], int, what), as_number(item[1], float, what)
         if not 0 <= x < domain_size:
             raise InvalidParameter(f"{what} id {x} outside domain of size {domain_size}")
         out.append(LabeledExample(x=x, y=y))
     return tuple(out)
+
+
+def as_number(value, kind: type, key: str):
+    """``kind(value)`` for a finite JSON number that ``kind`` keeps exactly (no
+    2.5 for an int), else :class:`InvalidParameter` naming ``key``."""
+    if type(value) in (int, float) and np.isfinite(value) and kind(value) == value:
+        return kind(value)
+    raise InvalidParameter(f"bad value {value!r} for {key!r}")
 
 
 def read_document(source) -> dict:
@@ -293,11 +303,15 @@ def load_domain(source) -> DomainData:
     for key in ("domain_size", "samples", "perturbations"):
         if key not in doc:
             raise InvalidParameter(f"domain document missing key '{key}'")
-    n = int(doc["domain_size"])
+    n = as_number(doc["domain_size"], int, "domain_size")
     if n < 1:
         raise InvalidParameter("domain_size must be >= 1")
     sample = _parse_examples(doc["samples"], n, "samples")
-    table = {int(k): [int(z) for z in v] for k, v in doc["perturbations"].items()}
+    try:
+        table = {int(k): [as_number(z, int, "perturbations") for z in v]
+                 for k, v in doc["perturbations"].items()}
+    except (AttributeError, TypeError, ValueError):
+        raise InvalidParameter("perturbations must map ids to lists of ids") from None
     for x, zs in table.items():
         for z in (x, *zs):
             if not 0 <= z < n:
@@ -305,8 +319,11 @@ def load_domain(source) -> DomainData:
     U = PerturbationMap(table)
     matrix = None
     if doc.get("class_matrix") is not None:
-        matrix = np.asarray(doc["class_matrix"], dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != n:
+        try:
+            matrix = np.asarray(doc["class_matrix"], dtype=float)
+        except (TypeError, ValueError):
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != n:
             raise InvalidParameter("class_matrix must be 2-D with one column per instance")
     holdout = _parse_examples(doc.get("holdout", []), n, "holdout")
     return DomainData(domain_size=n, sample=sample, perturbations=U,

@@ -6,7 +6,7 @@ per-point cutoff v, a hypothesis can realize the +1 side iff its value
 is >= v and the -1 side iff its value is <= v - 2*gamma, so a set is
 shattered iff some choice of cutoffs splits the class into nonempty
 halves along every point simultaneously.  The search walks the points
-depth-first, carrying the collection of hypothesis groups that each
+depth-first, carrying the hypothesis groups, as row bitmasks, that each
 still have to realize all remaining sign patterns.
 """
 
@@ -31,34 +31,31 @@ def _as_matrix(cls) -> np.ndarray:
     return m
 
 
-def _subset_shattered(values: np.ndarray, gamma: float) -> bool:
-    """values: (n_hypotheses, m) restriction of the class to a point set."""
-    m = values.shape[1]
+def _row_mask(rows: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
 
-    def rec(depth: int, groups: list[np.ndarray]) -> bool:
+
+def _subset_shattered(masks: Sequence[list[tuple[int, int]]], n_hyp: int) -> bool:
+    """masks: the cutoff masks of each point of the set, in order."""
+    m = len(masks)
+
+    def rec(depth: int, groups: list[int]) -> bool:
         if depth == m:
             return True
         need = 1 << (m - depth - 1)  # rows per child group
-        col = values[:, depth]
-        pool = np.unique(np.concatenate([col[g] for g in groups]))
-        # a feasible cutoff can always be slid up to an attained value;
-        # the 1e-12 guard keeps an exactly-2*gamma gap shatterable
-        for v in pool:
+        for hi, lo in masks[depth]:
             children = []
             for g in groups:
-                gv = col[g]
-                hi = g[gv >= v]
-                lo = g[gv <= v - 2.0 * gamma + 1e-12]
-                if hi.size < need or lo.size < need:
+                g_hi, g_lo = g & hi, g & lo
+                if g_hi.bit_count() < need or g_lo.bit_count() < need:
                     break
-                children.append(hi)
-                children.append(lo)
+                children += (g_hi, g_lo)
             else:
                 if rec(depth + 1, children):
                     return True
         return False
 
-    return rec(0, [np.arange(values.shape[0])])
+    return rec(0, [(1 << n_hyp) - 1])
 
 
 def fat_shattering(cls, gamma: float, *, max_points: int = 16,
@@ -83,11 +80,17 @@ def fat_shattering(cls, gamma: float, *, max_points: int = 16,
     spread = (matrix.max(axis=0) - matrix.min(axis=0)) >= 2.0 * gamma - 1e-12
     candidates = np.flatnonzero(spread)
     limit = min(limit, candidates.size)
+    # per point, (hi, lo) row masks of each attained cutoff v: value >= v and
+    # <= v - 2*gamma.  A feasible cutoff slides up to an attained value, one with
+    # no lo row splits nothing; the 1e-12 guard keeps a 2*gamma gap shatterable
+    masks = [[(_row_mask(col >= v), lo) for v in np.unique(col)
+              if (lo := _row_mask(col <= v - 2.0 * gamma + 1e-12))]
+             for col in matrix[:, candidates].T]
     fat = 0
     for m in range(1, limit + 1):
         found = any(
-            _subset_shattered(matrix[:, list(subset)], gamma)
-            for subset in itertools.combinations(candidates, m)
+            _subset_shattered(subset, n_hyp)
+            for subset in itertools.combinations(masks, m)
         )
         if not found:
             break

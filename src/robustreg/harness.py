@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .boosting import MEDIAN_REFIT
-from .core import EtaBall, LabeledExample, PerturbationMap, empirical_error, read_document
+from .core import EtaBall, LabeledExample, PerturbationMap, as_number, empirical_error, read_document
 from .errors import InvalidParameter, RobustRegError, UnrealizableSpec
 from .oracles import FiniteClass, FiniteClassOracle
 from .pipelines import PipelineConfig, run_pipeline
@@ -82,35 +82,35 @@ class ExperimentConfig:
     def from_json(cls, source) -> "ExperimentConfig":
         """Parse a config document; fields it leaves out keep their
         defaults, and unknown keys and ill-typed values are refused."""
-        kwargs = dict(_known_keys(read_document(source), cls, "the experiment config"))
-        for key, convert in _CONVERT.items():
-            if key in kwargs:
-                try:
-                    kwargs[key] = convert(kwargs[key])
-                except (TypeError, ValueError):
-                    raise InvalidParameter(f"bad value {kwargs[key]!r} for {key!r}") from None
+        kwargs = _known_keys(read_document(source), cls, "the experiment config")
+        if "m_grid" in kwargs:
+            ms = kwargs["m_grid"]
+            if not isinstance(ms, list):
+                raise InvalidParameter(f"bad value {ms!r} for 'm_grid'")
+            kwargs["m_grid"] = tuple(as_number(m, int, "m_grid") for m in ms)
         for key, spec in _SECTIONS.items():
             if key in kwargs:
                 kwargs[key] = spec(**_known_keys(kwargs[key], spec, key))
         return cls(**kwargs)
 
 
-_CONVERT = {"eta": float, "epsilon": float, "p": float, "delta": float,
-            "m_grid": lambda ms: tuple(int(m) for m in ms), "holdout_size": int,
-            "trials": int, "seed": int, "rejection_budget": int}
 _SECTIONS = {"instance": InstanceSpec, "perturbation": PerturbationSpec,
              "target": TargetSpec, "pipeline_config": PipelineConfig}
+_NUMBERS = {"int": int, "float": float, "int | None": int, "float | None": float}
 
 
 def _known_keys(doc, spec, where: str) -> dict:
-    """``doc`` if it is an object whose keys all name fields of ``spec``."""
+    """``doc``, an object whose keys all name fields of ``spec``, numbers checked."""
     if not isinstance(doc, dict):
         raise InvalidParameter(f"{where} must be a JSON object")
-    names = {f.name for f in fields(spec)}
-    for key in doc:
-        if key not in names:
+    types = {f.name: f.type for f in fields(spec)}
+    out = dict(doc)
+    for key, value in doc.items():
+        if key not in types:
             raise InvalidParameter(f"unknown key {key!r} in {where}")
-    return doc
+        if types[key] in _NUMBERS and not (value is None and types[key].endswith("None")):
+            out[key] = as_number(value, _NUMBERS[types[key]], key)
+    return out
 
 
 def _build_class(spec: InstanceSpec, rng: np.random.Generator,

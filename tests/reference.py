@@ -4,6 +4,9 @@ These deliberately take different algorithmic routes from the library
 implementations: the shattering oracle enumerates flat witness products
 and counts sign-code coverage, the cover oracle enumerates center
 subsets by size, and the subset oracle enumerates bitmasks.
+``array_fat`` is the exception: it keeps the library's former
+fat-shattering search, so the current one can be compared with it
+exactly.
 """
 
 from __future__ import annotations
@@ -71,6 +74,64 @@ def _subset_shattered_flat(values: np.ndarray, gamma: float) -> bool:
         if hits.all(axis=1).any():
             return True
     return False
+
+
+def array_fat(matrix, gamma: float) -> int:
+    """The library's former fat-shattering search, on numpy index arrays.
+
+    Same candidate filter, log2 limit and depth-first recursion as
+    ``dimensions.fat_shattering``, but each hypothesis group is an index
+    array split with boolean masks, and the cutoffs of a point are the
+    values attained inside the current groups.  No caps.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n_hyp, n_pts = matrix.shape
+    if n_hyp == 0:
+        return 0
+    limit = min(n_pts, int(math.floor(math.log2(n_hyp))) if n_hyp > 1 else 0)
+    spread = (matrix.max(axis=0) - matrix.min(axis=0)) >= 2.0 * gamma - 1e-12
+    candidates = np.flatnonzero(spread)
+    limit = min(limit, candidates.size)
+    fat = 0
+    for m in range(1, limit + 1):
+        found = any(
+            _array_subset_shattered(matrix[:, list(subset)], gamma)
+            for subset in itertools.combinations(candidates, m)
+        )
+        if not found:
+            break
+        fat = m
+    return fat
+
+
+def _array_subset_shattered(values: np.ndarray, gamma: float) -> bool:
+    """values: (n_hypotheses, m) restriction of the class to a point set."""
+    m = values.shape[1]
+
+    def rec(depth: int, groups: list[np.ndarray]) -> bool:
+        if depth == m:
+            return True
+        need = 1 << (m - depth - 1)  # rows per child group
+        col = values[:, depth]
+        pool = np.unique(np.concatenate([col[g] for g in groups]))
+        # a feasible cutoff can always be slid up to an attained value;
+        # the 1e-12 guard keeps an exactly-2*gamma gap shatterable
+        for v in pool:
+            children = []
+            for g in groups:
+                gv = col[g]
+                hi = g[gv >= v]
+                lo = g[gv <= v - 2.0 * gamma + 1e-12]
+                if hi.size < need or lo.size < need:
+                    break
+                children.append(hi)
+                children.append(lo)
+            else:
+                if rec(depth + 1, children):
+                    return True
+        return False
+
+    return rec(0, [np.arange(values.shape[0])])
 
 
 def brute_min_cover_size(points, t: float) -> int:

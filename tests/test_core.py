@@ -191,6 +191,18 @@ class TestDomainDocument:
         with pytest.raises(InvalidParameter, match="perturbations"):
             load_domain(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("domain_size", None), ("domain_size", "3"),
+        ("samples", None), ("samples", [[0, "x"]]), ("samples", [[0.0, 0.5, 1]]),
+        ("samples", [[True, 0.5]]), ("samples", [[0.5, 0.5]]), ("perturbations", {"0": None}),
+        ("perturbations", {"a": [0]}), ("perturbations", {"0": ["1"]}),
+        ("class_matrix", [[0.1, 0.2], [0.3]]), ("class_matrix", "rows"),
+        ("holdout", [[1, None]]),
+    ])
+    def test_ill_typed_field_names_its_key(self, key, value):
+        with pytest.raises(InvalidParameter, match=key):
+            load_domain({**self.DOC, key: value})
+
     def test_out_of_range_id(self):
         doc = dict(self.DOC)
         doc["samples"] = [[7, 0.5]]

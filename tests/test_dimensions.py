@@ -16,7 +16,7 @@ from robustreg import (
 from robustreg.errors import CapExceeded, InvalidParameter
 
 from conftest import make_class
-from reference import brute_fat, brute_min_cover_size
+from reference import array_fat, brute_fat, brute_min_cover_size
 
 
 class TestFatShattering:
@@ -51,6 +51,19 @@ class TestFatShattering:
             fat_shattering(np.full((4, 20), 0.5), 0.1)
         with pytest.raises(CapExceeded):
             fat_shattering(np.full((300, 4), 0.5), 0.1)
+        with pytest.raises(CapExceeded):
+            fat_shattering(np.full((257, 4), 0.5), 0.1)
+        with pytest.raises(CapExceeded):
+            fat_shattering(np.full((4, 17), 0.5), 0.1)
+
+    def test_at_the_row_cap_matches_the_array_search(self):
+        # the 2^6 sign patterns sit in rows 192..255 only, so the search
+        # needs every bit of a 256-bit row mask
+        patterns = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        matrix = np.vstack([np.full((192, 6), 0.5), patterns])
+        assert fat_shattering(matrix, 0.5) == array_fat(matrix, 0.5) == 6
+        grid = np.linspace(0, 1, 6)[np.random.default_rng(5).integers(0, 6, (256, 8))]
+        assert fat_shattering(grid, 0.1) == array_fat(grid, 0.1)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidParameter):
@@ -59,7 +72,7 @@ class TestFatShattering:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, data):
-        n_h = data.draw(st.integers(1, 12))
+        n_h = data.draw(st.integers(1, 24))
         n = data.draw(st.integers(1, 5))
         levels = np.linspace(0, 1, 6)
         matrix = levels[data.draw(st.lists(
@@ -67,6 +80,18 @@ class TestFatShattering:
             min_size=n_h, max_size=n_h).map(np.array))]
         gamma = data.draw(st.sampled_from([0.1, 0.2, 0.3]))
         assert fat_shattering(matrix, gamma) == brute_fat(matrix, gamma)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_array_search_on_ties(self, data):
+        n_h = data.draw(st.integers(1, 64))
+        n = data.draw(st.integers(1, 6))
+        levels = np.linspace(0, 1, 6)
+        matrix = levels[data.draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n),
+            min_size=n_h, max_size=n_h).map(np.array))]
+        gamma = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+        assert fat_shattering(matrix, gamma) == array_fat(matrix, gamma)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

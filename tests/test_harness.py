@@ -6,7 +6,7 @@ import pytest
 
 from robustreg import load_domain, rerm_finite
 from robustreg.cli import main
-from robustreg.errors import UnrealizableSpec
+from robustreg.errors import InvalidParameter, UnrealizableSpec
 from robustreg.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -118,6 +118,10 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+BAD_DOMAIN_BASE = {"domain_size": 3, "samples": [[0, 0.5]],
+                   "perturbations": {"0": [0], "1": [1], "2": [2]}}
 
 
 class TestCli:
@@ -257,6 +261,10 @@ class TestCli:
         *((command, content) for command in ("experiment", "gen")
           for content in (None, "{not json", '{"eta": null}', '{"m_grid": 40}')),
         ("learn-improper", None), ("learn-improper", "{not json"),
+        ("experiment", '{"instance": {"n_hypotheses": null}}'),
+        ("experiment", '{"pipeline_config": {"d": "6"}}'),
+        ("learn-improper", json.dumps({**BAD_DOMAIN_BASE, "domain_size": None})),
+        ("learn-improper", json.dumps({**BAD_DOMAIN_BASE, "samples": [[0, "x"]]})),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
@@ -268,6 +276,27 @@ class TestCli:
         code, out = run_cli(argv)
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"instance": {"n_hypotheses": None}}, "n_hypotheses"),
+        ({"instance": {"smooth_step": "0.05"}}, "smooth_step"),
+        ({"perturbation": {"radius": True}}, "radius"),
+        ({"target": {"index": "a"}}, "index"),
+        ({"pipeline_config": {"d": "6"}}, "d"),
+        ({"pipeline_config": {"T": float("inf")}}, "T"),
+        ({"eta": "0.2"}, "eta"),
+        ({"trials": 2.5}, "trials"),
+        ({"m_grid": [20, None]}, "m_grid"),
+    ])
+    def test_ill_typed_config_value_names_its_key(self, doc, key):
+        with pytest.raises(InvalidParameter, match=f"'{key}'"):
+            ExperimentConfig.from_json(doc)
+
+    def test_optional_config_numbers_take_null(self):
+        cfg = ExperimentConfig.from_json({"instance": {"levels": None},
+                                          "pipeline_config": {"d": None, "T": 3},
+                                          "realizable_margin": None})
+        assert cfg.instance.levels is None and cfg.pipeline_config.T == 3
 
     def test_agnostic_regress_needs_holdout(self, tmp_path):
         cfg = config_for()
