@@ -5,8 +5,8 @@ explicit finite perturbation sets, built from robust ERM oracles,
 dual-space covers, boosting, and sample compression schemes.
 """
 
-from .boosting import WeightedEnsemble, find_weak_learner, medboost, medboost_alpha, weighted_median
-from .compression import CompressionScheme, compress, generalization_bound, reconstruct, verify_approximation
+from .boosting import WeightedEnsemble, find_weak_learner, medboost, medboost_alpha
+from .compression import CompressionScheme, compress, generalization_bound, reconstruct
 from .core import (
     DomainData,
     EtaBall,
@@ -19,12 +19,9 @@ from .core import (
     empirical_error,
     inflate,
     load_domain,
-    robust_deviation,
     robust_deviations,
-    robust_loss,
 )
 from .dimensions import (
-    cover_size_bound,
     dual_class,
     dual_fat_shattering,
     dual_fat_upper_bound,
@@ -70,7 +67,6 @@ from .pipelines import (
     proper_learn,
     realizable_regression,
     run_pipeline,
-    sample_complexity,
     theta_grid,
 )
 from .sparsify import default_k, sparsify

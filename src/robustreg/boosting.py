@@ -52,11 +52,6 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.take_along_axis(np.take_along_axis(v, order, 0), idx[None, :], 0)[0]
 
 
-def weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Lower weighted median of one list of values."""
-    return float(weighted_median_columns(np.asarray(values, dtype=float)[:, None], weights)[0])
-
-
 def aggregate(matrix: np.ndarray, alphas: Sequence[float], median: bool) -> np.ndarray:
     """Per column of a (members x n) matrix, the lower weighted median or
     the average.  The average reduces rows of the contiguous (n x members)
@@ -102,9 +97,6 @@ class WeightedEnsemble:
     def values(self) -> np.ndarray:
         """The aggregated value vector, computed once."""
         return aggregate(self.matrix, self.alphas, self.aggregation == "weighted_median")
-
-    def evaluate(self, z: int) -> float:
-        return float(self.values[z])
 
 
 def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:

@@ -15,7 +15,7 @@ from .compression import generalization_bound
 from .errors import InvalidParameter, RobustRegError
 from .harness import ExperimentConfig, gen_instance, instance_to_domain_json, run_experiment, write_csv
 from .oracles import FiniteClass, FiniteClassOracle, load_class_csv
-from .pipelines import dual_embed, run_pipeline, sample_complexity
+from .pipelines import dual_embed, run_pipeline
 
 
 # learn subcommands: the pipeline each runs and the parameters it takes
@@ -60,18 +60,13 @@ def _parser() -> argparse.ArgumentParser:
                             default={"delta": 0.1, "p": 1.0}.get(param))
 
     sp = sub.add_parser("bounds", parents=[common],
-                        help="generalization and sample-size calculators")
-    sp.add_argument("--kind", choices=["realizable", "agnostic", "bernstein"])
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--m", type=int)
+                        help="compression generalization bounds")
+    sp.add_argument("--kind", choices=["realizable", "agnostic", "bernstein"], required=True)
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--empirical", type=float, default=0.0)
     sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--theorem", choices=["3.1", "4.1", "4.2", "5.1", "5.2"])
-    sp.add_argument("--fat", type=int)
-    sp.add_argument("--fat-star", type=int)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--with-logs", action="store_true")
 
     sub.add_parser("experiment", parents=[common],
                    help="run a sweep and write CSV rows")
@@ -106,22 +101,16 @@ def _cmd_gen(args) -> str:
 
 
 def _cmd_fatdim(args) -> str:
-    gammas = args.gamma or []
-    if not gammas:
-        raise InvalidParameter("missing --gamma")
-    for g in gammas:
-        if g <= 0:
-            raise InvalidParameter(f"invalid gamma: must be positive, got {g}")
+    if not args.gamma or min(args.gamma) <= 0:
+        raise InvalidParameter(f"--gamma must be given and positive, got {args.gamma}")
     if args.matrix:
         cls = load_class_csv(args.matrix)
     else:
         cls = _oracle_from(_require_config(args)).cls
+    caps = {"max_points": args.max_points, "max_hypotheses": args.max_hypotheses}
     lines = ["gamma,fat,dual_fat"]
-    for g in gammas:
-        fat = fat_shattering(cls, g, max_points=args.max_points,
-                             max_hypotheses=args.max_hypotheses)
-        dual = dual_fat_shattering(cls, g, max_points=args.max_points,
-                                   max_hypotheses=args.max_hypotheses)
+    for g in args.gamma:
+        fat, dual = fat_shattering(cls, g, **caps), dual_fat_shattering(cls, g, **caps)
         lines.append(f"{g},{fat},{dual}")
     return "\n".join(lines) + "\n"
 
@@ -149,16 +138,6 @@ def _cmd_learn(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    if args.theorem:
-        for field_name in ("fat", "fat_star", "epsilon"):
-            if getattr(args, field_name) is None:
-                raise InvalidParameter(f"missing --{field_name.replace('_', '-')}")
-        value = sample_complexity(args.theorem, args.fat, args.fat_star,
-                                  args.epsilon, args.delta, c=args.c,
-                                  suppress_logs=not args.with_logs)
-        return f"{value}\n"
-    if args.kind is None or args.k is None or args.m is None:
-        raise InvalidParameter("missing --kind/--k/--m (or use --theorem)")
     value = generalization_bound(args.kind, args.k, args.m, args.delta,
                                  empirical=args.empirical, c=args.c)
     return f"{value}\n"

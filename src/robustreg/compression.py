@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
-from .core import Hypothesis, LabeledExample, PerturbationMap, robust_deviations
+from .core import Hypothesis, LabeledExample, PerturbationMap
 from .errors import Infeasible, InvalidParameter, NotCompressible, ReconstructionFailed
 
 
@@ -70,9 +70,9 @@ class CompressionScheme:
 
 
 def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
-             eta: float, group_size: int | None = None,
-             store_alphas: bool | None = None) -> CompressionScheme:
-    """Encode an ensemble as fixed-size groups of sample indices."""
+             eta: float, group_size: int, store_alphas: bool) -> CompressionScheme:
+    """Encode an ensemble as fixed-size groups of sample indices, with the
+    coefficients as side information when ``store_alphas`` is set."""
     if any(len(src) == 0 for src in ensemble.sources):
         raise NotCompressible("an ensemble member carries no source indices")
     m = len(sample)
@@ -80,16 +80,12 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
         for i in src:
             if not 0 <= i < m:
                 raise NotCompressible(f"source index {i} outside the sample")
-    if group_size is None:
-        group_size = max(len(src) for src in ensemble.sources)
     if group_size < max(len(src) for src in ensemble.sources):
         raise InvalidParameter("group_size smaller than a member's source list")
     groups = tuple(
         tuple(src) + (src[-1],) * (group_size - len(src))
         for src in ensemble.sources
     )
-    if store_alphas is None:
-        store_alphas = ensemble.aggregation == "weighted_median"
     tag = "median" if ensemble.aggregation == "weighted_median" else "average"
     return CompressionScheme(
         eta=eta, aggregation=tag, groups=groups,
@@ -119,21 +115,6 @@ def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
     descriptor = ("reconstruction", scheme.aggregation,
                   tuple(h.descriptor for h in members), tuple(alphas))
     return Hypothesis(values, descriptor)
-
-
-def verify_approximation(h: Hypothesis, sample: Sequence[LabeledExample],
-                         U: PerturbationMap, eta: float) -> tuple[bool, float]:
-    """Audit a reconstruction against its sample.
-
-    ``rate`` counts points whose worst-case deviation reaches eta
-    (inclusive, matching the indicator loss); ``uniform`` is true exactly
-    when no point reaches it, so a deviation of exactly eta yields
-    rate > 0 and uniform False.
-    """
-    if len(sample) == 0:
-        raise InvalidParameter("verification needs a nonempty sample")
-    rate = int((robust_deviations(h.values, sample, U) >= eta).sum()) / len(sample)
-    return rate == 0.0, rate
 
 
 def generalization_bound(kind: str, k: int, m: int, delta: float,

@@ -217,15 +217,6 @@ def robust_deviations(values: np.ndarray, sample: Sequence[LabeledExample],
     return np.abs(values[:, U.index(xs)] - ys[:, None]).max(axis=2)
 
 
-def robust_deviation(h: Hypothesis, ex: LabeledExample, U: PerturbationMap) -> float:
-    """max over z in U(x) of |h(z) - y|, an exact maximum over the finite set."""
-    return float(robust_deviations(h.values, [ex], U)[0, 0])
-
-
-def robust_loss(h: Hypothesis, ex: LabeledExample, U: PerturbationMap, mode: LossMode) -> float:
-    return empirical_error(h, [ex], U, mode)
-
-
 def empirical_error(h: Hypothesis, sample: Sequence[LabeledExample],
                     U: PerturbationMap, mode: LossMode) -> float:
     if len(sample) == 0:

@@ -110,15 +110,13 @@ def dual_fat_shattering(cls, gamma: float, *, max_points: int = 16,
                           max_points=max_points, max_hypotheses=max_hypotheses)
 
 
-def dual_fat_upper_bound(fat_half_scale: int, gamma: float, c: float = 1.0) -> float:
-    """c * (1/gamma) * 2^(fat_half_scale + 1), the primal-to-dual bound."""
+def dual_fat_upper_bound(fat_half_scale: int, gamma: float) -> float:
+    """(1/gamma) * 2^(fat_half_scale + 1), the primal-to-dual bound."""
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameter(f"gamma must be in (0, 1], got {gamma}")
-    if c <= 0:
-        raise InvalidParameter(f"c must be positive, got {c}")
     if fat_half_scale < 0:
         raise InvalidParameter("fat_half_scale must be >= 0")
-    return c * (1.0 / gamma) * 2.0 ** (fat_half_scale + 1)
+    return (1.0 / gamma) * 2.0 ** (fat_half_scale + 1)
 
 
 def greedy_cover(points: Sequence, t: float) -> tuple[list[int], list[int]]:
@@ -152,18 +150,3 @@ def greedy_cover(points: Sequence, t: float) -> tuple[list[int], list[int]]:
         uncovered &= ~newly
         centers.append(center)
     return centers, assignment.tolist()
-
-
-def cover_size_bound(n: int, t: float, v: int, C: float = 1.0, a: float = 0.5) -> float:
-    """exp(C * v * log(n/(v*t)) * log^a(2n/v)), the sup-norm cover bound."""
-    if not 0.0 < t < 0.5:
-        raise InvalidParameter(f"t must be in (0, 1/2), got {t}")
-    if not 0.0 < a < 1.0:
-        raise InvalidParameter(f"a must be in (0, 1), got {a}")
-    if v < 1:
-        raise InvalidParameter(f"v must be >= 1, got {v}")
-    if n < v:
-        raise InvalidParameter(f"n must be >= v, got n={n}, v={v}")
-    if C <= 0:
-        raise InvalidParameter(f"C must be positive, got {C}")
-    return math.exp(C * v * math.log(n / (v * t)) * math.log(2 * n / v) ** a)

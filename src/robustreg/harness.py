@@ -20,7 +20,7 @@ from .boosting import MEDIAN_REFIT
 from .core import EtaBall, LabeledExample, PerturbationMap, as_number, empirical_error, read_document
 from .errors import InvalidParameter, RobustRegError, UnrealizableSpec
 from .oracles import FiniteClass, FiniteClassOracle
-from .pipelines import PipelineConfig, run_pipeline
+from .pipelines import PIPELINES, PipelineConfig, run_pipeline
 
 CSV_HEADER = [
     "m", "trial", "pipeline", "eta", "epsilon", "emp_robust_err",
@@ -31,7 +31,7 @@ CSV_HEADER = [
 
 @dataclass
 class InstanceSpec:
-    kind: str = "random"  # random | smooth | constants | blocks
+    kind: str = "random"  # a key of CLASS_KINDS
     n_hypotheses: int = 20
     domain_size: int = 30
     levels: int | None = None  # optional label quantization grid
@@ -43,7 +43,7 @@ class InstanceSpec:
 
 @dataclass
 class PerturbationSpec:
-    kind: str = "identity"  # identity | grid_ball | random_k
+    kind: str = "identity"  # a key of PERTURBATION_KINDS
     radius: int = 1
     k: int = 2
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
     instance: InstanceSpec = field(default_factory=InstanceSpec)
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     target: TargetSpec = field(default_factory=TargetSpec)
-    pipeline: str = "improper"
+    pipeline: str = "improper"  # a key of pipelines.PIPELINES
     eta: float = 0.2
     epsilon: float = 0.1
     p: float = 1.0
@@ -73,6 +73,11 @@ class ExperimentConfig:
     pipeline_config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
+        for key, name, names in (("pipeline", self.pipeline, PIPELINES),
+                                 ("kind", self.instance.kind, CLASS_KINDS),
+                                 ("kind", self.perturbation.kind, PERTURBATION_KINDS)):
+            if not (isinstance(name, str) and name in names):
+                raise InvalidParameter(f"bad value {name!r} for {key!r}, not one of {', '.join(names)}")
         if not 0.0 <= self.target.noise_rate <= 1.0:
             raise InvalidParameter("noise_rate must be in [0, 1]")
         if self.trials < 1 or not self.m_grid:
@@ -113,34 +118,44 @@ def _known_keys(doc, spec, where: str) -> dict:
     return out
 
 
-def _build_class(spec: InstanceSpec, rng: np.random.Generator,
-                 target: int | None = None) -> FiniteClass:
-    n_h, n = spec.n_hypotheses, spec.domain_size
-    if spec.kind == "random":
-        matrix = rng.uniform(0.0, 1.0, size=(n_h, n))
-    elif spec.kind == "smooth":
-        steps = rng.uniform(-spec.smooth_step, spec.smooth_step, size=(n_h, n))
-        steps[:, 0] = rng.uniform(0.0, 1.0, size=n_h)
-        matrix = np.clip(np.cumsum(steps, axis=1), 0.0, 1.0)
-    elif spec.kind == "constants":
-        matrix = np.repeat(np.linspace(0.0, 1.0, n_h)[:, None], n, axis=1)
-    elif spec.kind == "blocks":
-        # piecewise-constant rows: every non-target row deviates from the
-        # base row on a few blocks, so sparse samples leave lower-index
-        # impostors feasible until their defect blocks get pinned
-        block_of = np.minimum(np.arange(n) * spec.blocks // n, spec.blocks - 1)
-        base = rng.uniform(0.2, 0.8, size=spec.blocks)
-        matrix = np.empty((n_h, n))
-        t = target if target is not None else 0
-        for i in range(n_h):
-            row = base.copy()
-            if i != t:
-                hit = rng.choice(spec.blocks, size=min(spec.defect_blocks,
-                                                       spec.blocks), replace=False)
-                row[hit] = (row[hit] + spec.defect_shift) % 1.0
-            matrix[i] = row[block_of]
-    else:
-        raise InvalidParameter(f"unknown instance kind {spec.kind!r}")
+def _smooth_rows(spec, rng, target):
+    steps = rng.uniform(-spec.smooth_step, spec.smooth_step,
+                        size=(spec.n_hypotheses, spec.domain_size))
+    steps[:, 0] = rng.uniform(0.0, 1.0, size=spec.n_hypotheses)
+    return np.clip(np.cumsum(steps, axis=1), 0.0, 1.0)
+
+
+def _block_rows(spec, rng, target):
+    # piecewise-constant rows: every non-target row deviates from the base
+    # row on a few blocks, so sparse samples leave lower-index impostors
+    # feasible until their defect blocks get pinned
+    n = spec.domain_size
+    block_of = np.minimum(np.arange(n) * spec.blocks // n, spec.blocks - 1)
+    base = rng.uniform(0.2, 0.8, size=spec.blocks)
+    matrix = np.empty((spec.n_hypotheses, n))
+    for i in range(spec.n_hypotheses):
+        row = base.copy()
+        if i != target:
+            hit = rng.choice(spec.blocks, size=min(spec.defect_blocks, spec.blocks),
+                             replace=False)
+            row[hit] = (row[hit] + spec.defect_shift) % 1.0
+        matrix[i] = row[block_of]
+    return matrix
+
+
+# The instance kinds, each building the (n_hypotheses x domain_size) matrix
+# from (spec, rng, target row).
+CLASS_KINDS = {
+    "random": lambda s, rng, t: rng.uniform(0.0, 1.0, size=(s.n_hypotheses, s.domain_size)),
+    "smooth": _smooth_rows,
+    "constants": lambda s, rng, t: np.repeat(np.linspace(0.0, 1.0, s.n_hypotheses)[:, None],
+                                             s.domain_size, axis=1),
+    "blocks": _block_rows,
+}
+
+
+def _build_class(spec: InstanceSpec, rng: np.random.Generator, target: int) -> FiniteClass:
+    matrix = CLASS_KINDS[spec.kind](spec, rng, target)
     if spec.levels is not None:
         if spec.levels < 2:
             raise InvalidParameter("levels must be >= 2")
@@ -148,21 +163,22 @@ def _build_class(spec: InstanceSpec, rng: np.random.Generator,
     return FiniteClass(matrix)
 
 
-def _build_perturbation(spec: PerturbationSpec, domain_size: int,
-                        rng: np.random.Generator) -> PerturbationMap:
-    if spec.kind == "identity":
-        return PerturbationMap.identity(domain_size)
-    if spec.kind == "grid_ball":
-        return PerturbationMap.grid_ball(domain_size, spec.radius)
-    if spec.kind == "random_k":
-        table = {}
-        for x in range(domain_size):
-            others = [z for z in range(domain_size) if z != x]
-            extra = rng.choice(others, size=min(spec.k, len(others)),
-                               replace=False).tolist() if others else []
-            table[x] = [x] + sorted(extra)
-        return PerturbationMap(table)
-    raise InvalidParameter(f"unknown perturbation kind {spec.kind!r}")
+def _random_k(spec: PerturbationSpec, domain_size: int, rng) -> PerturbationMap:
+    table = {}
+    for x in range(domain_size):
+        others = [z for z in range(domain_size) if z != x]
+        extra = rng.choice(others, size=min(spec.k, len(others)),
+                           replace=False).tolist() if others else []
+        table[x] = [x] + sorted(extra)
+    return PerturbationMap(table)
+
+
+# The perturbation kinds, each building the map from (spec, domain size, rng).
+PERTURBATION_KINDS = {
+    "identity": lambda spec, n, rng: PerturbationMap.identity(n),
+    "grid_ball": lambda spec, n, rng: PerturbationMap.grid_ball(n, spec.radius),
+    "random_k": _random_k,
+}
 
 
 def _draw_points(target_values: np.ndarray, U: PerturbationMap, size: int,
@@ -193,8 +209,9 @@ def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
         target = int(rng.integers(config.instance.n_hypotheses))
     if not 0 <= target < config.instance.n_hypotheses:
         raise InvalidParameter(f"target index {target} outside the class")
-    cls = _build_class(config.instance, rng, target=target)
-    U = _build_perturbation(config.perturbation, config.instance.domain_size, rng)
+    cls = _build_class(config.instance, rng, target)
+    U = PERTURBATION_KINDS[config.perturbation.kind](
+        config.perturbation, config.instance.domain_size, rng)
     margin = config.realizable_margin
     if margin is None:
         margin = config.eta * MEDIAN_REFIT

@@ -56,17 +56,23 @@ class FiniteClass:
 
 
 def load_class_csv(path) -> FiniteClass:
-    """One row per hypothesis; header gives instance ids."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise InvalidParameter("class CSV needs a header and at least one row")
-    ids = [int(c) for c in rows[0]]
-    order = np.argsort(ids)
+    """One row per hypothesis; header gives instance ids.  A file that cannot
+    be read, or is not such a table of numbers, raises InvalidParameter."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {path}: {exc.strerror}") from None
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        raise InvalidParameter("class CSV needs a header and rows of the same length")
+    try:
+        ids = [int(c) for c in rows[0]]
+        matrix = np.asarray([[float(c) for c in row] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise InvalidParameter(f"class CSV: {exc}") from None
     if sorted(ids) != list(range(len(ids))):
         raise InvalidParameter("class CSV header must enumerate instance ids 0..n-1")
-    matrix = np.asarray([[float(c) for c in row] for row in rows[1:]], dtype=float)
-    return FiniteClass(matrix[:, order])
+    return FiniteClass(matrix[:, np.argsort(ids)])
 
 
 @dataclass(frozen=True)

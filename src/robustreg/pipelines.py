@@ -495,46 +495,29 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
     return best
 
 
+# The pipelines by name, each with the run parameters it takes besides
+# (oracle, sample, U, config, seed).  run_pipeline dispatches on this table,
+# and an experiment config is checked against it when it is read.
+PIPELINES = {
+    "improper": (improper_learn, ("eta",)),
+    "proper": (proper_learn, ("eta", "epsilon")),
+    "agnostic-eta": (agnostic_eta_learn, ("eta",)),
+    "regress": (realizable_regression, ("epsilon", "p")),
+    "agnostic-regress": (agnostic_regression, ("holdout", "epsilon", "delta", "p")),
+}
+
+
 def run_pipeline(name: str, oracle, sample: Sequence[LabeledExample],
                  U: PerturbationMap, *, holdout: Sequence[LabeledExample] = (),
                  eta: float | None = None, epsilon: float | None = None,
                  delta: float | None = None, p: float = 1.0,
                  config: PipelineConfig | None = None,
                  seed: int = 0) -> PipelineReport:
-    """Run the pipeline ``name`` (improper, proper, agnostic-eta, regress
-    or agnostic-regress) with the parameters it takes."""
-    runs = {
-        "improper": lambda: improper_learn(oracle, sample, U, eta, config, seed),
-        "proper": lambda: proper_learn(oracle, sample, U, eta, epsilon, config, seed),
-        "agnostic-eta": lambda: agnostic_eta_learn(oracle, sample, U, eta, config, seed),
-        "regress": lambda: realizable_regression(oracle, sample, U, epsilon, p,
-                                                 config, seed),
-        "agnostic-regress": lambda: agnostic_regression(
-            oracle, sample, holdout, U, epsilon, delta, p, config, seed),
-    }
-    if name not in runs:
+    """Run the pipeline ``name`` (a key of ``PIPELINES``) with the parameters
+    it takes."""
+    if name not in PIPELINES:
         raise InvalidParameter(f"unknown pipeline {name!r}")
-    return runs[name]()
-
-
-_THEOREM_EXPONENT = {"3.1": 3, "4.1": 1, "4.2": 2, "5.1": 1, "5.2": 2}
-
-
-def sample_complexity(theorem: str, fat: int, fat_star: int, epsilon: float,
-                      delta: float, c: float = 1.0,
-                      suppress_logs: bool = True) -> float:
-    """c * (fat * fat_star / eps^k + ln(1/delta) / eps^k) with the
-    exponent k per guarantee; the optional log factor multiplies the
-    leading term by ln^2 of the leading dimensional ratio."""
-    if theorem not in _THEOREM_EXPONENT:
-        raise InvalidParameter(f"unknown guarantee {theorem!r}")
-    if fat < 0 or fat_star < 0:
-        raise InvalidParameter("dimensions must be nonnegative")
-    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-        raise InvalidParameter("epsilon and delta must be in (0, 1)")
-    if c <= 0:
-        raise InvalidParameter(f"c must be positive, got {c}")
-    k = _THEOREM_EXPONENT[theorem]
-    lead = fat * fat_star / epsilon ** k
-    logf = 1.0 if suppress_logs else math.log(max(lead, math.e)) ** 2
-    return c * (lead * logf + math.log(1.0 / delta) / epsilon ** k)
+    learner, params = PIPELINES[name]
+    given = {"holdout": holdout, "eta": eta, "epsilon": epsilon, "delta": delta, "p": p}
+    return learner(oracle, sample=sample, U=U, config=config, seed=seed,
+                   **{k: given[k] for k in params})

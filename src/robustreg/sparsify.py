@@ -69,13 +69,11 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[InflatedExample],
     )
 
 
-def default_k(fat_star: int, eta: float, c: float = 1.0) -> int:
-    """ceil(c * fat_star * ln^2(max(fat_star/eta, 2))), forced odd."""
+def default_k(fat_star: int, eta: float) -> int:
+    """ceil(fat_star * ln^2(max(fat_star/eta, 2))), forced odd."""
     if fat_star < 1:
         raise InvalidParameter(f"fat_star must be >= 1, got {fat_star}")
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
-    if c <= 0:
-        raise InvalidParameter(f"c must be positive, got {c}")
-    k = math.ceil(c * fat_star * math.log(max(fat_star / eta, 2.0)) ** 2)
+    k = math.ceil(fat_star * math.log(max(fat_star / eta, 2.0)) ** 2)
     return k + 1 if k % 2 == 0 else k

@@ -25,7 +25,7 @@ from robustreg import (
     proper_learn,
     realizable_regression,
     reconstruct,
-    robust_deviation,
+    robust_deviations,
     sparsify,
 )
 from robustreg.errors import RobustRegError
@@ -123,8 +123,7 @@ def test_medboost_uniform_approximation():
         t0 = time.perf_counter()
         try:
             rep = improper_learn(oracle, sample, U, eta, seed=seed)
-            ok = all(robust_deviation(rep.hypothesis, ex, U) <= eta
-                     for ex in sample)
+            ok = bool((robust_deviations(rep.hypothesis.values, sample, U) <= eta).all())
         except RobustRegError:
             ok = False
         worst = max(worst, time.perf_counter() - t0)
@@ -162,17 +161,17 @@ def test_round_trip():
                        rng=np.random.default_rng(seed))
         small = sparsify(ens, inflated, eta / 2, k=3, seed=seed)
         for ensemble, store in ((ens, True), (small, False)):
-            scheme = compress(ensemble, sample, eta, store_alphas=store)
+            scheme = compress(ensemble, sample, eta, min(8, len(sample)), store)
             rebuilt = reconstruct(scheme, sample, oracle.rerm, U)
             for z in U.instances():
-                assert rebuilt(z) == ensemble.evaluate(z)
+                assert rebuilt(z) == ensemble.values[z]
             checked += 1
         avg = mw_boost(inflated, sample, U, eta, epsilon=0.5, xi=0.5, T=4,
                        rerm=oracle.rerm, d=8, seed=seed)
-        scheme = compress(avg, sample, eta)
+        scheme = compress(avg, sample, eta, min(8, len(sample)), False)
         rebuilt = reconstruct(scheme, sample, oracle.rerm, U)
         for z in U.instances():
-            assert rebuilt(z) == avg.evaluate(z)
+            assert rebuilt(z) == avg.values[z]
         checked += 1
     # every pipeline's stored scheme reconstructs to its reported hypothesis
     for seed in (7, 23):

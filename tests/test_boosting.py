@@ -14,7 +14,6 @@ from robustreg import (
     inflate,
     medboost,
     medboost_alpha,
-    weighted_median,
 )
 from robustreg.boosting import aggregate, weighted_median_columns
 from robustreg.errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
@@ -22,6 +21,11 @@ from robustreg.oracles import rerm_finite
 
 from conftest import labeled, make_class
 from reference import scalar_weighted_median
+
+
+def weighted_median(values, weights):
+    """The lower weighted median of one list, as a one-column matrix."""
+    return weighted_median_columns(np.asarray(values, dtype=float)[:, None], weights)[0]
 
 
 class TestWeightedMedian:
@@ -153,7 +157,7 @@ class TestMedboost:
         assert ens.alphas == (1.0,) * 5
         assert len(set(ens.sources)) == 1
         for pt in cover:
-            assert ens.evaluate(pt.z) == ens.members[0](pt.z)
+            assert ens.values[pt.z] == ens.members[0](pt.z)
 
     def test_uniform_quarter_eta_on_cover(self):
         rng = np.random.default_rng(7)
@@ -164,7 +168,7 @@ class TestMedboost:
         ens = medboost(cover, sample, U, eta=0.2, T=T, rerm=rerm, d=3,
                        rng=np.random.default_rng(3))
         for pt in cover:
-            assert abs(ens.evaluate(pt.z) - pt.y) <= 0.05
+            assert abs(ens.values[pt.z] - pt.y) <= 0.05
 
     def test_reweighting_concentrates_on_violations(self):
         # one violated point must gain mass when 0 < alpha < inf
@@ -202,4 +206,4 @@ class TestWeightedEnsemble:
         ens = WeightedEnsemble(
             members=(constant_hypothesis(0.2, 1), constant_hypothesis(0.6, 1)),
             alphas=(1.0, 1.0), sources=((0,), (1,)), aggregation="average")
-        assert ens.evaluate(0) == pytest.approx(0.4)
+        assert ens.values[0] == pytest.approx(0.4)

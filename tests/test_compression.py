@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from robustreg import (
     CompressionScheme,
+    EtaBall,
     PerturbationMap,
     WeightedEnsemble,
     compress,
     constant_hypothesis,
+    empirical_error,
     generalization_bound,
     reconstruct,
-    verify_approximation,
 )
 from robustreg.errors import InvalidParameter, NotCompressible, ReconstructionFailed
 from robustreg.oracles import rerm_constant
@@ -30,31 +31,31 @@ def median_ensemble(members, sources, alphas=None):
 class TestCompress:
     def test_single_member(self):
         ens = median_ensemble([constant_hypothesis(0.4, 3)], [(0, 1)])
-        scheme = compress(ens, labeled([(0, 0.4), (1, 0.4)]), eta=0.2)
+        scheme = compress(ens, labeled([(0, 0.4), (1, 0.4)]), 0.2, 2, True)
         assert scheme.groups == ((0, 1),)
         assert scheme.size == 2
 
     def test_three_members_group_size_two(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)] * 3,
                               [(0, 1), (1, 2), (0, 2)])
-        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), eta=0.2)
+        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2, 2, True)
         assert scheme.size == 6
 
     def test_padding_repeats_last_index(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)] * 2, [(0,), (1, 2)])
-        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), eta=0.2)
+        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2, 2, True)
         assert scheme.groups == ((0, 0), (1, 2))
 
     def test_empty_sources_not_compressible(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)], [()])
         with pytest.raises(NotCompressible):
-            compress(ens, labeled([(0, 0.5)]), eta=0.2)
+            compress(ens, labeled([(0, 0.5)]), 0.2, 1, True)
 
     def test_average_schemes_store_no_alphas(self):
         ens = WeightedEnsemble(members=(constant_hypothesis(0.5, 3),),
                                alphas=(1.0,), sources=((0,),),
                                aggregation="average")
-        scheme = compress(ens, labeled([(0, 0.5)]), eta=0.2)
+        scheme = compress(ens, labeled([(0, 0.5)]), 0.2, 1, False)
         assert scheme.aggregation == "average" and scheme.alphas is None
 
 
@@ -72,10 +73,10 @@ class TestReconstruct:
         members = [rerm_constant(sample[:2], self.U3, 0.2 / 8),
                    rerm_constant(sample[1:], self.U3, 0.2 / 8)]
         ens = median_ensemble(members, [(0, 1), (1, 2)], alphas=(0.7, 1.3))
-        scheme = compress(ens, sample, eta=0.2)
+        scheme = compress(ens, sample, 0.2, 2, True)
         h = reconstruct(scheme, sample, rerm_constant, self.U3)
         for z in range(3):
-            assert h(z) == ens.evaluate(z)
+            assert h(z) == ens.values[z]
 
     def test_tampered_group_fails_loudly(self):
         sample = labeled([(0, 0.0), (1, 1.0)])
@@ -86,23 +87,24 @@ class TestReconstruct:
 
 
 class TestVerifyApproximation:
+    """The audit every pipeline makes of its reconstruction: the robust
+    eta-rate over the sample, ``empirical_error`` under ``EtaBall``, which
+    counts a deviation of exactly eta."""
+
     U = PerturbationMap.identity(4)
 
     def test_exact_interpolant(self):
         h = constant_hypothesis(0.5, 4)
-        uniform, rate = verify_approximation(h, labeled([(0, 0.5)] * 3), self.U, 0.1)
-        assert uniform and rate == 0.0
+        assert empirical_error(h, labeled([(0, 0.5)] * 3), self.U, EtaBall(0.1)) == 0.0
 
     def test_one_violation_in_four(self):
         h = constant_hypothesis(0.0, 4)
         sample = labeled([(0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)])
-        uniform, rate = verify_approximation(h, sample, self.U, 0.5)
-        assert not uniform and rate == 0.25
+        assert empirical_error(h, sample, self.U, EtaBall(0.5)) == 0.25
 
     def test_exact_eta_deviation_counts(self):
         h = constant_hypothesis(0.75, 4)
-        uniform, rate = verify_approximation(h, labeled([(0, 0.5)]), self.U, 0.25)
-        assert rate > 0.0 and not uniform
+        assert empirical_error(h, labeled([(0, 0.5)]), self.U, EtaBall(0.25)) == 1.0
 
 
 class TestGeneralizationBound:

@@ -13,8 +13,7 @@ from robustreg import (
     empirical_error,
     inflate,
     load_domain,
-    robust_deviation,
-    robust_loss,
+    robust_deviations,
 )
 from robustreg.errors import EmptySample, InvalidParameter, MissingPerturbation
 
@@ -74,7 +73,18 @@ class TestInflate:
             assert e.y == sample[e.origin].y
 
 
+def robust_loss(h, ex, U, mode):
+    return empirical_error(h, [ex], U, mode)
+
+
+def robust_deviation(h, ex, U):
+    return robust_deviations(h.values, [ex], U)[0, 0]
+
+
 class TestRobustLoss:
+    """The loss of one example, read through ``empirical_error`` and the
+    deviation kernel."""
+
     def test_zero_deviation(self):
         h = constant_hypothesis(0.5, 1)
         ex = LabeledExample(0, 0.5)

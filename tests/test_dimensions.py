@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustreg import (
-    cover_size_bound,
     dual_class,
     dual_fat_shattering,
     dual_fat_upper_bound,
@@ -123,15 +122,19 @@ class TestDualClass:
         for g in (0.1, 0.25):
             assert fat_shattering(matrix, g) == fat_shattering(double, g)
 
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=20, deadline=None)
-    def test_dual_fat_within_the_stated_bound(self, seed):
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_dual_fat_within_the_stated_bound(self, seed, rounded):
+        # the bound has no free constant: dual fat at gamma is at most
+        # (1/gamma) 2^(fat at gamma/2 + 1) on classes up to 12 x 6, with
+        # values on a 5-level grid half the time so that ties occur
         rng = np.random.default_rng(seed)
-        matrix = rng.uniform(size=(rng.integers(2, 10), rng.integers(2, 5)))
-        for g in (0.2, 0.4):
+        matrix = rng.uniform(size=(rng.integers(1, 13), rng.integers(1, 7)))
+        if rounded:
+            matrix = np.round(matrix * 4) / 4
+        for g in (0.1, 0.2, 0.3, 0.4):
             dual = dual_fat_shattering(matrix, g)
-            bound = dual_fat_upper_bound(fat_shattering(matrix, g / 2), g, c=4.0)
-            assert dual <= bound
+            assert dual <= dual_fat_upper_bound(fat_shattering(matrix, g / 2), g)
 
 
 class TestDualFatUpperBound:
@@ -139,15 +142,11 @@ class TestDualFatUpperBound:
         assert dual_fat_upper_bound(2, 0.1) == pytest.approx(80.0)
         assert dual_fat_upper_bound(0, 1.0) == pytest.approx(2.0)
 
-    def test_linear_in_c(self):
-        assert dual_fat_upper_bound(3, 0.2, c=2.0) == pytest.approx(
-            2 * dual_fat_upper_bound(3, 0.2, c=1.0))
-
     def test_ranges(self):
         with pytest.raises(InvalidParameter):
             dual_fat_upper_bound(2, 0.0)
         with pytest.raises(InvalidParameter):
-            dual_fat_upper_bound(2, 0.5, c=-1.0)
+            dual_fat_upper_bound(-1, 0.5)
 
 
 class TestGreedyCover:
@@ -184,25 +183,3 @@ class TestGreedyCover:
         t = float(rng.choice([0.1, 0.25, 0.4]))
         centers, _ = greedy_cover(pts, t)
         assert len(centers) <= (1 + math.log(n)) * brute_min_cover_size(pts, t)
-
-
-class TestCoverSizeBound:
-    def test_formula_value(self):
-        expected = math.exp(math.log(8.0) * math.log(4.0) ** 0.5)
-        assert cover_size_bound(2, 0.25, 1, C=1.0, a=0.5) == pytest.approx(expected)
-        assert cover_size_bound(2, 0.25, 1, C=1.0, a=0.5) == pytest.approx(11.569303, abs=1e-6)
-
-    def test_monotone_in_n(self):
-        values = [cover_size_bound(n, 0.2, 2) for n in (4, 8, 16, 32)]
-        assert values == sorted(values)
-
-    def test_decreasing_in_t(self):
-        values = [cover_size_bound(16, t, 2) for t in (0.1, 0.2, 0.4)]
-        assert values == sorted(values, reverse=True)
-
-    def test_ranges(self):
-        for bad in ((10, 0.6, 1), (10, 0.2, 0), (1, 0.2, 2)):
-            with pytest.raises(InvalidParameter):
-                cover_size_bound(*bad)
-        with pytest.raises(InvalidParameter):
-            cover_size_bound(10, 0.2, 1, a=1.0)

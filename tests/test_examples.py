@@ -1,4 +1,5 @@
-"""The README's library quick start and the scripts in ``scripts/`` run.
+"""The README's library quick start, its command-line block and the
+scripts in ``scripts/`` run.
 
 Both call the public API by name, so a change to a signature or a default
 shows up here even though nothing else imports them.
@@ -6,12 +7,14 @@ shows up here even though nothing else imports them.
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from robustreg.cli import main
 from robustreg.harness import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +25,19 @@ def test_readme_quick_start_runs_as_printed():
     section = readme.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md quick start", "exec"), {})
+
+
+def test_readme_command_line_block_runs_as_printed(tmp_path, monkeypatch, capsys):
+    # the block reads exp.json, which is the README's experiment config
+    readme = (ROOT / "README.md").read_text()
+    config = readme.split("### Experiment config (JSON)", 1)[1]
+    (tmp_path / "exp.json").write_text(re.search(r"```json\n(.*?)```", config, re.S).group(1))
+    block = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "robustreg"
+        assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
 
 
 # the smallest arguments of each script, "{tmp}" standing for a fresh

@@ -164,6 +164,18 @@ class TestCli:
         code, _ = run_cli(["fatdim", "--config", domain_file, "--gamma", "0"])
         assert code == 1
 
+    # a missing file, a header that is not ids, a cell that is not a number
+    # and a row shorter than the header
+    @pytest.mark.parametrize("content", [None, "a,b\n0.1,0.2\n", "0,1\n0.1,x\n",
+                                         "0,1\n0.1,0.2\n0.3\n"])
+    def test_bad_class_csv_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "cls.csv"
+        if content is not None:
+            path.write_text(content)
+        code, out = run_cli(["fatdim", "--matrix", str(path), "--gamma", "0.1"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
 
@@ -193,16 +205,11 @@ class TestCli:
                              "--m", "1000", "--delta", "0.36787944117144233"])
         assert code == 0
         assert float(out) == pytest.approx(0.0700776, abs=1e-6)
-        code, out = run_cli(["bounds", "--theorem", "4.1", "--fat", "2",
-                             "--fat-star", "3", "--epsilon", "0.1",
-                             "--delta", "0.36787944117144233"])
-        assert code == 0
-        assert float(out) == pytest.approx(70.0)
 
     @pytest.mark.parametrize("option", [["--eta", "0.2"], ["--p", "2"]])
     def test_bounds_has_no_unread_options(self, option):
-        code, out = run_cli(["bounds", "--theorem", "4.1", "--fat", "2",
-                             "--fat-star", "3", "--epsilon", "0.1", *option])
+        code, out = run_cli(["bounds", "--kind", "realizable", "--k", "10",
+                             "--m", "1000", *option])
         assert code == 1 and out == ""
 
     def test_experiment_writes_file(self, exp_file, tmp_path):
@@ -265,6 +272,11 @@ class TestCli:
         ("experiment", '{"pipeline_config": {"d": "6"}}'),
         ("learn-improper", json.dumps({**BAD_DOMAIN_BASE, "domain_size": None})),
         ("learn-improper", json.dumps({**BAD_DOMAIN_BASE, "samples": [[0, "x"]]})),
+        ("experiment", '{"pipeline": 3}'),
+        ("experiment", '{"instance": {"kind": 3}}'),
+        ("experiment", '{"perturbation": {"kind": null}}'),
+        ("experiment", '{"pipeline": "nope"}'),
+        ("gen", '{"instance": {"kind": ["smooth"]}}'),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
@@ -287,6 +299,10 @@ class TestCli:
         ({"eta": "0.2"}, "eta"),
         ({"trials": 2.5}, "trials"),
         ({"m_grid": [20, None]}, "m_grid"),
+        ({"pipeline": 3}, "pipeline"),
+        ({"pipeline": "nope"}, "pipeline"),
+        ({"instance": {"kind": "spiky"}}, "kind"),
+        ({"perturbation": {"kind": None}}, "kind"),
     ])
     def test_ill_typed_config_value_names_its_key(self, doc, key):
         with pytest.raises(InvalidParameter, match=f"'{key}'"):

@@ -100,8 +100,8 @@ class TestMwBoost:
         ens = mw_boost(cover, sample, U, eta=0.2, epsilon=0.1, xi=0.5, T=3,
                        rerm=rerm_constant, d=2, seed=0)
         assert ens.aggregation == "average"
-        assert ens.evaluate(0) == pytest.approx(0.45)
-        rate = np.mean([abs(ens.evaluate(pt.z) - pt.y) >= 0.1 for pt in cover])
+        assert ens.values[0] == pytest.approx(0.45)
+        rate = np.mean([abs(ens.values[pt.z] - pt.y) >= 0.1 for pt in cover])
         assert rate == 0.0
 
     def test_cover_condition_on_a_finite_class(self):
@@ -116,7 +116,7 @@ class TestMwBoost:
         ens = mw_boost(cover, sample, U, eta=0.2, epsilon=0.1, xi=0.5, T=T,
                        rerm=rerm, d=3, seed=5)
         # the condition must hold for what a reconstruction evaluates
-        scheme = compress(ens, sample, eta=0.2)
+        scheme = compress(ens, sample, eta=0.2, group_size=3, store_alphas=False)
         h = reconstruct(scheme, sample, rerm, U)
         assert np.array_equal(h.values, ens.values)
         avg = h.values[[pt.z for pt in cover]]
@@ -130,4 +130,4 @@ class TestMwBoost:
         folded = ConstantClassOracle().fold_average(ens.members)
         assert folded is not None
         for z in range(3):
-            assert folded(z) == pytest.approx(ens.evaluate(z))
+            assert folded(z) == pytest.approx(ens.values[z])

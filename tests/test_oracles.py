@@ -9,7 +9,7 @@ from robustreg import (
     constant_hypothesis,
     rerm_constant,
     rerm_finite,
-    robust_deviation,
+    robust_deviations,
     weak_learner_check,
 )
 from robustreg.core import InflatedExample
@@ -54,7 +54,7 @@ class TestRermFinite:
             h = rerm_finite(cls, pts, U, eta)
         except Infeasible:
             return
-        assert all(robust_deviation(h, ex, U) <= eta for ex in pts)
+        assert (robust_deviations(h.values, pts, U) <= eta).all()
 
     @given(st.floats(0.05, 0.5), st.floats(0.5, 1.0))
     def test_monotone_in_eta(self, small, large):

@@ -17,7 +17,6 @@ from robustreg import (
     proper_learn,
     realizable_regression,
     reconstruct,
-    sample_complexity,
     theta_grid,
 )
 import robustreg.boosting as boosting
@@ -366,31 +365,6 @@ class TestAgnosticRegression:
         with pytest.raises(InvalidParameter):
             agnostic_regression(oracle, sample, holdout[:2], U, epsilon=0.05,
                                 delta=0.05, p=1.0)
-
-
-class TestSampleComplexity:
-    def test_known_shapes(self):
-        delta = math.exp(-1.0)
-        assert sample_complexity("4.1", 2, 3, 0.1, delta) == pytest.approx(70.0)
-        assert sample_complexity("4.2", 2, 3, 0.1, delta) == pytest.approx(700.0)
-
-    def test_exponent_gap_between_shapes(self):
-        a = sample_complexity("3.1", 2, 3, 0.1, 0.5)
-        b = sample_complexity("4.1", 2, 3, 0.1, 0.5)
-        assert a / b == pytest.approx(1 / 0.1 ** 2)
-
-    def test_log_factor_multiplies_the_leading_term(self):
-        plain = sample_complexity("4.1", 2, 3, 0.1, 0.5)
-        logged = sample_complexity("4.1", 2, 3, 0.1, 0.5, suppress_logs=False)
-        assert logged > plain
-
-    def test_ranges(self):
-        with pytest.raises(InvalidParameter):
-            sample_complexity("9.9", 1, 1, 0.1, 0.1)
-        with pytest.raises(InvalidParameter):
-            sample_complexity("4.1", -1, 1, 0.1, 0.1)
-        with pytest.raises(InvalidParameter):
-            sample_complexity("4.1", 1, 1, 1.5, 0.1)
 
 
 class TestReportSerialization:

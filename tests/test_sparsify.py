@@ -68,7 +68,7 @@ class TestSparsify:
             except SparsifyFailed:
                 continue
             for pt in cover:
-                assert abs(out.evaluate(pt.z) - pt.y) <= 0.12
+                assert abs(out.values[pt.z] - pt.y) <= 0.12
 
     def test_sparsified_size_shrinks_when_k_below_t(self):
         ens = ensemble_of([0.5] * 9, [1.0] * 9, sources=tuple((i, i) for i in range(9)))
@@ -99,9 +99,6 @@ class TestDefaultK:
         for fat_star in range(1, 12):
             for eta in (0.05, 0.2, 0.7):
                 assert default_k(fat_star, eta) % 2 == 1
-
-    def test_doubling_c_grows_k(self):
-        assert default_k(3, 0.1, c=2.0) >= 2 * default_k(3, 0.1, c=1.0) - 1
 
     def test_ranges(self):
         with pytest.raises(InvalidParameter):
