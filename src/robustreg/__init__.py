@@ -54,7 +54,6 @@ from .oracles import (
     PointDistribution,
     rerm_constant,
     rerm_finite,
-    weak_learner_check,
 )
 from .pipelines import (
     PipelineConfig,

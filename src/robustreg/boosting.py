@@ -1,12 +1,11 @@
-"""Median boosting over a discretized point set.
+"""Median boosting over the pool the dual cover was built on.
 
-Base learners are drawn by sampling cover points from the current round
-distribution, mapping them back to their originating sample points, and
-refitting with the RERM oracle at an eighth of the working radius; a
-candidate is kept only if it passes the weak-learner mass check, making
-the acquisition a verified Las Vegas draw.  The draw loop is shared with
-the strong-learner draws of ``mw``.  Aggregation is the lower weighted
-median.
+Each round takes its base learner from the pool of RERM fits that the
+cover certifies: the member with the least mass of violated cover points
+under the current round distribution, ties to the lowest pool index.  It
+is kept only if it passes the weak-learner mass check.  The same pick
+serves the strong-learner rounds of ``mw``.  Aggregation is the lower
+weighted median.
 """
 
 from __future__ import annotations
@@ -18,19 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, InflatedExample, LabeledExample, PerturbationMap, examples_arrays
-from .errors import DegenerateWeights, Infeasible, InvalidParameter, WeakLearnerNotFound
-from .oracles import PointDistribution, weak_learner_check
+from .core import Hypothesis, InflatedExample, examples_arrays
+from .errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
+from .oracles import PointDistribution
 
 # The paper's refit radii, as fractions of eta: every RERM fit of a median
-# scheme (pool, weak-learner draws, reconstruction) runs at eta/8, of an
-# average scheme at eta/4, so that a stored scheme replays its run.
+# scheme (pool, reconstruction) runs at eta/8, of an average scheme at
+# eta/4, so that a stored scheme replays its run.
 MEDIAN_REFIT = 1 / 8
 AVERAGE_REFIT = 1 / 4
-# Redraws of a round whose accepted learner has a nonpositive coefficient.
-ROUND_RETRIES = 5
-# Candidate draws per learner in medboost and mw_boost.
-DRAW_RETRIES = 30
 
 
 def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -114,121 +109,73 @@ def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:
     return 0.5 * math.log(((1 - 1 / 6) * right) / ((1 + 1 / 6) * wrong))
 
 
-def draw_learner(P, cover, sample, U, rerm, eta_rerm: float, d: int,
-                 retries: int, rng: np.random.Generator, accept, violated,
-                 failure, wanted: str):
-    """Up to ``retries`` draws of d cover points from P, topped up with
-    uniform sample indices to the full working size; their origins are
-    refit at ``eta_rerm``.  Returns ``(h, origins)`` for the first fit that
-    ``accept`` passes; otherwise raises ``failure`` with the least
-    ``violated`` mass seen (None if every refit was infeasible)."""
-    if d < 1:
-        raise InvalidParameter(f"d must be >= 1, got {d}")
-    if not cover:
-        raise InvalidParameter("cover must be nonempty")
-    want, best = min(d, len(sample)), None
-    for _ in range(max(1, retries)):
-        origins = {cover[int(i)].origin for i in P.sample(rng, d)}
-        if len(origins) < want:
-            rest = [j for j in range(len(sample)) if j not in origins]
-            extra = rng.choice(len(rest), size=want - len(origins), replace=False)
-            origins.update(rest[int(j)] for j in extra)
-        origins = tuple(sorted(origins))
-        try:
-            h = rerm([sample[j] for j in origins], U, eta_rerm)
-        except Infeasible:
-            continue
-        if accept(h):
-            return h, origins
-        mass = violated(h)
-        best = mass if best is None else min(best, mass)
-    raise failure(
-        f"no {wanted} in {retries} draws"
-        + (f" (best violated mass {best:.4f})" if best is not None else ""),
-        best_mass=best,
-    )
+def least_violated(P: PointDistribution, violated: np.ndarray) -> tuple[int, float]:
+    """The row of the (pool x cover) mask ``violated`` with the least
+    P-mass, ties to the lowest index, and that mass."""
+    if violated.ndim != 2 or violated.shape[1] != len(P):
+        raise InvalidParameter("violated must have one column per distribution point")
+    masses = P.mass(violated)
+    best = int(np.argmin(masses))
+    return best, float(masses[best])
 
 
-def find_weak_learner(
-    P: PointDistribution,
-    cover: Sequence[InflatedExample],
-    sample: Sequence[LabeledExample],
-    U: PerturbationMap,
-    eta: float,
-    rerm,
-    d: int,
-    retries: int,
-    rng: np.random.Generator,
-) -> tuple[Hypothesis, tuple[int, ...]]:
-    """Sample d cover points from P, refit their origins at eta/8, keep the
-    first candidate passing the (eta/4, 1/6) mass check."""
-    zs, ys = examples_arrays(cover)
-    return draw_learner(
-        P, cover, sample, U, rerm, eta * MEDIAN_REFIT, d, retries, rng,
-        accept=lambda h: weak_learner_check(h, P, cover, eta / 4, 1 / 6),
-        violated=lambda h: P.mass(np.abs(h.values[zs] - ys) > eta / 4),
-        failure=WeakLearnerNotFound, wanted="(eta/4, 1/6)-weak learner")
+def find_weak_learner(P: PointDistribution, violated: np.ndarray) -> int:
+    """The pool index of ``least_violated``, where ``violated`` marks the
+    cover points each member misses by more than eta/4, if it passes the
+    (eta/4, 1/6) check: a mass strictly below 1/2 - 1/6.  A 1e-12 guard
+    makes boundary masses such as 1/3 resolve as in exact arithmetic."""
+    best, mass = least_violated(P, violated)
+    if not mass < 0.5 - 1 / 6 - 1e-12:
+        raise WeakLearnerNotFound(
+            f"no (eta/4, 1/6)-weak learner in the pool (least violated mass {mass:.4f})",
+            best_mass=mass)
+    return best
 
 
 def medboost(
     cover: Sequence[InflatedExample],
-    sample: Sequence[LabeledExample],
-    U: PerturbationMap,
+    pool: Sequence[Hypothesis],
+    sources: Sequence[tuple[int, ...]],
     eta: float,
     T: int,
-    rerm,
-    d: int,
-    *,
-    rng: np.random.Generator | None = None,
 ) -> WeightedEnsemble:
-    """Boost weak learners into a weighted-median ensemble.
+    """Boost pool members into a weighted-median ensemble; ``sources[i]``
+    are the sample indices whose fit is ``pool[i]``.
 
-    Per round: votes are +1 on cover points the learner handles within
-    eta/4, the coefficient is the half log-odds with the 1/6 edge, and
-    the distribution is exponentially tilted toward violations.  An
-    infinite coefficient short-circuits to T copies of that learner with
-    unit weights.  Rounds with nonpositive coefficients are redrawn
-    (they certify a failed draw and cannot occur after a passed check).
-    The run stops once the median is within eta/4 on every cover point.
+    Per round: votes are +1 on cover points the picked member handles
+    within eta/4, the coefficient is the half log-odds with the 1/6 edge,
+    and the distribution is exponentially tilted toward violations.  A
+    passed check leaves less than 1/3 of the mass violated, so the
+    coefficient is positive.  An infinite coefficient short-circuits to T
+    copies of that member with unit weights.  The run stops once the
+    median is within eta/4 on every cover point.
     """
     if T < 1:
         raise InvalidParameter(f"T must be >= 1, got {T}")
     if not cover:
         raise InvalidParameter("cover must be nonempty")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    if not pool or len(pool) != len(sources):
+        raise InvalidParameter("pool and sources must be equal-length and nonempty")
     zs, ys = examples_arrays(cover)
+    values = np.stack([h.values[zs] for h in pool])
+    violated = np.abs(values - ys) > eta / 4
     P = PointDistribution.uniform(len(cover))
-    members: list[Hypothesis] = []
+    picks: list[int] = []
     alphas: list[float] = []
-    sources: list[tuple[int, ...]] = []
-    rows: list[np.ndarray] = []
     for _ in range(T):
-        for attempt in range(ROUND_RETRIES):
-            h, src = find_weak_learner(P, cover, sample, U, eta, rerm, d,
-                                       DRAW_RETRIES, rng)
-            values = h.values[zs]
-            w = np.where(np.abs(values - ys) > eta / 4, -1, 1)
-            alpha = medboost_alpha(P, w)
-            if alpha > 0:
-                break
-        else:
-            raise WeakLearnerNotFound(
-                f"{ROUND_RETRIES} accepted learners in a row had nonpositive alpha"
-            )
+        i = find_weak_learner(P, violated)
+        w = np.where(violated[i], -1, 1)
+        alpha = medboost_alpha(P, w)
         if math.isinf(alpha):
-            return WeightedEnsemble(
-                members=(h,) * T, alphas=(1.0,) * T, sources=(src,) * T,
-                aggregation="weighted_median",
-            )
-        members.append(h)
+            picks, alphas = [i] * T, [1.0] * T
+            break
+        picks.append(i)
         alphas.append(alpha)
-        sources.append(src)
-        rows.append(values)
         P = P.reweight(np.exp(-alpha * w))
-        med = weighted_median_columns(np.stack(rows), np.array(alphas))
+        med = weighted_median_columns(values[picks], np.array(alphas))
         if (np.abs(med - ys) <= eta / 4).all():
             break
     return WeightedEnsemble(
-        members=tuple(members), alphas=tuple(alphas), sources=tuple(sources),
-        aggregation="weighted_median",
+        members=tuple(pool[i] for i in picks), alphas=tuple(alphas),
+        sources=tuple(sources[i] for i in picks), aggregation="weighted_median",
     )

@@ -1,4 +1,4 @@
-"""Robust empirical risk minimizers and the weak-learner predicate.
+"""Robust empirical risk minimizers, finite classes and point distributions.
 
 A RERM call returns a hypothesis whose worst-case deviation over every
 perturbation of every given point is at most eta (Chebyshev-style
@@ -17,11 +17,9 @@ import numpy as np
 
 from .core import (
     Hypothesis,
-    InflatedExample,
     LabeledExample,
     PerturbationMap,
     constant_hypothesis,
-    examples_arrays,
     robust_deviations,
 )
 from .errors import CapExceeded, Infeasible, InvalidParameter
@@ -107,11 +105,11 @@ class PointDistribution:
             raise InvalidParameter("reweighting zeroed the distribution")
         return PointDistribution(w / total)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.weights.size, size=size, p=self.weights)
-
-    def mass(self, mask: np.ndarray) -> float:
-        return float(self.weights[np.asarray(mask, dtype=bool)].sum())
+    def mass(self, mask: np.ndarray):
+        """P-mass of the points in ``mask``, or of each row of a C-ordered
+        (k x n) mask.  Points outside the mask add as zeros, so each row
+        sums as a one-row mask of it does."""
+        return np.where(mask, self.weights, 0.0).sum(axis=-1)
 
 
 def rerm_finite(cls: FiniteClass, subset: Sequence[LabeledExample],
@@ -149,23 +147,6 @@ def rerm_constant(subset: Sequence[LabeledExample], U: PerturbationMap,
             min_deviation=lo - hi,
         )
     return constant_hypothesis((lo + hi) / 2.0, U.domain_size)
-
-
-def weak_learner_check(h: Hypothesis, P: PointDistribution,
-                       points: Sequence[InflatedExample],
-                       eta: float, beta: float) -> bool:
-    """True iff the P-mass of points deviating more than eta is strictly
-    below 1/2 - beta.
-
-    The inequality is strict; a 1e-12 guard makes boundary masses such
-    as 1/3 against beta = 1/6 resolve as in exact arithmetic.
-    """
-    if not 0.0 <= beta <= 0.5:
-        raise InvalidParameter(f"beta must be in [0, 1/2], got {beta}")
-    if len(P) != len(points):
-        raise InvalidParameter("distribution and point list lengths differ")
-    zs, ys = examples_arrays(points)
-    return P.mass(np.abs(h.values[zs] - ys) > eta) < 0.5 - beta - 1e-12
 
 
 class FiniteClassOracle:

@@ -134,16 +134,17 @@ def build_pool(
     eta_rerm: float,
     d: int,
     *,
+    rng: np.random.Generator,
     threshold: int = 256,
     n_samples: int = 64,
-    rng: np.random.Generator | None = None,
-) -> tuple[list[Hypothesis], int]:
+) -> tuple[list[Hypothesis], list[tuple[int, ...]], int]:
     """One RERM output per chosen size-d sample subset.
 
     Every subset is enumerated while there are at most ``threshold`` of
-    them; beyond that, ``n_samples`` subsets are drawn (each without
-    replacement) and deduplicated.  Infeasible subsets are skipped; their
-    count is returned alongside the pool.
+    them; beyond that, ``n_samples`` subsets are drawn with ``rng`` (each
+    without replacement) and deduplicated.  Infeasible subsets are
+    skipped.  Returns the pool, the subset (sorted sample indices) each
+    member was fit on, and the count of skipped subsets.
     """
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
@@ -156,7 +157,6 @@ def build_pool(
     else:
         if n_samples < 1:
             raise InvalidParameter("sampling the pool needs n_samples >= 1")
-        rng = rng if rng is not None else np.random.default_rng(0)
         seen, drawn = set(), []
         for _ in range(n_samples):
             s = tuple(sorted(rng.choice(m, size=d_eff, replace=False).tolist()))
@@ -164,15 +164,18 @@ def build_pool(
                 seen.add(s)
                 drawn.append(s)
         subsets = drawn
-    pool, skipped = [], 0
+    pool, sources, skipped = [], [], 0
     for s in subsets:
         try:
-            pool.append(rerm([sample[i] for i in s], U, eta_rerm))
+            h = rerm([sample[i] for i in s], U, eta_rerm)
         except Infeasible:
             skipped += 1
+            continue
+        pool.append(h)
+        sources.append(s)
     if not pool:
         raise EmptyPool(f"all {skipped} candidate subsets were infeasible")
-    return pool, skipped
+    return pool, sources, skipped
 
 
 def dual_embed(pool: Sequence[Hypothesis],
@@ -189,9 +192,9 @@ def _seeds(seed: int, n: int):
     return np.random.SeedSequence(seed).spawn(n)
 
 
-_Head = NamedTuple("_Head", [("inflated", list), ("pool", list), ("skipped", int),
-                             ("cover", list), ("cert", float), ("d", int), ("T", int),
-                             ("timings", dict)])
+_Head = NamedTuple("_Head", [("inflated", list), ("pool", list), ("sources", list),
+                             ("skipped", int), ("cover", list), ("cert", float),
+                             ("d", int), ("T", int), ("timings", dict)])
 
 
 def _head(oracle, sample, U, eta, median: bool, epsilon: float,
@@ -205,7 +208,7 @@ def _head(oracle, sample, U, eta, median: bool, epsilon: float,
     fat = oracle.fat(eta * (MEDIAN_FAT if median else AVERAGE_FAT))
     log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
     d = cfg.d or max(1, math.ceil(fat * log_factor / epsilon))
-    pool, skipped = build_pool(
+    pool, sources, skipped = build_pool(
         sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
         rng=np.random.default_rng(pool_ss))
     timings = {"pool": time.perf_counter() - t0}
@@ -219,7 +222,7 @@ def _head(oracle, sample, U, eta, median: bool, epsilon: float,
     cover = [inflated[i] for i in centers]
     timings["cover"] = time.perf_counter() - t1
     T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
-    return _Head(inflated, pool, skipped, cover, cert, d, T, timings)
+    return _Head(inflated, pool, sources, skipped, cover, cert, d, T, timings)
 
 
 def _check(what: str, value: float, bound: float) -> None:
@@ -274,14 +277,11 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     if not 0.0 < epsilon <= 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
-    pool_ss, boost_ss = _seeds(seed, 2)
+    (pool_ss,) = _seeds(seed, 1)
     head = _head(oracle, sample, U, eta, False, epsilon, config, pool_ss)
 
     t2 = time.perf_counter()
-    ensemble = mw_boost(
-        head.cover, sample, U, eta, epsilon, MW_XI, head.T, oracle.rerm, head.d,
-        seed=int(boost_ss.generate_state(1)[0]),
-    )
+    ensemble = mw_boost(head.cover, head.pool, head.sources, eta, epsilon, MW_XI, head.T)
     head.timings["boost"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
@@ -314,12 +314,11 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
     compressed over the whole sample.  Returns the report, the head, k and
     the worst robust deviation of the replay on the fitted points."""
     sub = [sample[i] for i in fit]
-    pool_ss, boost_ss, sparsify_ss = _seeds(seed, 3)
+    pool_ss, sparsify_ss = _seeds(seed, 2)
     head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
 
     t2 = time.perf_counter()
-    ensemble = medboost(head.cover, sub, U, eta, head.T, oracle.rerm, head.d,
-                        rng=np.random.default_rng(boost_ss))
+    ensemble = medboost(head.cover, head.pool, head.sources, eta, head.T)
     head.timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
@@ -385,13 +384,13 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
                        U: PerturbationMap, eta: float,
                        config: PipelineConfig | None = None,
                        seed: int = 0) -> PipelineReport:
-    """Fit the largest single-member-realizable subset, then run the
-    median-boosting learner on it."""
+    """Fit the largest subset one class member fits within the median
+    refit radius eta/8, then run the median-boosting learner on it."""
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     if len(sample) == 0:
         raise InvalidParameter("agnostic learner needs a nonempty sample")
-    fit, witness = oracle.max_fit_subset(sample, U, eta)
+    fit, witness = oracle.max_fit_subset(sample, U, eta * MEDIAN_REFIT)
     if not fit:
         return PipelineReport(
             pipeline="agnostic-eta", eta=eta, seed=seed,
@@ -519,5 +518,8 @@ def run_pipeline(name: str, oracle, sample: Sequence[LabeledExample],
         raise InvalidParameter(f"unknown pipeline {name!r}")
     learner, params = PIPELINES[name]
     given = {"holdout": holdout, "eta": eta, "epsilon": epsilon, "delta": delta, "p": p}
+    missing = [k for k in params if given[k] is None]
+    if missing:
+        raise InvalidParameter(f"pipeline {name!r} needs {', '.join(missing)}")
     return learner(oracle, sample=sample, U=U, config=config, seed=seed,
                    **{k: given[k] for k in params})

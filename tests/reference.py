@@ -6,7 +6,8 @@ and counts sign-code coverage, the cover oracle enumerates center
 subsets by size, and the subset oracle enumerates bitmasks.
 ``array_fat`` is the exception: it keeps the library's former
 fat-shattering search, so the current one can be compared with it
-exactly.
+exactly.  ``weak_learner_check`` is the library's former weak-learner
+predicate, which ``scalar_pick`` applies to one pool member at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import itertools
 import math
 
 import numpy as np
+
+from robustreg.core import examples_arrays
+from robustreg.errors import InvalidParameter
 
 
 def brute_fat(matrix, gamma: float) -> int:
@@ -218,3 +222,31 @@ def scalar_empirical_error(values, sample, U, eta=None, p=None) -> float:
         dev = scalar_robust_deviation(values, ex, U)
         losses.append((1.0 if dev >= eta else 0.0) if eta is not None else dev ** p)
     return sum(losses) / len(sample)
+
+
+def weak_learner_check(h, P, points, eta: float, beta: float) -> bool:
+    """True iff the P-mass of points deviating more than eta is strictly
+    below 1/2 - beta.
+
+    The inequality is strict; a 1e-12 guard makes boundary masses such
+    as 1/3 against beta = 1/6 resolve as in exact arithmetic.
+    """
+    if not 0.0 <= beta <= 0.5:
+        raise InvalidParameter(f"beta must be in [0, 1/2], got {beta}")
+    if len(P) != len(points):
+        raise InvalidParameter("distribution and point list lengths differ")
+    zs, ys = examples_arrays(points)
+    return P.mass(np.abs(h.values[zs] - ys) > eta) < 0.5 - beta - 1e-12
+
+
+def scalar_pick(pool, P, cover, violates, accept):
+    """(index, mass) of the pool member with the least P-mass of cover
+    points where ``violates(value, label)``, found one member at a time
+    with ties to the lowest index; the index is None when
+    ``accept(member, mass)`` rejects that member."""
+    best, best_mass = None, None
+    for i, h in enumerate(pool):
+        mass = P.mass(np.array([violates(float(h.values[pt.z]), pt.y) for pt in cover]))
+        if best is None or mass < best_mass:
+            best, best_mass = i, mass
+    return (best if accept(pool[best], best_mass) else None), best_mass

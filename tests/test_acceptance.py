@@ -13,6 +13,7 @@ import numpy as np
 from robustreg import (
     PerturbationMap,
     agnostic_regression,
+    build_pool,
     compress,
     default_k,
     fat_shattering,
@@ -28,6 +29,7 @@ from robustreg import (
     robust_deviations,
     sparsify,
 )
+from robustreg.boosting import AVERAGE_REFIT, MEDIAN_REFIT
 from robustreg.errors import RobustRegError
 from robustreg.harness import (
     CSV_HEADER,
@@ -157,8 +159,9 @@ def test_round_trip():
     for seed in (5, 17):
         oracle, U, sample, eta = _medboost_family(300 + seed)
         inflated = inflate(sample, U)
-        ens = medboost(inflated, sample, U, eta, T=6, rerm=oracle.rerm, d=8,
-                       rng=np.random.default_rng(seed))
+        pool, sources, _ = build_pool(sample, U, oracle.rerm, eta * MEDIAN_REFIT, 8,
+                                      rng=np.random.default_rng(seed))
+        ens = medboost(inflated, pool, sources, eta, T=6)
         small = sparsify(ens, inflated, eta / 2, k=3, seed=seed)
         for ensemble, store in ((ens, True), (small, False)):
             scheme = compress(ensemble, sample, eta, min(8, len(sample)), store)
@@ -166,8 +169,9 @@ def test_round_trip():
             for z in U.instances():
                 assert rebuilt(z) == ensemble.values[z]
             checked += 1
-        avg = mw_boost(inflated, sample, U, eta, epsilon=0.5, xi=0.5, T=4,
-                       rerm=oracle.rerm, d=8, seed=seed)
+        pool, sources, _ = build_pool(sample, U, oracle.rerm, eta * AVERAGE_REFIT, 8,
+                                      rng=np.random.default_rng(seed))
+        avg = mw_boost(inflated, pool, sources, eta, epsilon=0.5, xi=0.5, T=4)
         scheme = compress(avg, sample, eta, min(8, len(sample)), False)
         rebuilt = reconstruct(scheme, sample, oracle.rerm, U)
         for z in U.instances():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from robustreg import (
     PerturbationMap,
     PointDistribution,
     WeightedEnsemble,
+    build_pool,
     constant_hypothesis,
     find_weak_learner,
     inflate,
@@ -19,8 +20,8 @@ from robustreg.boosting import aggregate, weighted_median_columns
 from robustreg.errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import rerm_finite
 
-from conftest import labeled, make_class
-from reference import scalar_weighted_median
+from conftest import labeled, make_class, pool_cases, pool_setup, violations
+from reference import scalar_pick, scalar_weighted_median, weak_learner_check
 
 
 def weighted_median(values, weights):
@@ -103,72 +104,112 @@ class TestMedboostAlpha:
         assert medboost_alpha(P, [-1, -1]) == -math.inf
 
 
-def realizable_setup(values, eta=0.2, extra_rows=()):
-    """A finite class containing the exact labeling function."""
-    n = len(values)
-    cls = make_class([values, *extra_rows])
-    U = PerturbationMap.identity(n)
-    sample = labeled([(i, values[i]) for i in range(n)])
-    cover = inflate(sample, U)
-    rerm = lambda pts, u, e: rerm_finite(cls, pts, u, e)
-    return cls, U, sample, cover, rerm
+PICK_ETA = 0.2
 
 
 class TestFindWeakLearner:
+    # the former weak_learner_check cases: one member missing by a full
+    # 1.0 or 0.5, and a tie of two members at a mass of 1/3
+    @example(case=([[0.5, 0.5]], [0.5, 0.5], None))  # an exact fit passes
+    @example(case=([[0.0] * 4], [0.0, 0.0, 0.0, 1.0], None))  # a quarter passes
+    @example(case=([[0.0] * 3], [0.0, 0.0, 1.0], None))  # a third fails, strictly
+    @example(case=([[0.5] * 5], [0.5, 0.5, 0.5, 0.5, 1.0], None))  # error below a half
+    @example(case=([[0.0] * 6, [0.0] * 6], [0.0] * 4 + [1.0] * 2, [1.0] * 6))
+    @given(pool_cases())
+    def test_weak_pick_equals_the_scalar_loop(self, case):
+        pool, cover, P = pool_setup(*case)
+        expected, mass = scalar_pick(
+            pool, P, cover, lambda v, y: abs(v - y) > PICK_ETA / 4,
+            lambda h, m: weak_learner_check(h, P, cover, PICK_ETA / 4, 1 / 6))
+        violated = violations(pool, cover, lambda dev: dev > PICK_ETA / 4)
+        if expected is None:
+            with pytest.raises(WeakLearnerNotFound) as err:
+                find_weak_learner(P, violated)
+            assert err.value.best_mass == mass
+        else:
+            assert find_weak_learner(P, violated) == expected
+
     def test_realizable_accepts_first_try(self):
-        values = [0.2, 0.4, 0.6, 0.8]
-        cls, U, sample, cover, rerm = realizable_setup(values)
-        P = PointDistribution.uniform(len(cover))
-        h, sources = find_weak_learner(P, cover, sample, U, 0.2, rerm, d=2,
-                                       retries=1, rng=np.random.default_rng(0))
-        assert all(abs(h(pt.z) - pt.y) <= 0.05 for pt in cover)
-        assert all(0 <= i < len(sample) for i in sources)
+        # the pool holds the labeling function: it is picked at zero mass
+        pool, cover, P = pool_setup([[0.5, 0.5, 0.5, 0.5], [0.2, 0.4, 0.6, 0.8]],
+                                    [0.2, 0.4, 0.6, 0.8])
+        violated = violations(pool, cover, lambda dev: dev > PICK_ETA / 4)
+        assert find_weak_learner(P, violated) == 1
 
     def test_large_d_uses_the_whole_sample(self):
-        values = [0.1, 0.5, 0.9]
-        cls, U, sample, cover, rerm = realizable_setup(values)
-        P = PointDistribution.uniform(len(cover))
-        h, sources = find_weak_learner(P, cover, sample, U, 0.2, rerm, d=64,
-                                       retries=1, rng=np.random.default_rng(1))
-        assert sources == (0, 1, 2)
-        assert h.descriptor == ("finite", 0)
-
-    def test_adversarial_class_exhausts_retries(self):
-        # both hypotheses miss half the points by a full 0.8
-        cls = make_class([[0.1, 0.1, 0.9, 0.9], [0.9, 0.9, 0.1, 0.1]])
-        U = PerturbationMap.identity(4)
-        sample = labeled([(i, 0.5) for i in range(4)])
+        # the pool clamps d to the sample size: one subset, every point
+        sample = labeled([(0, 0.1), (1, 0.5), (2, 0.9)])
+        U = PerturbationMap.identity(3)
+        cls = make_class([[0.1, 0.5, 0.9], [0.5, 0.5, 0.5]])
+        rerm = lambda pts, u, e: rerm_finite(cls, pts, u, e)
+        pool, sources, _ = build_pool(sample, U, rerm, 0.2 / 8, 64,
+                                      rng=np.random.default_rng(1))
+        assert sources == [(0, 1, 2)]
         cover = inflate(sample, U)
-        rerm = lambda pts, u, e: rerm_finite(cls, pts, u, 1.0)
         P = PointDistribution.uniform(len(cover))
+        violated = violations(pool, cover, lambda dev: dev > PICK_ETA / 4)
+        assert find_weak_learner(P, violated) == 0
+        assert pool[0].descriptor == ("finite", 0)
+
+    def test_ties_go_to_the_lowest_index(self):
+        pool, cover, P = pool_setup([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                                    [0.0, 0.0])
+        violated = violations(pool, cover, lambda dev: dev > PICK_ETA / 4)
+        assert find_weak_learner(P, violated) == 2
+
+    def test_adversarial_pool_raises_with_the_least_mass(self):
+        # both members miss half the points by a full 0.4
+        pool, cover, P = pool_setup([[0.5, 0.5, 0.1, 0.1], [0.1, 0.1, 0.5, 0.5]],
+                                    [0.5] * 4)
+        violated = violations(pool, cover, lambda dev: dev > PICK_ETA / 4)
         with pytest.raises(WeakLearnerNotFound) as err:
-            find_weak_learner(P, cover, sample, U, 0.2, rerm, d=2, retries=1,
-                              rng=np.random.default_rng(2))
-        assert err.value.best_mass >= 0.5
+            find_weak_learner(P, violated)
+        assert err.value.best_mass == 0.5
+
+    def test_one_column_per_point(self):
+        with pytest.raises(InvalidParameter):
+            find_weak_learner(PointDistribution.uniform(3), np.zeros((2, 2), dtype=bool))
+
+
+# nine points labeled 0.5; member i misses points 2i and 2i + 1 (mod 9) by
+# 0.5, so each misses 2/9 of a uniform mass and none is within eta/4 everywhere
+SPREAD = [[0.0 if j in (2 * i % 9, (2 * i + 1) % 9) else 0.5 for j in range(9)]
+          for i in range(5)]
 
 
 class TestMedboost:
     def test_perfect_first_learner_returns_t_copies(self):
-        values = [0.3, 0.3, 0.3]
-        cls, U, sample, cover, rerm = realizable_setup(values)
-        ens = medboost(cover, sample, U, eta=0.2, T=5, rerm=rerm, d=2,
-                       rng=np.random.default_rng(0))
+        pool, cover, _ = pool_setup([[0.0, 0.0, 0.0], [0.3, 0.3, 0.3]], [0.3] * 3)
+        ens = medboost(cover, pool, [(0,), (1, 2)], eta=0.2, T=5)
         assert len(ens) == 5
         assert ens.alphas == (1.0,) * 5
-        assert len(set(ens.sources)) == 1
-        for pt in cover:
-            assert ens.values[pt.z] == ens.members[0](pt.z)
+        assert ens.members == (pool[1],) * 5 and ens.sources == ((1, 2),) * 5
 
     def test_uniform_quarter_eta_on_cover(self):
-        rng = np.random.default_rng(7)
-        values = np.round(rng.uniform(0.1, 0.9, size=8), 3).tolist()
-        extra = [np.round(rng.uniform(0, 1, size=8), 3).tolist() for _ in range(6)]
-        cls, U, sample, cover, rerm = realizable_setup(values, extra_rows=extra)
-        T = math.ceil(4 * math.log(8))
-        ens = medboost(cover, sample, U, eta=0.2, T=T, rerm=rerm, d=3,
-                       rng=np.random.default_rng(3))
-        for pt in cover:
-            assert abs(ens.values[pt.z] - pt.y) <= 0.05
+        pool, cover, _ = pool_setup(SPREAD, [0.5] * 9)
+        ens = medboost(cover, pool, [(i,) for i in range(5)], eta=0.2,
+                       T=math.ceil(4 * math.log(9)))
+        assert len(set(ens.sources)) > 1
+        assert (np.abs(ens.values[:9] - 0.5) <= 0.05).all()
+
+    def test_members_and_sources_come_from_the_pool(self):
+        pool, cover, _ = pool_setup(SPREAD, [0.5] * 9)
+        sources = [(i, i + 1) for i in range(5)]
+        ens = medboost(cover, pool, sources, eta=0.2, T=9)
+        for h, src in zip(ens.members, ens.sources):
+            assert src == sources[pool.index(h)]
+
+    def test_a_deviation_of_exactly_eta_over_4_is_handled(self):
+        # at eta = 1/2 the member misses every label by exactly 1/8
+        pool, cover, _ = pool_setup([[0.625] * 3], [0.5] * 3)
+        ens = medboost(cover, pool, [(0,)], eta=0.5, T=2)
+        assert ens.members == (pool[0],) * 2
+
+    def test_no_weak_learner_in_the_pool_raises(self):
+        pool, cover, _ = pool_setup([[0.5, 0.5, 0.1, 0.1], [0.1, 0.1, 0.5, 0.5]],
+                                    [0.5] * 4)
+        with pytest.raises(WeakLearnerNotFound):
+            medboost(cover, pool, [(0,), (1,)], eta=0.2, T=3)
 
     def test_reweighting_concentrates_on_violations(self):
         # one violated point must gain mass when 0 < alpha < inf
@@ -181,12 +222,13 @@ class TestMedboost:
         assert abs(Q.weights.sum() - 1.0) <= 1e-9
 
     def test_validation(self):
-        values = [0.2, 0.8]
-        cls, U, sample, cover, rerm = realizable_setup(values)
+        pool, cover, _ = pool_setup([[0.2, 0.8]], [0.2, 0.8])
         with pytest.raises(InvalidParameter):
-            medboost(cover, sample, U, eta=0.2, T=0, rerm=rerm, d=1)
+            medboost(cover, pool, [(0,)], eta=0.2, T=0)
         with pytest.raises(InvalidParameter):
-            medboost([], sample, U, eta=0.2, T=1, rerm=rerm, d=1)
+            medboost([], pool, [(0,)], eta=0.2, T=1)
+        with pytest.raises(InvalidParameter):
+            medboost(cover, pool, [(0,), (1,)], eta=0.2, T=1)
 
 
 class TestWeightedEnsemble:

@@ -32,8 +32,8 @@ CONFIGS = {
         perturbation=PerturbationSpec(kind="grid_ball", radius=1),
         pipeline="improper", eta=0.2, m_grid=(60, 120), holdout_size=50,
         trials=2, seed=11),
-    # d and T small enough for covers of several points, nine averaged
-    # members and one StrongLearnerNotFound row
+    # d and T small enough for covers of several points and nine averaged
+    # members, so every row's compression size is 9 x 6
     "proper": ExperimentConfig(
         instance=InstanceSpec(kind="blocks", n_hypotheses=40, domain_size=120,
                               blocks=12, defect_blocks=3),
@@ -53,18 +53,18 @@ GOLDEN_CSV = {
     "improper":
         "ca38a5347e51912900bb6665251fdd5d92f0c2608ebf311e5b2e61012d11c8e2",
     "proper":
-        "cb97ad5d3ace32eaf7c2a0f5fc00dac770fdfe5f8b6d226d4cb26d1a5633abe1",
+        "d9711d22b982faf68d715ce0cf6cec1bbbdd973afb07915da93e92e40a707721",
     "agnostic-regress":
-        "ef545ad189c82fad6a0994db78b16b092d09e75e6dd5c25f97b23caf7be2ba8f",
+        "9980ad8e9ecf21d0d7eecbc793fe68e0bff365ab99e0d61e6807c431f3720779",
 }
 
 GOLDEN_JSON = {
     "improper":
-        "154f1d0b02795b4692df64d942e3cff8765201028342f657e23d8df9e17a4be2",
+        "42e05b3f960fc101fda98605699d1996e1839cb0c0dc120e6b860c3ebdfe6800",
     "proper":
-        "10e2d063c8fd44ddc5d8bdf307121b2a13a530a0b47b8bf43c592f19d24ddee7",
+        "1ea4494a9cea82ce38fa17b0f0a7fe1fcca006d2b4cd61814a28ba7416e5540a",
     "agnostic-regress":
-        "9c20ae7ad9649f4997f9c344870616adf04efc6cefda591cf554e2a5e2104d55",
+        "c80b54a0c190854fc3b1fe4e56cafa00c87117255d86ade3892585df198359a8",
 }
 
 

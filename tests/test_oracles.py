@@ -7,16 +7,15 @@ from robustreg import (
     PerturbationMap,
     PointDistribution,
     constant_hypothesis,
+    find_weak_learner,
     rerm_constant,
     rerm_finite,
     robust_deviations,
-    weak_learner_check,
 )
-from robustreg.core import InflatedExample
-from robustreg.errors import Infeasible, InvalidParameter
+from robustreg.errors import Infeasible, InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, load_class_csv
 
-from conftest import labeled, make_class
+from conftest import labeled, make_class, pool_setup, violations
 
 
 TWO_CONSTANTS = make_class([[0.2], [0.8]])
@@ -105,32 +104,25 @@ class TestRermConstant:
 
 
 class TestWeakLearnerCheck:
-    def cover(self, ys):
-        return [InflatedExample(z=0, y=y, origin=0) for y in ys]
+    """The (eta/4, 1/6) check that ``find_weak_learner`` applies, on
+    one-member pools at eta = 0.2; each member misses by a full 1.0."""
+
+    def passes(self, ys):
+        pool, cover, P = pool_setup([[0.0] * len(ys)], ys)
+        try:
+            return find_weak_learner(P, violations(pool, cover, lambda d: d > 0.05)) == 0
+        except WeakLearnerNotFound:
+            return False
 
     def test_exact_fit_passes_any_beta(self):
-        h = constant_hypothesis(0.5, 1)
-        pts = self.cover([0.5, 0.5])
-        assert weak_learner_check(h, PointDistribution.uniform(2), pts, 0.1, 0.49)
+        assert self.passes([0.0, 0.0])
 
     def test_quarter_mass_violation_passes(self):
-        h = constant_hypothesis(0.0, 1)
-        pts = self.cover([0.0, 0.0, 0.0, 1.0])
-        assert weak_learner_check(h, PointDistribution.uniform(4), pts, 0.1, 1 / 6)
+        assert self.passes([0.0, 0.0, 0.0, 1.0])
 
     def test_third_mass_violation_fails_strictly(self):
-        h = constant_hypothesis(0.0, 1)
-        pts = self.cover([0.0, 0.0, 1.0])
-        assert not weak_learner_check(h, PointDistribution.uniform(3), pts, 0.1, 1 / 6)
-
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=12))
-    def test_implied_by_indicator_error_below_half(self, ys):
-        h = constant_hypothesis(0.5, 1)
-        pts = self.cover(ys)
-        P = PointDistribution.uniform(len(ys))
-        err = np.mean([abs(h(p.z) - p.y) >= 0.2 for p in pts])
-        if err < 0.5:
-            assert weak_learner_check(h, P, pts, 0.2, 0.0)
+        assert not self.passes([0.0, 0.0, 1.0])
+        assert not self.passes([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
 
 class TestPointDistribution:

@@ -17,10 +17,9 @@ from robustreg import (
     proper_learn,
     realizable_regression,
     reconstruct,
+    run_pipeline,
     theta_grid,
 )
-import robustreg.boosting as boosting
-import robustreg.mw as mw
 import robustreg.pipelines as pl
 from robustreg.errors import EmptyPool, InvalidParameter
 from robustreg.harness import (
@@ -66,13 +65,18 @@ class TestBuildPool:
     U6 = PerturbationMap.identity(6)
     SAMPLE6 = labeled([(i, 0.5) for i in range(6)])
 
+    RNG = np.random.default_rng(0)
+
     def test_enumerate_three_choose_two(self):
-        pool, skipped = build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 2)
+        pool, sources, skipped = build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 2,
+                                            rng=self.RNG)
         assert len(pool) == 3 and skipped == 0
+        assert sources == [(0, 1), (0, 2), (1, 2)]
 
     def test_d_at_least_m_gives_one_subset(self):
-        pool, _ = build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 10)
-        assert len(pool) == 1
+        pool, sources, _ = build_pool(self.SAMPLE, self.U3, rerm_constant, 0.1, 10,
+                                      rng=self.RNG)
+        assert len(pool) == 1 and sources == [(0, 1, 2)]
 
     def test_sample_mode_is_reproducible(self):
         # above the threshold exactly the deduplicated sampled subsets are
@@ -83,34 +87,38 @@ class TestBuildPool:
         runs = []
         for _ in range(2):
             rerm, calls = recording_rerm()
-            pool, _ = build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=14,
-                                 n_samples=10, rng=np.random.default_rng(5))
-            assert calls == list(dict.fromkeys(drawn)) and len(pool) == len(calls)
+            pool, sources, _ = build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2,
+                                          rng=np.random.default_rng(5), threshold=14,
+                                          n_samples=10)
+            assert calls == list(dict.fromkeys(drawn)) == sources
+            assert len(pool) == len(calls)
             runs.append(calls)
         assert len(runs[0]) < 10 and runs[0] == runs[1]
 
     def test_infeasible_subsets_are_counted(self):
         spread = labeled([(0, 0.0), (1, 1.0), (2, 0.5)])
-        pool, skipped = build_pool(spread, self.U3, rerm_constant, 0.3, 2)
+        pool, sources, skipped = build_pool(spread, self.U3, rerm_constant, 0.3, 2,
+                                            rng=self.RNG)
         assert skipped == 1  # only the {0.0, 1.0} pair exceeds the 0.3 radius
-        assert len(pool) == 2
+        assert len(pool) == 2 and sources == [(0, 2), (1, 2)]
 
     def test_all_infeasible_is_empty_pool(self):
         spread = labeled([(0, 0.0), (1, 1.0)])
         with pytest.raises(EmptyPool):
-            build_pool(spread, self.U3, rerm_constant, 0.1, 2)
+            build_pool(spread, self.U3, rerm_constant, 0.1, 2, rng=self.RNG)
 
     def test_enumerate_cap(self):
         # up to the threshold every subset is refit, in lexicographic order
         rerm, calls = recording_rerm()
-        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=15)
+        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=15)
         assert calls == list(itertools.combinations(range(6), 2))
         rerm, calls = recording_rerm()
-        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, threshold=14, n_samples=3)
+        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=14,
+                   n_samples=3)
         assert 1 <= len(calls) <= 3
         with pytest.raises(InvalidParameter):
-            build_pool(self.SAMPLE6, self.U6, rerm_constant, 0.1, 2, threshold=14,
-                       n_samples=0)
+            build_pool(self.SAMPLE6, self.U6, rerm_constant, 0.1, 2, rng=self.RNG,
+                       threshold=14, n_samples=0)
 
 
 class TestDualEmbed:
@@ -268,28 +276,34 @@ def staged_radii(monkeypatch, oracle, stages):
 
 
 class TestRefitRadius:
-    MEDIAN = [(pl, "build_pool"), (boosting, "find_weak_learner"), (pl, "reconstruct")]
+    # every RERM call comes from the pool or the replay; boosting picks
+    # from the pool and fits nothing
+    REFITTING = {"build_pool", "reconstruct"}
+    MEDIAN = [(pl, "build_pool"), (pl, "medboost"), (pl, "reconstruct")]
+    AVERAGE = [(pl, "build_pool"), (pl, "mw_boost"), (pl, "reconstruct")]
 
     def test_median_runs_refit_at_an_eighth(self, monkeypatch):
         oracle, U, sample, _ = smooth_instance(43, m=20)
         calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
-        improper_learn(oracle, sample, U, eta=0.2, seed=4)
-        assert {stage for stage, _ in calls} == {name for _, name in self.MEDIAN}
+        rep = improper_learn(oracle, sample, U, eta=0.2, seed=4)
+        assert rep.rounds >= 1
+        assert {stage for stage, _ in calls} == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 8}
 
     def test_average_runs_refit_at_a_quarter(self, monkeypatch):
         oracle, U, sample, _ = smooth_instance(17, m=50, margin=0.2 / 8)
-        stages = [(pl, "build_pool"), (mw, "find_strong_learner"), (pl, "reconstruct")]
-        calls = staged_radii(monkeypatch, oracle, stages)
-        proper_learn(oracle, sample, U, eta=0.2, epsilon=0.1, seed=17)
-        assert {stage for stage, _ in calls} == {name for _, name in stages}
+        calls = staged_radii(monkeypatch, oracle, self.AVERAGE)
+        rep = proper_learn(oracle, sample, U, eta=0.2, epsilon=0.1, seed=17)
+        assert rep.rounds >= 1
+        assert {stage for stage, _ in calls} == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 4}
 
     def test_agnostic_runs_refit_at_an_eighth_and_time_every_stage(self, monkeypatch):
         oracle, U, sample, _ = smooth_instance(53, m=20)
         calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
         rep = agnostic_eta_learn(oracle, sample, U, eta=0.2, seed=6)
-        assert {stage for stage, _ in calls} == {name for _, name in self.MEDIAN}
+        assert rep.rounds >= 1
+        assert {stage for stage, _ in calls} == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 8}
         assert list(rep.timings) == ["pool", "cover", "boost", "sparsify", "verify"]
 
@@ -375,3 +389,52 @@ class TestReportSerialization:
         assert reports[0].to_json() == reports[1].to_json()
         assert "timings" not in reports[0].to_json()
         assert reports[0].timings  # kept in memory
+
+
+class TestRunPipeline:
+    @pytest.mark.parametrize("name, given, missing", [
+        ("improper", {}, "eta"),
+        ("proper", {"epsilon": 0.1}, "eta"),
+        ("proper", {"eta": 0.2}, "epsilon"),
+        ("agnostic-eta", {}, "eta"),
+        ("regress", {}, "epsilon"),
+        ("agnostic-regress", {"delta": 0.1}, "epsilon"),
+        ("agnostic-regress", {"epsilon": 0.2}, "delta"),
+    ])
+    def test_a_missing_parameter_is_named(self, name, given, missing):
+        oracle, U, sample, _ = smooth_instance(43, m=10)
+        with pytest.raises(InvalidParameter, match=missing):
+            run_pipeline(name, oracle, sample, U, **given)
+
+
+GRID = PerturbationSpec(kind="grid_ball", radius=1)
+
+
+class TestFormerFailures:
+    """Instances on which boosting used to pick members outside the pool
+    the cover was built on, or the agnostic learner picked its subset at
+    eta while refitting it at eta/8."""
+
+    def test_improper_on_large_blocks(self):
+        cfg = ExperimentConfig(
+            instance=InstanceSpec(kind="blocks", n_hypotheses=60, domain_size=2000,
+                                  blocks=24, defect_blocks=3),
+            perturbation=GRID, eta=0.2, m_grid=(1280,), holdout_size=0)
+        cls, U, sample, _ = gen_instance(cfg, 2636081076)
+        rep = improper_learn(FiniteClassOracle(cls), sample, U, 0.2, seed=1222616834)
+        assert rep.uniform is True
+
+    @pytest.mark.parametrize("instance_seed, run_seed", [
+        (485786207, 1298801294), (2972200149, 2900916593), (775842676, 3995194491)])
+    def test_agnostic_regression_on_a_noisy_grid(self, instance_seed, run_seed):
+        cfg = ExperimentConfig(
+            instance=InstanceSpec(kind="smooth", n_hypotheses=20, domain_size=50,
+                                  smooth_step=0.001),
+            perturbation=GRID, target=TargetSpec(noise_rate=0.1), eta=0.25,
+            m_grid=(200,), holdout_size=500, realizable_margin=0.001)
+        cls, U, sample, holdout = gen_instance(cfg, instance_seed)
+        rep = agnostic_regression(FiniteClassOracle(cls), sample, holdout, U,
+                                  epsilon=0.15, delta=0.1, p=1.0, seed=run_seed)
+        # every radius below 1 runs to the end (theta = 1 is refused)
+        assert rep.status == "ok"
+        assert [s for t, s, _ in rep.extra["grid"] if t < 1.0] == ["ok"] * 8
