@@ -11,7 +11,6 @@ from .core import (
     DomainData,
     EtaBall,
     Hypothesis,
-    InflatedExample,
     LabeledExample,
     Lp,
     PerturbationMap,

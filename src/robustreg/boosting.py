@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, InflatedExample, examples_arrays
+from .core import Hypothesis, LabeledExample, examples_arrays
 from .errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 from .oracles import PointDistribution
 
@@ -68,16 +68,16 @@ class WeightedEnsemble:
     members: tuple[Hypothesis, ...]
     alphas: tuple[float, ...]
     sources: tuple[tuple[int, ...], ...]
-    aggregation: str  # "weighted_median" | "average"
+    aggregation: str  # "median" (lower weighted median) | "average"
 
     def __post_init__(self):
         if not (len(self.members) == len(self.alphas) == len(self.sources) >= 1):
             raise InvalidParameter("members, alphas, sources must be equal-length and nonempty")
-        if self.aggregation not in ("weighted_median", "average"):
+        if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
         if any(a < 0 for a in self.alphas):
             raise InvalidParameter("alphas must be nonnegative")
-        if self.aggregation == "weighted_median" and not any(self.alphas):
+        if self.aggregation == "median" and not any(self.alphas):
             raise InvalidParameter("weighted median needs some positive alpha")
 
     def __len__(self) -> int:
@@ -91,7 +91,7 @@ class WeightedEnsemble:
     @cached_property
     def values(self) -> np.ndarray:
         """The aggregated value vector, computed once."""
-        return aggregate(self.matrix, self.alphas, self.aggregation == "weighted_median")
+        return aggregate(self.matrix, self.alphas, self.aggregation == "median")
 
 
 def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:
@@ -133,7 +133,7 @@ def find_weak_learner(P: PointDistribution, violated: np.ndarray) -> int:
 
 
 def medboost(
-    cover: Sequence[InflatedExample],
+    cover: Sequence[LabeledExample],
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
@@ -177,5 +177,5 @@ def medboost(
             break
     return WeightedEnsemble(
         members=tuple(pool[i] for i in picks), alphas=tuple(alphas),
-        sources=tuple(sources[i] for i in picks), aggregation="weighted_median",
+        sources=tuple(sources[i] for i in picks), aggregation="median",
     )

@@ -165,6 +165,8 @@ def main(argv=None) -> int:
         parser.print_usage()
         return 1
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InvalidParameter(f"bad value {args.seed} for '--seed', below 0")
         text = COMMANDS[args.command](args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)

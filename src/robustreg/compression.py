@@ -1,14 +1,15 @@
 """Sample compression schemes and generalization-bound calculators.
 
-An ensemble compresses to one fixed-size group of original-sample
-indices per member (padded by repeating the last index, so group
-boundaries decode without delimiters).  Reconstruction refits every
+An ensemble compresses to one group of original-sample indices per
+member: the pool subset it was fit on, all of one size, so group
+boundaries decode without delimiters.  Reconstruction refits every
 group with the deterministic RERM oracle and recombines under the
 stored aggregation tag, which replays the original ensemble
 bit-identically.  Median schemes refit at eta/8; average schemes at
 eta/4 (``boosting.MEDIAN_REFIT`` and ``AVERAGE_REFIT``, the radii the
-runs fit at).  Post-sparsification schemes carry no coefficients (the median
-is unweighted); earlier median schemes store them as side information.
+runs fit at).  Coefficients are stored as side information unless all
+are 1 (averages and sparsified medians), which reconstruct the same
+without them.
 """
 
 from __future__ import annotations
@@ -70,26 +71,19 @@ class CompressionScheme:
 
 
 def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
-             eta: float, group_size: int, store_alphas: bool) -> CompressionScheme:
-    """Encode an ensemble as fixed-size groups of sample indices, with the
-    coefficients as side information when ``store_alphas`` is set."""
+             eta: float) -> CompressionScheme:
+    """Encode an ensemble as one group of sample indices per member, its
+    source, with the coefficients as side information unless all are 1."""
     if any(len(src) == 0 for src in ensemble.sources):
         raise NotCompressible("an ensemble member carries no source indices")
-    m = len(sample)
-    for src in ensemble.sources:
-        for i in src:
-            if not 0 <= i < m:
-                raise NotCompressible(f"source index {i} outside the sample")
-    if group_size < max(len(src) for src in ensemble.sources):
-        raise InvalidParameter("group_size smaller than a member's source list")
-    groups = tuple(
-        tuple(src) + (src[-1],) * (group_size - len(src))
-        for src in ensemble.sources
-    )
-    tag = "median" if ensemble.aggregation == "weighted_median" else "average"
+    outside = [i for src in ensemble.sources for i in src if not 0 <= i < len(sample)]
+    if outside:
+        raise NotCompressible(f"source index {outside[0]} outside the sample")
+    unit = all(a == 1.0 for a in ensemble.alphas)
     return CompressionScheme(
-        eta=eta, aggregation=tag, groups=groups,
-        alphas=ensemble.alphas if store_alphas else None,
+        eta=eta, aggregation=ensemble.aggregation,
+        groups=ensemble.sources,
+        alphas=None if unit else ensemble.alphas,
     )
 
 

@@ -31,19 +31,6 @@ class LabeledExample:
             raise InvalidParameter(f"label must be in [0, 1], got {self.y}")
 
 
-@dataclass(frozen=True)
-class InflatedExample:
-    """A perturbed point with the label of its lowest-index origin."""
-
-    z: int
-    y: float
-    origin: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.y <= 1.0:
-            raise InvalidParameter(f"label must be in [0, 1], got {self.y}")
-
-
 class PerturbationMap:
     """Finite set-valued map ``x -> U(x)`` with ``x in U(x)``.
 
@@ -185,26 +172,24 @@ class Lp:
 LossMode = EtaBall | Lp
 
 
-def inflate(sample: Sequence[LabeledExample], U: PerturbationMap) -> list[InflatedExample]:
+def inflate(sample: Sequence[LabeledExample], U: PerturbationMap) -> list[LabeledExample]:
     """Expand a sample to all reachable perturbed points.
 
     Each distinct perturbed point appears once, labeled by its
-    lowest-index origin.  Output is sorted by (origin, instance id), so
-    downstream covers and boosting runs replay identically.
+    lowest-index origin.  Points follow their origin's place in the sample,
+    ids ascending within one origin, so downstream covers and boosting runs
+    replay identically.
     """
-    claimed: dict[int, InflatedExample] = {}
-    for i, ex in enumerate(sample):
-        for z in U.of(ex.x):
-            if z not in claimed:
-                claimed[z] = InflatedExample(z=z, y=ex.y, origin=i)
-    return sorted(claimed.values(), key=lambda e: (e.origin, e.z))
+    labels: dict[int, float] = {}  # insertion order is the output order
+    for ex in sample:
+        for z in sorted(U.of(ex.x)):
+            labels.setdefault(z, ex.y)
+    return [LabeledExample(x=z, y=y) for z, y in labels.items()]
 
 
-def examples_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, labels) of labeled or inflated examples, as arrays."""
-    inflated = bool(examples) and isinstance(examples[0], InflatedExample)
-    ids = [ex.z if inflated else ex.x for ex in examples]
-    return (np.array(ids, dtype=np.intp),
+def examples_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, labels) of labeled examples, as arrays."""
+    return (np.array([ex.x for ex in examples], dtype=np.intp),
             np.array([ex.y for ex in examples], dtype=float))
 
 

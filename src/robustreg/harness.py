@@ -80,8 +80,26 @@ class ExperimentConfig:
                 raise InvalidParameter(f"bad value {name!r} for {key!r}, not one of {', '.join(names)}")
         if not 0.0 <= self.target.noise_rate <= 1.0:
             raise InvalidParameter("noise_rate must be in [0, 1]")
-        if self.trials < 1 or not self.m_grid:
-            raise InvalidParameter("need at least one trial and one m value")
+        if not self.m_grid:
+            raise InvalidParameter("bad value [] for 'm_grid', empty")
+        # the least value of every count, size and seed (None: unset)
+        inst, cfg, index = self.instance, self.pipeline_config, self.target.index
+        least = [("n_hypotheses", inst.n_hypotheses, 1), ("domain_size", inst.domain_size, 1),
+                 ("levels", inst.levels, 2), ("smooth_step", inst.smooth_step, 0),
+                 ("blocks", inst.blocks, 1), ("defect_blocks", inst.defect_blocks, 0),
+                 ("radius", self.perturbation.radius, 0), ("k", self.perturbation.k, 0),
+                 ("index", index, 0), *(("m_grid", m, 1) for m in self.m_grid),
+                 ("holdout_size", self.holdout_size, 0), ("trials", self.trials, 1),
+                 ("seed", self.seed, 0), ("rejection_budget", self.rejection_budget, 1),
+                 ("d", cfg.d, 1), ("T", cfg.T, 1)]
+        for key, value, low in least:
+            if value is not None and value < low:
+                raise InvalidParameter(f"bad value {value!r} for {key!r}, below {low}")
+        if index is not None and index >= inst.n_hypotheses:
+            raise InvalidParameter(f"bad value {index!r} for 'index', past the last row")
+        if self.realizable_margin is not None and self.realizable_margin <= 0:
+            raise InvalidParameter(f"bad value {self.realizable_margin!r} for "
+                                   "'realizable_margin', not positive")
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
@@ -157,8 +175,6 @@ CLASS_KINDS = {
 def _build_class(spec: InstanceSpec, rng: np.random.Generator, target: int) -> FiniteClass:
     matrix = CLASS_KINDS[spec.kind](spec, rng, target)
     if spec.levels is not None:
-        if spec.levels < 2:
-            raise InvalidParameter("levels must be >= 2")
         matrix = np.round(matrix * (spec.levels - 1)) / (spec.levels - 1)
     return FiniteClass(matrix)
 
@@ -207,8 +223,6 @@ def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
     target = config.target.index
     if target is None:
         target = int(rng.integers(config.instance.n_hypotheses))
-    if not 0 <= target < config.instance.n_hypotheses:
-        raise InvalidParameter(f"target index {target} outside the class")
     cls = _build_class(config.instance, rng, target)
     U = PERTURBATION_KINDS[config.perturbation.kind](
         config.perturbation, config.instance.domain_size, rng)

@@ -3,7 +3,7 @@
 Each round takes the pool member with the least mass of violated cover
 points, which must already be epsilon-good under the current
 distribution, then points the learner handles within half the
-working radius are downweighted by e^(-xi).  Note the direction: the
+working radius are downweighted by e^(-XI).  Note the direction: the
 update discounts correctly handled points rather than upweighting
 mistakes, which is equivalent after renormalization but is kept as
 written.  The output averages the round learners, so for classes closed
@@ -17,22 +17,18 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import WeightedEnsemble, least_violated
-from .core import Hypothesis, InflatedExample, examples_arrays
+from .core import Hypothesis, LabeledExample, examples_arrays
 from .errors import InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
 
 MAX_DOUBLINGS = 4
+# The discount of a cover point the round's learner handles within eta/2.
+XI = 0.5
 
 
-def mw_update(P: PointDistribution, h: Hypothesis,
-              cover: Sequence[InflatedExample], eta: float,
-              xi: float) -> PointDistribution:
-    """Downweight points the hypothesis handles within eta/2, renormalize."""
-    if xi <= 0:
-        raise InvalidParameter(f"xi must be positive, got {xi}")
-    zs, ys = examples_arrays(cover)
-    correct = np.abs(h.values[zs] - ys) <= eta / 2
-    return P.reweight(np.exp(-xi * correct.astype(float)))
+def mw_update(P: PointDistribution, correct: np.ndarray) -> PointDistribution:
+    """Downweight the points marked ``correct`` by e^(-XI), renormalize."""
+    return P.reweight(np.exp(-XI * correct.astype(float)))
 
 
 def find_strong_learner(P: PointDistribution, violated: np.ndarray,
@@ -51,12 +47,11 @@ def find_strong_learner(P: PointDistribution, violated: np.ndarray,
 
 
 def mw_boost(
-    cover: Sequence[InflatedExample],
+    cover: Sequence[LabeledExample],
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
     epsilon: float,
-    xi: float,
     T: int,
 ) -> WeightedEnsemble:
     """Pick strong pool members with the correctness-discount update and
@@ -78,14 +73,15 @@ def mw_boost(
     if not pool or len(pool) != len(sources):
         raise InvalidParameter("pool and sources must be equal-length and nonempty")
     zs, ys = examples_arrays(cover)
-    violated = np.abs(np.stack([h.values[zs] for h in pool]) - ys) >= eta / 2
+    dev = np.abs(np.stack([h.values[zs] for h in pool]) - ys)
+    violated, correct = dev >= eta / 2, dev <= eta / 2
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []
     for doubling in range(MAX_DOUBLINGS + 1):
         while len(picks) < T * 2 ** doubling:
             i = find_strong_learner(P, violated, epsilon)
             picks.append(i)
-            P = mw_update(P, pool[i], cover, eta, xi)
+            P = mw_update(P, correct[i])
         ensemble = WeightedEnsemble(
             members=tuple(pool[i] for i in picks), alphas=(1.0,) * len(picks),
             sources=tuple(sources[i] for i in picks), aggregation="average",

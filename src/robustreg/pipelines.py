@@ -15,7 +15,7 @@ import json
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .compression import CompressionScheme, compress, generalization_bound, reco
 from .core import (
     EtaBall,
     Hypothesis,
-    InflatedExample,
     LabeledExample,
     Lp,
     PerturbationMap,
@@ -52,8 +51,6 @@ MEDIAN_FAT = 1 / 64
 AVERAGE_FAT = 1 / 32
 # Boosting rounds per log of the cover size: T = O(log |cover|).
 ROUNDS_PER_LOG_COVER = 4.0
-# The multiplicative-weights discount of a correctly handled cover point.
-MW_XI = 0.5
 # Confidence of the reported compression bounds.
 BOUND_DELTA = 0.05
 
@@ -67,16 +64,18 @@ class PipelineConfig:
     T: int | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PipelineReport:
     """What a pipeline run produced, with errors recomputed from the
-    reconstruction."""
+    reconstruction.  The fields are serialised in their order, except the
+    hypothesis and the timings."""
 
     pipeline: str
     eta: float
+    epsilon: float | None = None
+    p: float = 1.0
     seed: int
-    scheme: CompressionScheme | None = None
-    hypothesis: Hypothesis | None = None
+    status: str = "ok"
     emp_eta_robust_err: float | None = None
     emp_lp_robust_err: float | None = None
     uniform: bool | None = None
@@ -86,44 +85,22 @@ class PipelineReport:
     rounds: int | None = None
     bound_realizable: float | None = None
     bound_agnostic: float | None = None
-    epsilon: float | None = None
-    p: float = 1.0
-    status: str = "ok"
     sparsify_failed: bool = False
     subset_size: int | None = None
     selected_theta: float | None = None
     holdout_eta_err: float | None = None
     holdout_lp_err: float | None = None
     properness: tuple | None = None
-    timings: dict = field(default_factory=dict)
+    scheme: CompressionScheme | None = None
     extra: dict = field(default_factory=dict)
+    hypothesis: Hypothesis | None = None
+    timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "pipeline": self.pipeline,
-            "eta": self.eta,
-            "epsilon": self.epsilon,
-            "p": self.p,
-            "seed": self.seed,
-            "status": self.status,
-            "emp_eta_robust_err": self.emp_eta_robust_err,
-            "emp_lp_robust_err": self.emp_lp_robust_err,
-            "uniform": self.uniform,
-            "compression_size": self.compression_size,
-            "cover_size": self.cover_size,
-            "pool_size": self.pool_size,
-            "rounds": self.rounds,
-            "bound_realizable": self.bound_realizable,
-            "bound_agnostic": self.bound_agnostic,
-            "sparsify_failed": self.sparsify_failed,
-            "subset_size": self.subset_size,
-            "selected_theta": self.selected_theta,
-            "holdout_eta_err": self.holdout_eta_err,
-            "holdout_lp_err": self.holdout_lp_err,
-            "properness": list(self.properness) if self.properness else None,
-            "scheme": json.loads(self.scheme.to_json()) if self.scheme else None,
-            "extra": {k: v for k, v in self.extra.items()},
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("hypothesis", "timings")}
+        if self.scheme is not None:
+            doc["scheme"] = json.loads(self.scheme.to_json())
         return json.dumps(doc, separators=(",", ":"), default=str)
 
 
@@ -179,7 +156,7 @@ def build_pool(
 
 
 def dual_embed(pool: Sequence[Hypothesis],
-               inflated: Sequence[InflatedExample]) -> np.ndarray:
+               inflated: Sequence[LabeledExample]) -> np.ndarray:
     """Deviation profile of every inflated point across the pool:
     (points x pool) matrix of |h(z) - y|."""
     if not pool:
@@ -231,12 +208,10 @@ def _check(what: str, value: float, bound: float) -> None:
         raise ChainAssertionFailed(f"{what} {value:.6g} exceeds {bound:.6g}")
 
 
-def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float,
-            group_size: int, store_alphas: bool):
+def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float):
     """Compress the ensemble, reconstruct it from the stored indices, and
     require the replay to equal the run."""
-    scheme = compress(ensemble, sample, eta, group_size=group_size,
-                      store_alphas=store_alphas)
+    scheme = compress(ensemble, sample, eta)
     h = reconstruct(scheme, sample, rerm, U)
     if not np.array_equal(ensemble.values, h.values):
         raise ChainAssertionFailed("reconstruction differs from the run")
@@ -281,12 +256,11 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     head = _head(oracle, sample, U, eta, False, epsilon, config, pool_ss)
 
     t2 = time.perf_counter()
-    ensemble = mw_boost(head.cover, head.pool, head.sources, eta, epsilon, MW_XI, head.T)
+    ensemble = mw_boost(head.cover, head.pool, head.sources, eta, epsilon, head.T)
     head.timings["boost"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta,
-                        min(head.d, len(sample)), False)
+    scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta)
     zs, ys = examples_arrays(head.cover)
     cover_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta / 2))
     _check("cover rate", cover_rate, epsilon)
@@ -345,8 +319,7 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
     t4 = time.perf_counter()
     # member sources index the fitted points; the scheme indexes the sample
     final = replace(final, sources=tuple(tuple(fit[j] for j in src) for src in final.sources))
-    scheme, h = _replay(final, sample, oracle.rerm, U, eta,
-                        min(head.d, len(sub)), sparsify_failed)
+    scheme, h = _replay(final, sample, oracle.rerm, U, eta)
     worst = float(robust_deviations(h.values, sub, U).max())
     _check("robust deviation of the reconstruction on the fitted points", worst, eta)
     head.timings["verify"] = time.perf_counter() - t4

@@ -15,17 +15,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import WeightedEnsemble, weighted_median_columns
-from .core import InflatedExample, examples_arrays
+from .core import LabeledExample, examples_arrays
 from .errors import InvalidParameter, RobustRegError, SparsifyFailed
 
 
-def categorical_draws(rng: np.random.Generator, probs: np.ndarray,
-                      size: int) -> np.ndarray:
-    """Indices sampled i.i.d. from the categorical distribution."""
-    return rng.choice(len(probs), size=size, p=probs)
-
-
-def sparsify(ensemble: WeightedEnsemble, cover: Sequence[InflatedExample],
+def sparsify(ensemble: WeightedEnsemble, cover: Sequence[LabeledExample],
              eta: float, k: int, max_iters: int = 200,
              seed: int = 0) -> WeightedEnsemble:
     """First sampled k-subset whose per-point violators stay below k/2.
@@ -46,7 +40,7 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[InflatedExample],
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(1, max_iters)):
-        drawn = categorical_draws(rng, probs, k)
+        drawn = rng.choice(len(probs), size=k, p=probs)
         picked = values[drawn]
         violators = (np.abs(picked - ys) > eta).sum(axis=0)
         worst = int(violators.max()) if len(cover) else 0
@@ -60,7 +54,7 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[InflatedExample],
                 members=tuple(ensemble.members[int(j)] for j in drawn),
                 alphas=(1.0,) * k,
                 sources=tuple(ensemble.sources[int(j)] for j in drawn),
-                aggregation="weighted_median",
+                aggregation="median",
             )
         best = worst if best is None else min(best, worst)
     raise SparsifyFailed(

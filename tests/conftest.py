@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from robustreg import (
     FiniteClass,
     Hypothesis,
-    InflatedExample,
     LabeledExample,
     PerturbationMap,
     PointDistribution,
@@ -54,7 +53,7 @@ def pool_setup(rows, ys, mults=None):
     """Pool members (one per row), a cover with the labels ``ys`` and the
     distribution proportional to ``mults`` (uniform by default)."""
     pool = [Hypothesis(np.asarray(r, dtype=float), ("row", i)) for i, r in enumerate(rows)]
-    cover = [InflatedExample(z=j, y=y, origin=j) for j, y in enumerate(ys)]
+    cover = labeled(enumerate(ys))
     w = np.ones(len(ys)) if mults is None else np.asarray(mults, dtype=float)
     return pool, cover, PointDistribution(w / w.sum())
 

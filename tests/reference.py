@@ -246,7 +246,7 @@ def scalar_pick(pool, P, cover, violates, accept):
     ``accept(member, mass)`` rejects that member."""
     best, best_mass = None, None
     for i, h in enumerate(pool):
-        mass = P.mass(np.array([violates(float(h.values[pt.z]), pt.y) for pt in cover]))
+        mass = P.mass(np.array([violates(float(h.values[pt.x]), pt.y) for pt in cover]))
         if best is None or mass < best_mass:
             best, best_mass = i, mass
     return (best if accept(pool[best], best_mass) else None), best_mass

@@ -163,16 +163,16 @@ def test_round_trip():
                                       rng=np.random.default_rng(seed))
         ens = medboost(inflated, pool, sources, eta, T=6)
         small = sparsify(ens, inflated, eta / 2, k=3, seed=seed)
-        for ensemble, store in ((ens, True), (small, False)):
-            scheme = compress(ensemble, sample, eta, min(8, len(sample)), store)
+        for ensemble in (ens, small):
+            scheme = compress(ensemble, sample, eta)
             rebuilt = reconstruct(scheme, sample, oracle.rerm, U)
             for z in U.instances():
                 assert rebuilt(z) == ensemble.values[z]
             checked += 1
         pool, sources, _ = build_pool(sample, U, oracle.rerm, eta * AVERAGE_REFIT, 8,
                                       rng=np.random.default_rng(seed))
-        avg = mw_boost(inflated, pool, sources, eta, epsilon=0.5, xi=0.5, T=4)
-        scheme = compress(avg, sample, eta, min(8, len(sample)), False)
+        avg = mw_boost(inflated, pool, sources, eta, epsilon=0.5, T=4)
+        scheme = compress(avg, sample, eta)
         rebuilt = reconstruct(scheme, sample, oracle.rerm, U)
         for z in U.instances():
             assert rebuilt(z) == avg.values[z]

@@ -236,13 +236,13 @@ class TestWeightedEnsemble:
         h = constant_hypothesis(0.5, 1)
         with pytest.raises(InvalidParameter):
             WeightedEnsemble(members=(h,), alphas=(1.0, 1.0), sources=((0,),),
-                             aggregation="weighted_median")
+                             aggregation="median")
 
     def test_median_requires_positive_alpha(self):
         h = constant_hypothesis(0.5, 1)
         with pytest.raises(InvalidParameter):
             WeightedEnsemble(members=(h,), alphas=(0.0,), sources=((0,),),
-                             aggregation="weighted_median")
+                             aggregation="median")
 
     def test_average_evaluation(self):
         ens = WeightedEnsemble(

@@ -25,37 +25,43 @@ from conftest import labeled
 def median_ensemble(members, sources, alphas=None):
     alphas = alphas or (1.0,) * len(members)
     return WeightedEnsemble(members=tuple(members), alphas=tuple(alphas),
-                            sources=tuple(sources), aggregation="weighted_median")
+                            sources=tuple(sources), aggregation="median")
 
 
 class TestCompress:
     def test_single_member(self):
         ens = median_ensemble([constant_hypothesis(0.4, 3)], [(0, 1)])
-        scheme = compress(ens, labeled([(0, 0.4), (1, 0.4)]), 0.2, 2, True)
+        scheme = compress(ens, labeled([(0, 0.4), (1, 0.4)]), 0.2)
         assert scheme.groups == ((0, 1),)
         assert scheme.size == 2
 
     def test_three_members_group_size_two(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)] * 3,
                               [(0, 1), (1, 2), (0, 2)])
-        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2, 2, True)
+        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2)
         assert scheme.size == 6
 
-    def test_padding_repeats_last_index(self):
+    def test_sources_of_different_sizes_are_refused(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)] * 2, [(0,), (1, 2)])
-        scheme = compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2, 2, True)
-        assert scheme.groups == ((0, 0), (1, 2))
+        with pytest.raises(InvalidParameter, match="one fixed size"):
+            compress(ens, labeled([(i, 0.5) for i in range(3)]), 0.2)
+
+    @pytest.mark.parametrize("alphas, stored", [
+        ((1.0, 1.0), None), ((1.0, 0.5), (1.0, 0.5)), ((2.0, 2.0), (2.0, 2.0))])
+    def test_alphas_are_stored_unless_all_one(self, alphas, stored):
+        ens = median_ensemble([constant_hypothesis(0.5, 3)] * 2, [(0,), (1,)], alphas)
+        assert compress(ens, labeled([(0, 0.5), (1, 0.5)]), 0.2).alphas == stored
 
     def test_empty_sources_not_compressible(self):
         ens = median_ensemble([constant_hypothesis(0.5, 3)], [()])
         with pytest.raises(NotCompressible):
-            compress(ens, labeled([(0, 0.5)]), 0.2, 1, True)
+            compress(ens, labeled([(0, 0.5)]), 0.2)
 
     def test_average_schemes_store_no_alphas(self):
         ens = WeightedEnsemble(members=(constant_hypothesis(0.5, 3),),
                                alphas=(1.0,), sources=((0,),),
                                aggregation="average")
-        scheme = compress(ens, labeled([(0, 0.5)]), 0.2, 1, False)
+        scheme = compress(ens, labeled([(0, 0.5)]), 0.2)
         assert scheme.aggregation == "average" and scheme.alphas is None
 
 
@@ -73,7 +79,8 @@ class TestReconstruct:
         members = [rerm_constant(sample[:2], self.U3, 0.2 / 8),
                    rerm_constant(sample[1:], self.U3, 0.2 / 8)]
         ens = median_ensemble(members, [(0, 1), (1, 2)], alphas=(0.7, 1.3))
-        scheme = compress(ens, sample, 0.2, 2, True)
+        scheme = compress(ens, sample, 0.2)
+        assert scheme.alphas == (0.7, 1.3)
         h = reconstruct(scheme, sample, rerm_constant, self.U3)
         for z in range(3):
             assert h(z) == ens.values[z]

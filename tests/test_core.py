@@ -29,18 +29,17 @@ class TestInflate:
     def test_identity_perturbation_is_the_sample(self):
         sample = labeled([(0, 0.3)])
         out = inflate(sample, PerturbationMap.identity(1))
-        assert [(e.z, e.y, e.origin) for e in out] == [(0, 0.3, 0)]
+        assert out == sample
 
     def test_shared_perturbation_takes_min_index_label(self):
         U = PerturbationMap({0: (0, 2), 1: (1, 2), 2: (2,)})
         out = inflate(labeled([(0, 0.3), (1, 0.7)]), U)
-        by_z = {e.z: e for e in out}
-        assert by_z[2].y == 0.3 and by_z[2].origin == 0
+        assert out == labeled([(0, 0.3), (2, 0.3), (1, 0.7)])
 
     def test_duplicate_point_suppressed_with_min_index_label(self):
         U = PerturbationMap({0: (0, 1), 1: (1,)})
         out = inflate(labeled([(0, 0.2), (1, 0.9)]), U)
-        assert [(e.z, e.y, e.origin) for e in out] == [(0, 0.2, 0), (1, 0.2, 0)]
+        assert out == labeled([(0, 0.2), (1, 0.2)])
 
     def test_missing_entry_names_the_instance(self):
         with pytest.raises(MissingPerturbation, match="3"):
@@ -52,8 +51,7 @@ class TestInflate:
     def test_identity_inflation_is_a_bijection(self, pairs):
         sample = labeled(pairs)
         out = inflate(sample, PerturbationMap.identity(15))
-        assert sorted((e.z, e.y) for e in out) == sorted((x, y) for x, y in pairs)
-        assert all(e.z == sample[e.origin].x for e in out)
+        assert out == sample
 
     @given(st.data())
     @settings(max_examples=60)
@@ -67,10 +65,14 @@ class TestInflate:
         }
         U = PerturbationMap(table)
         sample = labeled([(x, (x + 1) / (n + 1)) for x in range(n)])
-        for e in inflate(sample, U):
-            assert e.z in U.of(sample[e.origin].x)
-            assert all(e.z not in U.of(sample[j].x) for j in range(e.origin))
-            assert e.y == sample[e.origin].y
+        out = inflate(sample, U)
+        # the origin of a point is the first example whose set holds it
+        origins = [next(j for j, ex in enumerate(sample) if e.x in U.of(ex.x))
+                   for e in out]
+        assert [e.y for e in out] == [sample[j].y for j in origins]
+        keys = [(j, e.x) for j, e in zip(origins, out)]
+        assert keys == sorted(set(keys))
+        assert {e.x for e in out} == {z for ex in sample for z in U.of(ex.x)}
 
 
 def robust_loss(h, ex, U, mode):

@@ -1,8 +1,12 @@
 import contextlib
+import copy
 import io
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustreg import load_domain, rerm_finite
 from robustreg.cli import main
@@ -12,6 +16,7 @@ from robustreg.harness import (
     ExperimentConfig,
     InstanceSpec,
     PerturbationSpec,
+    PipelineConfig,
     TargetSpec,
     gen_instance,
     instance_to_domain_json,
@@ -277,6 +282,27 @@ class TestCli:
         ("experiment", '{"perturbation": {"kind": null}}'),
         ("experiment", '{"pipeline": "nope"}'),
         ("gen", '{"instance": {"kind": ["smooth"]}}'),
+        # out-of-range counts, sizes, seeds and margins
+        ("gen", '{"instance": {"n_hypotheses": 0}}'),
+        ("gen", '{"instance": {"n_hypotheses": -3}}'),
+        ("gen", '{"instance": {"domain_size": 0}}'),
+        ("gen", '{"instance": {"domain_size": -2}}'),
+        ("gen", '{"instance": {"kind": "blocks", "blocks": 0}}'),
+        ("gen", '{"instance": {"smooth_step": -1}}'),
+        ("gen", '{"instance": {"kind": "blocks", "defect_blocks": -1}}'),
+        ("gen", '{"perturbation": {"kind": "random_k", "k": -1}}'),
+        ("gen", '{"seed": -1}'),
+        ("experiment", '{"m_grid": [-5]}'),
+        ("gen", '{"m_grid": [0]}'),
+        ("gen", '{"holdout_size": -1}'),
+        ("experiment", '{"pipeline_config": {"d": 0}}'),
+        ("experiment", '{"pipeline_config": {"T": 0}}'),
+        ("gen", '{"rejection_budget": 0}'),
+        ("gen", '{"realizable_margin": -1}'),
+        *((command, content) for command in ("experiment", "gen")
+          for content in ('{"instance": {"levels": 1}}',
+                          '{"perturbation": {"kind": "grid_ball", "radius": -1}}',
+                          '{"target": {"index": 99}}')),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
@@ -303,10 +329,43 @@ class TestCli:
         ({"pipeline": "nope"}, "pipeline"),
         ({"instance": {"kind": "spiky"}}, "kind"),
         ({"perturbation": {"kind": None}}, "kind"),
+        # out-of-range values
+        ({"instance": {"n_hypotheses": 0}}, "n_hypotheses"),
+        ({"instance": {"domain_size": -2}}, "domain_size"),
+        ({"instance": {"blocks": 0}}, "blocks"),
+        ({"instance": {"smooth_step": -1}}, "smooth_step"),
+        ({"instance": {"defect_blocks": -1}}, "defect_blocks"),
+        ({"instance": {"levels": 1}}, "levels"),
+        ({"perturbation": {"k": -1}}, "k"),
+        ({"perturbation": {"radius": -1}}, "radius"),
+        ({"target": {"index": 99}}, "index"),
+        ({"target": {"index": -1}}, "index"),
+        ({"seed": -1}, "seed"),
+        ({"m_grid": [-5]}, "m_grid"),
+        ({"m_grid": [20, 0]}, "m_grid"),
+        ({"m_grid": []}, "m_grid"),
+        ({"holdout_size": -1}, "holdout_size"),
+        ({"trials": 0}, "trials"),
+        ({"pipeline_config": {"d": 0}}, "d"),
+        ({"pipeline_config": {"T": 0}}, "T"),
+        ({"rejection_budget": 0}, "rejection_budget"),
+        ({"realizable_margin": -1}, "realizable_margin"),
+        ({"realizable_margin": 0}, "realizable_margin"),
     ])
     def test_ill_typed_config_value_names_its_key(self, doc, key):
         with pytest.raises(InvalidParameter, match=f"'{key}'"):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("command", ["gen", "learn-improper"])
+    def test_negative_seed_flag_exits_one(self, domain_file, exp_file, capsys, command):
+        argv = [command, "--seed", "-1"]
+        if command == "gen":
+            argv += ["--config", exp_file]
+        else:
+            argv += ["--config", domain_file, "--eta", "0.2"]
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert "'--seed'" in capsys.readouterr().err
 
     def test_optional_config_numbers_take_null(self):
         cfg = ExperimentConfig.from_json({"instance": {"levels": None},
@@ -322,3 +381,40 @@ class TestCli:
         code, _ = run_cli(["agnostic-regress", "--config", str(path),
                            "--epsilon", "0.5", "--delta", "0.5"])
         assert code == 1
+
+
+# A small valid config, and the fields and values its fuzzed copies take.
+# The values stay small: a huge size or budget is accepted and then runs
+# for as long as it asks.
+FUZZ_BASE = {"instance": {"kind": "smooth", "n_hypotheses": 6, "domain_size": 12},
+             "perturbation": {"kind": "grid_ball", "radius": 1},
+             "m_grid": [5], "holdout_size": 3}
+FUZZ_FIELDS = [(None, f.name) for f in fields(ExperimentConfig)] + [
+    (section, f.name) for section, spec in (("instance", InstanceSpec),
+                                            ("perturbation", PerturbationSpec),
+                                            ("target", TargetSpec),
+                                            ("pipeline_config", PipelineConfig))
+    for f in fields(spec)]
+FUZZ_VALUES = [None, True, "2", [], {}, [3], -2, -1, 0, 1, 2, 3, 7, 0.5, -0.5, 1.5,
+               "smooth", "blocks", "random_k", "improper"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_fuzzed_config_exits_with_a_code_and_a_message(tmp_path_factory, changes):
+    doc = copy.deepcopy(FUZZ_BASE)
+    for (section, key), value in changes:
+        target = doc if section is None else doc.setdefault(section, {})
+        if isinstance(target, dict):  # else the whole section was replaced
+            target[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["gen", "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+    if code == 2:
+        assert err.getvalue().startswith("runtime failure:")

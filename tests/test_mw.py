@@ -10,7 +10,6 @@ from robustreg import (
     PointDistribution,
     build_pool,
     compress,
-    constant_hypothesis,
     find_strong_learner,
     inflate,
     mw_boost,
@@ -18,6 +17,7 @@ from robustreg import (
     reconstruct,
 )
 from robustreg.errors import InvalidParameter, StrongLearnerNotFound
+from robustreg.mw import XI
 from robustreg.oracles import ConstantClassOracle, rerm_constant, rerm_finite
 
 from conftest import labeled, make_class, pool_cases, pool_setup, violations
@@ -32,32 +32,25 @@ def cover_of(values, labels):
 
 class TestMwUpdate:
     def test_correct_nowhere_leaves_p_unchanged(self):
-        U, sample, cover = cover_of([0, 1], [1.0, 1.0])
-        h = constant_hypothesis(0.0, len(cover))
         P = PointDistribution.uniform(2)
-        Q = mw_update(P, h, cover, eta=0.2, xi=0.5)
+        Q = mw_update(P, np.array([False, False]))
         assert np.allclose(Q.weights, P.weights)
 
     def test_downweights_the_handled_point(self):
-        U, sample, cover = cover_of([0, 1], [0.0, 1.0])
-        h = constant_hypothesis(0.0, len(cover))  # handles the first point only
         P = PointDistribution.uniform(2)
-        Q = mw_update(P, h, cover, eta=0.2, xi=math.log(2.0))
-        assert np.allclose(Q.weights, [1 / 3, 2 / 3])
+        Q = mw_update(P, np.array([True, False]))
+        kept = math.exp(-XI)
+        assert np.allclose(Q.weights, [kept / (1 + kept), 1 / (1 + kept)])
 
     def test_correct_everywhere_leaves_p_unchanged(self):
-        U, sample, cover = cover_of([0, 1], [0.5, 0.5])
-        h = constant_hypothesis(0.5, len(cover))
         P = PointDistribution.uniform(2)
-        Q = mw_update(P, h, cover, eta=0.2, xi=0.7)
+        Q = mw_update(P, np.array([True, True]))
         assert np.allclose(Q.weights, P.weights)
 
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=8),
-           st.floats(0.1, 2.0))
-    def test_support_is_preserved(self, labels, xi):
-        U, sample, cover = cover_of(range(len(labels)), labels)
-        P = PointDistribution.uniform(len(labels))
-        Q = mw_update(P, constant_hypothesis(0.5, len(cover)), cover, eta=0.3, xi=xi)
+    @given(st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_support_is_preserved(self, correct):
+        P = PointDistribution.uniform(len(correct))
+        Q = mw_update(P, np.array(correct))
         assert (Q.weights > 0).all()
 
 
@@ -104,7 +97,7 @@ class TestFindStrongLearner:
         # at eta = 1/2 the member misses every label by exactly 1/4
         pool, cover, _ = pool_setup([[0.75] * 3], [0.5] * 3)
         with pytest.raises(StrongLearnerNotFound):
-            mw_boost(cover, pool, [(0,)], eta=0.5, epsilon=0.5, xi=0.5, T=1)
+            mw_boost(cover, pool, [(0,)], eta=0.5, epsilon=0.5, T=1)
 
     def test_epsilon_range(self):
         pool, cover, P = pool_setup([[0.5]], [0.5])
@@ -130,21 +123,21 @@ class TestMwBoost:
         U, sample, cover = cover_of(range(4), [0.45] * 4)
         pool, sources, _ = build_pool(sample, U, rerm_constant, 0.2 / 4, 2,
                                       rng=np.random.default_rng(0))
-        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.1, xi=0.5, T=3)
+        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.1, T=3)
         assert ens.aggregation == "average"
         assert ens.values[0] == pytest.approx(0.45)
-        rate = np.mean([abs(ens.values[pt.z] - pt.y) >= 0.1 for pt in cover])
+        rate = np.mean([abs(ens.values[pt.x] - pt.y) >= 0.1 for pt in cover])
         assert rate == 0.0
 
     def test_cover_condition_on_a_finite_class(self):
         U, sample, cover, rerm, pool, sources = finite_pool_case()
         T = math.ceil(4 * math.log(8))
-        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.1, xi=0.5, T=T)
+        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.1, T=T)
         # the condition must hold for what a reconstruction evaluates
-        scheme = compress(ens, sample, eta=0.2, group_size=3, store_alphas=False)
+        scheme = compress(ens, sample, eta=0.2)
         h = reconstruct(scheme, sample, rerm, U)
         assert np.array_equal(h.values, ens.values)
-        avg = h.values[[pt.z for pt in cover]]
+        avg = h.values[[pt.x for pt in cover]]
         ys = np.array([pt.y for pt in cover])
         assert float((np.abs(avg - ys) >= 0.1).mean()) <= 0.1
 
@@ -159,17 +152,26 @@ class TestMwBoost:
         pool = [make_class(rows).hypothesis(i) for i in range(5)]
         U, sample, cover = cover_of(range(9), [0.5] * 9)
         sources = [(i, i + 1) for i in range(5)]
-        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, xi=0.5, T=T)
-        again = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, xi=0.5, T=rounds)
+        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, T=T)
+        again = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, T=rounds)
         assert len(ens) == rounds and again.members == ens.members
         assert ens.sources == tuple(sources[h.descriptor[1]] for h in ens.members)
         assert float((np.abs(ens.values[:9] - 0.5) >= 0.1).mean()) <= 0.25
+
+    def test_a_deviation_of_exactly_eta_over_2_is_discounted(self):
+        # at eta = 1/2, member 0 handles point 1 with a deviation of exactly
+        # 1/4 and member 1 handles point 0 so.  Both points are discounted
+        # alike, P stays uniform and the tie picks member 0 again; were the
+        # boundary point not discounted, round two would pick member 1.
+        pool, cover, _ = pool_setup([[0.5, 0.75], [0.75, 0.5]], [0.5, 0.5])
+        ens = mw_boost(cover, pool, [(0,), (1,)], eta=0.5, epsilon=0.5, T=2)
+        assert [h.descriptor for h in ens.members] == [("row", 0), ("row", 0)]
 
     def test_average_of_constants_folds_to_a_member(self):
         U, sample, cover = cover_of(range(3), [0.6, 0.6, 0.6])
         pool, sources, _ = build_pool(sample, U, rerm_constant, 0.2 / 4, 1,
                                       rng=np.random.default_rng(2))
-        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.5, xi=0.5, T=4)
+        ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.5, T=4)
         folded = ConstantClassOracle().fold_average(ens.members)
         assert folded is not None
         for z in range(3):

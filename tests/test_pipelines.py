@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -212,7 +213,9 @@ class TestImproperLearn:
         rep = improper_learn(oracle, sample, U, eta=0.2, seed=8)
         assert rep.sparsify_failed is True
         assert rep.uniform is True
-        assert rep.scheme.alphas is not None  # pre-sparsification side info kept
+        # the kept ensemble is a short-circuit one, whose unit weights are not stored
+        assert len(rep.scheme.groups) == rep.rounds
+        assert rep.scheme.alphas is None
 
 
 class TestAgnosticEtaLearn:
@@ -389,6 +392,22 @@ class TestReportSerialization:
         assert reports[0].to_json() == reports[1].to_json()
         assert "timings" not in reports[0].to_json()
         assert reports[0].timings  # kept in memory
+
+    def test_json_keys_in_order(self):
+        U = PerturbationMap.identity(5)
+        sample = labeled([(i, 0.45) for i in range(5)])
+        rep = proper_learn(ConstantClassOracle(), sample, U, eta=0.2,
+                           epsilon=0.1, seed=3)
+        doc = json.loads(rep.to_json())
+        assert list(doc) == [
+            "pipeline", "eta", "epsilon", "p", "seed", "status",
+            "emp_eta_robust_err", "emp_lp_robust_err", "uniform",
+            "compression_size", "cover_size", "pool_size", "rounds",
+            "bound_realizable", "bound_agnostic", "sparsify_failed",
+            "subset_size", "selected_theta", "holdout_eta_err", "holdout_lp_err",
+            "properness", "scheme", "extra"]
+        assert doc["properness"] == list(rep.properness)
+        assert doc["scheme"] == json.loads(rep.scheme.to_json())
 
 
 class TestRunPipeline:

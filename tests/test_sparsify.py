@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from robustreg import WeightedEnsemble, constant_hypothesis, default_k, sparsify
-from robustreg.core import InflatedExample
 from robustreg.errors import InvalidParameter, SparsifyFailed
-from robustreg.sparsify import categorical_draws
+
+from conftest import labeled
 
 
 def cover_points(labels):
-    return [InflatedExample(z=i, y=y, origin=i) for i, y in enumerate(labels)]
+    return labeled(enumerate(labels))
 
 
 def ensemble_of(constants, alphas, sources=None, domain_size=3):
     members = tuple(constant_hypothesis(c, domain_size) for c in constants)
     sources = sources or tuple((i,) for i in range(len(members)))
     return WeightedEnsemble(members=members, alphas=tuple(alphas),
-                            sources=tuple(sources), aggregation="weighted_median")
+                            sources=tuple(sources), aggregation="median")
 
 
 class TestSparsify:
@@ -68,7 +68,7 @@ class TestSparsify:
             except SparsifyFailed:
                 continue
             for pt in cover:
-                assert abs(out.values[pt.z] - pt.y) <= 0.12
+                assert abs(out.values[pt.x] - pt.y) <= 0.12
 
     def test_sparsified_size_shrinks_when_k_below_t(self):
         ens = ensemble_of([0.5] * 9, [1.0] * 9, sources=tuple((i, i) for i in range(9)))
@@ -80,15 +80,6 @@ class TestSparsify:
         ens = ensemble_of([0.5], [1.0])
         with pytest.raises(InvalidParameter):
             sparsify(ens, cover_points([0.5]), eta=0.1, k=0)
-
-
-class TestCategoricalSampler:
-    def test_matches_weights_within_three_sigma(self):
-        probs = np.array([0.5, 0.3, 0.15, 0.05])
-        draws = categorical_draws(np.random.default_rng(123), probs, 100_000)
-        freq = np.bincount(draws, minlength=4) / 100_000
-        sigma = np.sqrt(probs * (1 - probs) / 100_000)
-        assert (np.abs(freq - probs) <= 3 * sigma).all()
 
 
 class TestDefaultK:
