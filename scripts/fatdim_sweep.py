@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fat-shattering and dual fat-shattering of a random class over a
-gamma grid, printed as CSV.
+"""Fat-shattering of a random class and of its dual class (the transposed
+matrix) over a gamma grid, printed as CSV.
 
 Usage: python scripts/fatdim_sweep.py [--hypotheses H] [--domain N] [--seed S]
 """
@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from robustreg import dual_fat_shattering, fat_shattering
+from robustreg import fat_shattering
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     for gamma in np.arange(0.05, 0.55, 0.05):
         gamma = round(float(gamma), 2)
         fat = fat_shattering(matrix, gamma)
-        dual = dual_fat_shattering(matrix, gamma)
+        dual = fat_shattering(matrix.T, gamma)  # the dual class
         print(f"{gamma},{fat},{dual}")
 
 

@@ -20,13 +20,7 @@ from .core import (
     load_domain,
     robust_deviations,
 )
-from .dimensions import (
-    dual_class,
-    dual_fat_shattering,
-    dual_fat_upper_bound,
-    fat_shattering,
-    greedy_cover,
-)
+from .dimensions import dual_fat_upper_bound, fat_shattering, greedy_cover
 from .errors import (
     CapExceeded,
     ChainAssertionFailed,

@@ -10,57 +10,63 @@ import argparse
 import sys
 
 from .core import inflate, load_domain
-from .dimensions import dual_fat_shattering, fat_shattering, greedy_cover
+from .dimensions import fat_shattering, greedy_cover
 from .compression import generalization_bound
 from .errors import InvalidParameter, RobustRegError
 from .harness import ExperimentConfig, gen_instance, instance_to_domain_json, run_experiment, write_csv
 from .oracles import FiniteClass, FiniteClassOracle, load_class_csv
-from .pipelines import dual_embed, run_pipeline
+from .pipelines import PIPELINES, dual_embed, run_pipeline
 
 
-# learn subcommands: the pipeline each runs and the parameters it takes
+# learn subcommands and the pipeline each runs; it takes that pipeline's
+# parameters from PIPELINES, and the holdout from its domain document
 LEARN = {
-    "learn-proper": ("proper", ("eta", "epsilon")),
-    "learn-improper": ("improper", ("eta",)),
-    "agnostic-eta": ("agnostic-eta", ("eta",)),
-    "regress": ("regress", ("epsilon", "p")),
-    "agnostic-regress": ("agnostic-regress", ("epsilon", "delta", "p")),
+    "learn-proper": "proper",
+    "learn-improper": "improper",
+    "agnostic-eta": "agnostic-eta",
+    "regress": "regress",
+    "agnostic-regress": "agnostic-regress",
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", help="path to a JSON config document")
-    common.add_argument("--out", help="write output here instead of stdout")
+def _learn_params(command: str) -> list[str]:
+    return [k for k in PIPELINES[LEARN[command]][1] if k != "holdout"]
 
+
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="robustreg",
                                 description="robust regression toolkit")
     sub = p.add_subparsers(dest="command")
 
-    sp = sub.add_parser("gen", parents=[common],
-                        help="generate a synthetic domain document")
+    def command(name, *common, **kwargs):
+        """A subcommand with ``--out`` and the ``common`` flags its handler reads."""
+        sp = sub.add_parser(name, **kwargs)
+        if "seed" in common:
+            sp.add_argument("--seed", type=int, default=None)
+        if "config" in common:
+            sp.add_argument("--config", help="path to a JSON config file")
+        sp.add_argument("--out", help="write output here instead of stdout")
+        return sp
+
+    sp = command("gen", "seed", "config", help="generate a synthetic domain document")
     sp.add_argument("--m", type=int, help="sample size override")
 
-    sp = sub.add_parser("fatdim", parents=[common],
-                        help="fat and dual-fat values over a gamma grid")
+    sp = command("fatdim", "config", help="fat and dual-fat values over a gamma grid")
     sp.add_argument("--gamma", type=float, action="append", default=None)
     sp.add_argument("--matrix", help="class CSV instead of --config")
     sp.add_argument("--max-points", type=int, default=16)
     sp.add_argument("--max-hypotheses", type=int, default=256)
 
-    sp = sub.add_parser("cover", parents=[common],
-                        help="greedy sup-norm cover of the inflated set")
+    sp = command("cover", "config", help="greedy sup-norm cover of the inflated set")
     sp.add_argument("--t", type=float, required=True)
 
-    for name, (_, params) in LEARN.items():
-        sp = sub.add_parser(name, parents=[common])
-        for param in params:
+    for name in LEARN:
+        sp = command(name, "seed", "config")
+        for param in _learn_params(name):
             sp.add_argument(f"--{param}", type=float, required=param in ("eta", "epsilon"),
                             default={"delta": 0.1, "p": 1.0}.get(param))
 
-    sp = sub.add_parser("bounds", parents=[common],
-                        help="compression generalization bounds")
+    sp = command("bounds", help="compression generalization bounds")
     sp.add_argument("--kind", choices=["realizable", "agnostic", "bernstein"], required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -68,8 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--empirical", type=float, default=0.0)
     sp.add_argument("--c", type=float, default=1.0)
 
-    sub.add_parser("experiment", parents=[common],
-                   help="run a sweep and write CSV rows")
+    command("experiment", "config", help="run a sweep and write CSV rows")
     return p
 
 
@@ -104,13 +109,13 @@ def _cmd_fatdim(args) -> str:
     if not args.gamma or min(args.gamma) <= 0:
         raise InvalidParameter(f"--gamma must be given and positive, got {args.gamma}")
     if args.matrix:
-        cls = load_class_csv(args.matrix)
+        matrix = load_class_csv(args.matrix).matrix
     else:
-        cls = _oracle_from(_require_config(args)).cls
+        matrix = _oracle_from(_require_config(args)).cls.matrix
     caps = {"max_points": args.max_points, "max_hypotheses": args.max_hypotheses}
     lines = ["gamma,fat,dual_fat"]
     for g in args.gamma:
-        fat, dual = fat_shattering(cls, g, **caps), dual_fat_shattering(cls, g, **caps)
+        fat, dual = fat_shattering(matrix, g, **caps), fat_shattering(matrix.T, g, **caps)
         lines.append(f"{g},{fat},{dual}")
     return "\n".join(lines) + "\n"
 
@@ -129,11 +134,10 @@ def _cmd_cover(args) -> str:
 
 def _cmd_learn(args) -> str:
     domain = _require_config(args)
-    pipeline, params = LEARN[args.command]
-    report = run_pipeline(pipeline, _oracle_from(domain), list(domain.sample),
+    report = run_pipeline(LEARN[args.command], _oracle_from(domain), list(domain.sample),
                           domain.perturbations, holdout=list(domain.holdout),
                           seed=args.seed if args.seed is not None else 0,
-                          **{k: getattr(args, k) for k in params})
+                          **{k: getattr(args, k) for k in _learn_params(args.command)})
     return report.to_json() + "\n"
 
 
@@ -165,8 +169,9 @@ def main(argv=None) -> int:
         parser.print_usage()
         return 1
     try:
-        if args.seed is not None and args.seed < 0:
-            raise InvalidParameter(f"bad value {args.seed} for '--seed', below 0")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise InvalidParameter(f"bad value {seed} for '--seed', below 0")
         text = COMMANDS[args.command](args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)

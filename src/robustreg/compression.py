@@ -59,16 +59,6 @@ class CompressionScheme:
         }
         return json.dumps(doc, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "CompressionScheme":
-        doc = json.loads(text)
-        return cls(
-            eta=float(doc["eta"]),
-            aggregation=doc["aggregation"],
-            groups=tuple(tuple(int(i) for i in g) for g in doc["groups"]),
-            alphas=tuple(float(a) for a in doc["alphas"]) if doc.get("alphas") is not None else None,
-        )
-
 
 def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
              eta: float) -> CompressionScheme:

@@ -250,15 +250,12 @@ def as_number(value, kind: type, key: str):
 
 
 def read_document(source) -> dict:
-    """A JSON object given as a parsed dict, a JSON string or a file path."""
+    """A JSON object given as a parsed dict or a file path."""
     if isinstance(source, dict):
         return source
-    text = str(source)
     try:
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
-        doc = json.loads(text)
+        with open(source) as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise InvalidParameter(f"cannot read {source}: {exc.strerror}") from None
     except ValueError as exc:
@@ -269,7 +266,7 @@ def read_document(source) -> dict:
 
 
 def load_domain(source) -> DomainData:
-    """Load a domain document from a path, JSON string, or parsed dict.
+    """Load a domain document from a file path or a parsed dict.
 
     Schema: ``{"domain_size": n, "samples": [[id, y], ...],
     "perturbations": {"id": [ids...]}}`` with optional ``"class_matrix"``

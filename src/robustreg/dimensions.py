@@ -7,7 +7,8 @@ is >= v and the -1 side iff its value is <= v - 2*gamma, so a set is
 shattered iff some choice of cutoffs splits the class into nonempty
 halves along every point simultaneously.  The search walks the points
 depth-first, carrying the hypothesis groups, as row bitmasks, that each
-still have to realize all remaining sign patterns.
+still have to realize all remaining sign patterns.  A class is its
+(rows x points) value matrix, so its dual class is the transpose.
 """
 
 from __future__ import annotations
@@ -19,16 +20,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .oracles import FiniteClass
-
-
-def _as_matrix(cls) -> np.ndarray:
-    if isinstance(cls, FiniteClass):
-        return cls.matrix
-    m = np.asarray(cls, dtype=float)
-    if m.ndim != 2:
-        raise InvalidParameter("class must be a 2-D matrix")
-    return m
 
 
 def _row_mask(rows: np.ndarray) -> int:
@@ -58,16 +49,16 @@ def _subset_shattered(masks: Sequence[list[tuple[int, int]]], n_hyp: int) -> boo
     return rec(0, [(1 << n_hyp) - 1])
 
 
-def fat_shattering(cls, gamma: float, *, max_points: int = 16,
+def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
                    max_hypotheses: int = 256) -> int:
-    """Size of the largest point set shattered with margin gamma.
+    """Size of the largest point set that the rows of a (rows x points)
+    matrix shatter with margin gamma.
 
     Exact exponential search; domains or classes beyond the caps raise
     :class:`CapExceeded` rather than silently approximating.
     """
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
-    matrix = _as_matrix(cls)
     n_hyp, n_pts = matrix.shape
     if n_hyp == 0:
         return 0
@@ -98,18 +89,6 @@ def fat_shattering(cls, gamma: float, *, max_points: int = 16,
     return fat
 
 
-def dual_class(cls) -> FiniteClass:
-    """Transpose view: every instance becomes a function over the class."""
-    matrix = _as_matrix(cls)
-    return FiniteClass(matrix.T.copy())
-
-
-def dual_fat_shattering(cls, gamma: float, *, max_points: int = 16,
-                        max_hypotheses: int = 256) -> int:
-    return fat_shattering(dual_class(cls), gamma,
-                          max_points=max_points, max_hypotheses=max_hypotheses)
-
-
 def dual_fat_upper_bound(fat_half_scale: int, gamma: float) -> float:
     """(1/gamma) * 2^(fat_half_scale + 1), the primal-to-dual bound."""
     if not 0.0 < gamma <= 1.0:
@@ -119,9 +98,10 @@ def dual_fat_upper_bound(fat_half_scale: int, gamma: float) -> float:
     return (1.0 / gamma) * 2.0 ** (fat_half_scale + 1)
 
 
-def greedy_cover(points: Sequence, t: float) -> tuple[list[int], list[int]]:
-    """Internal sup-norm cover: repeatedly pick the uncovered point whose
-    t-ball covers the most uncovered points (lowest index on ties).
+def greedy_cover(points: np.ndarray, t: float) -> tuple[list[int], list[int]]:
+    """Internal sup-norm cover of the rows of a (points x coordinates)
+    array: repeatedly pick the uncovered point whose t-ball covers the most
+    uncovered points (lowest index on ties).
 
     Returns (center indices, per-point assigned center index).  Every
     point lands within d_inf distance t of its assigned center.
@@ -132,8 +112,6 @@ def greedy_cover(points: Sequence, t: float) -> tuple[list[int], list[int]]:
     n = pts.shape[0]
     if n == 0:
         return [], []
-    if pts.ndim == 1:
-        pts = pts[:, None]
     within = np.empty((n, n), dtype=bool)
     for i in range(0, n, 128):  # chunked pairwise d_inf
         block = np.abs(pts[i:i + 128, None, :] - pts[None, :, :]).max(axis=2)

@@ -43,7 +43,7 @@ class DegenerateWeights(RobustRegError):
 
 
 class WeakLearnerNotFound(RobustRegError):
-    """No sampled base learner passed the weak-learning check."""
+    """No pool member passed the weak-learning check."""
 
     def __init__(self, message, best_mass=None):
         super().__init__(message)
@@ -51,7 +51,7 @@ class WeakLearnerNotFound(RobustRegError):
 
 
 class StrongLearnerNotFound(RobustRegError):
-    """No sampled base learner met the per-round error threshold."""
+    """No pool member met the per-round error threshold."""
 
     def __init__(self, message, best_mass=None):
         super().__init__(message)

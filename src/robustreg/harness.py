@@ -38,7 +38,6 @@ class InstanceSpec:
     smooth_step: float = 0.05
     blocks: int = 10  # blocks kind: piecewise-constant segments
     defect_blocks: int = 2  # blocks on which a non-target row deviates
-    defect_shift: float = 0.5
 
 
 @dataclass
@@ -145,8 +144,8 @@ def _smooth_rows(spec, rng, target):
 
 def _block_rows(spec, rng, target):
     # piecewise-constant rows: every non-target row deviates from the base
-    # row on a few blocks, so sparse samples leave lower-index impostors
-    # feasible until their defect blocks get pinned
+    # row by half the label range (mod 1) on a few blocks, so sparse samples
+    # leave lower-index impostors feasible until their defect blocks get pinned
     n = spec.domain_size
     block_of = np.minimum(np.arange(n) * spec.blocks // n, spec.blocks - 1)
     base = rng.uniform(0.2, 0.8, size=spec.blocks)
@@ -156,7 +155,7 @@ def _block_rows(spec, rng, target):
         if i != target:
             hit = rng.choice(spec.blocks, size=min(spec.defect_blocks, spec.blocks),
                              replace=False)
-            row[hit] = (row[hit] + spec.defect_shift) % 1.0
+            row[hit] = (row[hit] + 0.5) % 1.0
         matrix[i] = row[block_of]
     return matrix
 
@@ -218,7 +217,11 @@ def _draw_points(target_values: np.ndarray, U: PerturbationMap, size: int,
 
 
 def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
-    """Build (class, perturbations, sample, holdout) for one trial."""
+    """Build (class, perturbations, sample, holdout) for one trial, with a
+    sample of ``m`` points (default the config's first ``m_grid`` entry)."""
+    m = m if m is not None else config.m_grid[0]
+    if m < 1:
+        raise InvalidParameter(f"bad value {m!r} for 'm', below 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     target = config.target.index
     if target is None:
@@ -230,7 +233,6 @@ def gen_instance(config: ExperimentConfig, seed: int, m: int | None = None):
     if margin is None:
         margin = config.eta * MEDIAN_REFIT
     values = cls.matrix[target]
-    m = m if m is not None else config.m_grid[0]
     sample = _draw_points(values, U, m, margin, config.target.noise_rate,
                           config.rejection_budget, rng)
     holdout = _draw_points(values, U, config.holdout_size, margin,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dimensions
 from .core import (
     Hypothesis,
     LabeledExample,
@@ -159,28 +160,23 @@ class FiniteClassOracle:
 
     def __init__(self, cls: FiniteClass):
         self.cls = cls
-        self._fat_cache: dict[tuple[float, bool], int] = {}
 
     def rerm(self, subset, U, eta) -> Hypothesis:
         return rerm_finite(self.cls, subset, U, eta)
 
-    def _fat(self, matrix, gamma, key) -> int:
-        from .dimensions import fat_shattering
-
-        if key not in self._fat_cache:
-            try:
-                value = fat_shattering(matrix, gamma)
-            except CapExceeded:
-                value = min(int(math.floor(math.log2(max(matrix.shape[0], 2)))),
-                            matrix.shape[1])
-            self._fat_cache[key] = value
-        return self._fat_cache[key]
+    @staticmethod
+    def _fat(matrix, gamma) -> int:
+        try:
+            return dimensions.fat_shattering(matrix, gamma)
+        except CapExceeded:
+            return min(int(math.floor(math.log2(max(matrix.shape[0], 2)))), matrix.shape[1])
 
     def fat(self, gamma: float) -> int:
-        return self._fat(self.cls.matrix, gamma, (gamma, False))
+        return self._fat(self.cls.matrix, gamma)
 
     def dual_fat(self, gamma: float) -> int:
-        return self._fat(self.cls.matrix.T, gamma, (gamma, True))
+        # the dual class: every instance a function over the rows
+        return self._fat(self.cls.matrix.T, gamma)
 
     def fold_average(self, members):
         return None

@@ -101,7 +101,7 @@ class PipelineReport:
                if f.name not in ("hypothesis", "timings")}
         if self.scheme is not None:
             doc["scheme"] = json.loads(self.scheme.to_json())
-        return json.dumps(doc, separators=(",", ":"), default=str)
+        return json.dumps(doc, separators=(",", ":"))
 
 
 def build_pool(

@@ -63,7 +63,7 @@ def test_dimension_oracle_equivalence():
         ([[0.45], [0.55]], 0.05, 1),
     ]
     for matrix, gamma, expected in hand_cases:
-        assert fat_shattering(make_class(matrix), gamma) == expected
+        assert fat_shattering(make_class(matrix).matrix, gamma) == expected
 
     rng = np.random.default_rng(20240817)
     for trial in range(50):

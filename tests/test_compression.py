@@ -175,17 +175,6 @@ class TestSchemeJson:
         assert scheme.to_json() == \
             '{"eta":0.5,"aggregation":"average","groups":[[1]],"alphas":null}'
 
-    @given(st.integers(0, 10 ** 6))
-    def test_json_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        groups = tuple(tuple(int(i) for i in rng.integers(0, 9, size=3))
-                       for _ in range(int(rng.integers(1, 4))))
-        scheme = CompressionScheme(eta=float(rng.uniform(0.01, 0.99)),
-                                   aggregation="median", groups=groups,
-                                   alphas=tuple(float(a) for a in
-                                                rng.uniform(0.1, 1, len(groups))))
-        assert CompressionScheme.from_json(scheme.to_json()) == scheme
-
     def test_group_sizes_must_match(self):
         with pytest.raises(InvalidParameter):
             CompressionScheme(eta=0.2, aggregation="median",

@@ -3,13 +3,14 @@ import copy
 import io
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustreg import load_domain, rerm_finite
-from robustreg.cli import main
+from robustreg.cli import _parser, main
 from robustreg.errors import InvalidParameter, UnrealizableSpec
 from robustreg.harness import (
     CSV_HEADER,
@@ -79,6 +80,11 @@ class TestGenInstance:
             realizable_margin=1e-6, rejection_budget=20)
         with pytest.raises(UnrealizableSpec):
             gen_instance(cfg, 7, m=5)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_sample_size_below_one_is_refused(self, m):
+        with pytest.raises(InvalidParameter, match="'m'"):
+            gen_instance(config_for(), 1, m=m)
 
     def test_random_k_includes_self(self):
         cfg = config_for(perturbation=PerturbationSpec(kind="random_k", k=2),
@@ -303,12 +309,15 @@ class TestCli:
           for content in ('{"instance": {"levels": 1}}',
                           '{"perturbation": {"kind": "grid_ball", "radius": -1}}',
                           '{"target": {"index": 99}}')),
+        # a sample size below 1 on the command line
+        ("gen --m 0", "{}"),
+        ("gen --m -2", "{}"),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
         if content is not None:
             path.write_text(content)
-        argv = [command, "--config", str(path)]
+        argv = [*command.split(), "--config", str(path)]
         if command == "learn-improper":
             argv += ["--eta", "0.2"]
         code, out = run_cli(argv)
@@ -366,6 +375,49 @@ class TestCli:
         code, out = run_cli(argv)
         assert code == 1 and out == ""
         assert "'--seed'" in capsys.readouterr().err
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        common = {"--seed", "--config", "--out"}
+        expected = {
+            "gen": common | {"--m"},
+            "fatdim": {"--config", "--out", "--gamma", "--matrix", "--max-points",
+                       "--max-hypotheses"},
+            "cover": {"--config", "--out", "--t"},
+            "learn-proper": common | {"--eta", "--epsilon"},
+            "learn-improper": common | {"--eta"},
+            "agnostic-eta": common | {"--eta"},
+            "regress": common | {"--epsilon", "--p"},
+            "agnostic-regress": common | {"--epsilon", "--delta", "--p"},
+            "bounds": {"--out", "--kind", "--k", "--m", "--delta", "--empirical", "--c"},
+            "experiment": {"--config", "--out"},
+        }
+        subparsers = next(a for a in _parser()._actions if a.dest == "command").choices
+        flags = {name: {o for a in sp._actions for o in a.option_strings
+                        if o.startswith("--") and o != "--help"}
+                 for name, sp in subparsers.items()}
+        assert flags == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--config", "EXP", "--seed", "1"],
+        ["bounds", "--kind", "realizable", "--k", "10", "--m", "1000", "--seed", "1"],
+        ["fatdim", "--config", "DOM", "--gamma", "0.1", "--seed", "1"],
+        ["cover", "--config", "DOM", "--t", "0.1", "--seed", "1"],
+        ["bounds", "--kind", "realizable", "--k", "10", "--m", "1000", "--config", "x"],
+    ], ids=["experiment-seed", "bounds-seed", "fatdim-seed", "cover-seed", "bounds-config"])
+    def test_a_flag_the_subcommand_never_reads_exits_one(self, domain_file, exp_file,
+                                                         capsys, argv):
+        argv = [{"EXP": exp_file, "DOM": domain_file}.get(a, a) for a in argv]
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_a_config_path_that_looks_like_json_is_read_as_a_path(
+            self, exp_file, tmp_path, monkeypatch):
+        (tmp_path / "{run}.json").write_text(Path(exp_file).read_text())
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(["experiment", "--config", "{run}.json"])
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(CSV_HEADER)
 
     def test_optional_config_numbers_take_null(self):
         cfg = ExperimentConfig.from_json({"instance": {"levels": None},
