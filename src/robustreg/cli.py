@@ -106,7 +106,7 @@ def _cmd_gen(args) -> str:
 
 
 def _cmd_fatdim(args) -> str:
-    if not args.gamma or min(args.gamma) <= 0:
+    if not args.gamma or not all(g > 0 for g in args.gamma):
         raise InvalidParameter(f"--gamma must be given and positive, got {args.gamma}")
     if args.matrix:
         matrix = load_class_csv(args.matrix).matrix

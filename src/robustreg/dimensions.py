@@ -57,7 +57,7 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
     Exact exponential search; domains or classes beyond the caps raise
     :class:`CapExceeded` rather than silently approximating.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
     n_hyp, n_pts = matrix.shape
     if n_hyp == 0:
@@ -103,28 +103,47 @@ def greedy_cover(points: np.ndarray, t: float) -> tuple[list[int], list[int]]:
     array: repeatedly pick the uncovered point whose t-ball covers the most
     uncovered points (lowest index on ties).
 
+    Identical rows have identical t-balls, so the pick runs on the distinct
+    rows, each standing for its lowest index and weighted by how often it
+    occurs; memory grows with the square of the distinct rows, not of the
+    points.
+
     Returns (center indices, per-point assigned center index).  Every
     point lands within d_inf distance t of its assigned center.
     """
-    if t <= 0:
+    if not t > 0:
         raise InvalidParameter(f"cover radius must be positive, got {t}")
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
+    pts = np.ascontiguousarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise InvalidParameter("cover points must be finite")
+    if pts.shape[0] == 0:
         return [], []
-    within = np.empty((n, n), dtype=bool)
-    for i in range(0, n, 128):  # chunked pairwise d_inf
-        block = np.abs(pts[i:i + 128, None, :] - pts[None, :, :]).max(axis=2)
+    # one bytes key per row, far cheaper to sort than np.unique(axis=0).
+    # Equal rows with other bytes (0.0 and -0.0) get two keys; their balls
+    # are equal, so the cover does not change
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    reps = first[order]  # each distinct row's lowest index, in index order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    label = rank[inverse]  # each point's distinct row
+    multiplicity = np.bincount(label)
+    rows = pts[reps]
+    k = reps.size
+    within = np.empty((k, k), dtype=bool)
+    for i in range(0, k, 128):  # chunked pairwise d_inf
+        block = np.abs(rows[i:i + 128, None, :] - rows[None, :, :]).max(axis=2)
         within[i:i + 128] = block <= t
     centers: list[int] = []
-    assignment = np.full(n, -1, dtype=int)
-    uncovered = np.ones(n, dtype=bool)
+    assignment = np.full(k, -1, dtype=int)
+    uncovered = np.ones(k, dtype=bool)
     while uncovered.any():
-        gain = (within & uncovered[None, :]).sum(axis=1)
+        gain = (within & uncovered) @ multiplicity
         gain[~uncovered] = -1  # centers come from uncovered points only
         center = int(np.argmax(gain))
         newly = uncovered & within[center]
-        assignment[newly] = center
+        assignment[newly] = reps[center]
         uncovered &= ~newly
-        centers.append(center)
-    return centers, assignment.tolist()
+        centers.append(int(reps[center]))
+    return centers, assignment[label].tolist()

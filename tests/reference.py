@@ -6,8 +6,10 @@ and counts sign-code coverage, the cover oracle enumerates center
 subsets by size, and the subset oracle enumerates bitmasks.
 ``array_fat`` is the exception: it keeps the library's former
 fat-shattering search, so the current one can be compared with it
-exactly.  ``weak_learner_check`` is the library's former weak-learner
-predicate, which ``scalar_pick`` applies to one pool member at a time.
+exactly, and ``scalar_greedy_cover`` keeps the former cover, which
+compares every pair of points.  ``weak_learner_check`` is the library's
+former weak-learner predicate, which ``scalar_pick`` applies to one pool
+member at a time.
 """
 
 from __future__ import annotations
@@ -152,6 +154,38 @@ def brute_min_cover_size(points, t: float) -> int:
             if within[list(combo)].any(axis=0).all():
                 return size
     return n
+
+
+def scalar_greedy_cover(points: np.ndarray, t: float) -> tuple[list[int], list[int]]:
+    """Internal sup-norm cover of the rows of a (points x coordinates)
+    array: repeatedly pick the uncovered point whose t-ball covers the most
+    uncovered points (lowest index on ties).
+
+    Returns (center indices, per-point assigned center index).  Every
+    point lands within d_inf distance t of its assigned center.
+    """
+    if t <= 0:
+        raise InvalidParameter(f"cover radius must be positive, got {t}")
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n == 0:
+        return [], []
+    within = np.empty((n, n), dtype=bool)
+    for i in range(0, n, 128):  # chunked pairwise d_inf
+        block = np.abs(pts[i:i + 128, None, :] - pts[None, :, :]).max(axis=2)
+        within[i:i + 128] = block <= t
+    centers: list[int] = []
+    assignment = np.full(n, -1, dtype=int)
+    uncovered = np.ones(n, dtype=bool)
+    while uncovered.any():
+        gain = (within & uncovered[None, :]).sum(axis=1)
+        gain[~uncovered] = -1  # centers come from uncovered points only
+        center = int(np.argmax(gain))
+        newly = uncovered & within[center]
+        assignment[newly] = center
+        uncovered &= ~newly
+        centers.append(center)
+    return centers, assignment.tolist()
 
 
 def brute_max_fit_subsets(matrix, sample, U, eta: float):

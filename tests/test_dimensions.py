@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustreg import dual_fat_upper_bound, fat_shattering, greedy_cover
 from robustreg.errors import CapExceeded, InvalidParameter
 
 from conftest import make_class
-from reference import array_fat, brute_fat, brute_min_cover_size
+from reference import array_fat, brute_fat, brute_min_cover_size, scalar_greedy_cover
 
 
 class TestFatShattering:
@@ -61,6 +61,8 @@ class TestFatShattering:
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidParameter):
             fat_shattering(make_class([[0.5]]), 0.0)
+        with pytest.raises(InvalidParameter):
+            fat_shattering(make_class([[0.5]]).matrix, float("nan"))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -125,6 +127,20 @@ class TestDualFatUpperBound:
             dual_fat_upper_bound(-1, 0.5)
 
 
+@st.composite
+def duplicated_rows(draw):
+    """A few rows on a 2-5 level grid, each repeated, in shuffled order, so
+    that balls coincide and gains tie."""
+    levels = np.linspace(0.0, 1.0, draw(st.integers(2, 5))).tolist()
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(st.sampled_from(levels), min_size=d, max_size=d),
+                             min_size=1, max_size=4))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(distinct),
+                           max_size=len(distinct)))
+    rows = [row for row, c in zip(distinct, counts) for _ in range(c)]
+    return np.array(draw(st.permutations(rows)), dtype=float)
+
+
 class TestGreedyCover:
     def test_empty(self):
         assert greedy_cover([], 0.1) == ([], [])
@@ -159,3 +175,26 @@ class TestGreedyCover:
         t = float(rng.choice([0.1, 0.25, 0.4]))
         centers, _ = greedy_cover(pts, t)
         assert len(centers) <= (1 + math.log(n)) * brute_min_cover_size(pts, t)
+
+    # [0.0] is duplicated and first occurs after [1.0], whose gain is equal:
+    # the tie goes to index 0, not to the row that sorts first
+    @example(pts=np.array([[1.0], [0.0], [0.0], [1.0]]), t=0.1)
+    # 0.0 and -0.0 are equal rows with different bytes
+    @example(pts=np.array([[1.0], [-0.0], [0.0], [1.0], [-0.0]]), t=0.1)
+    @given(duplicated_rows(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_all_pairs_cover_on_duplicated_rows(self, pts, t):
+        centers, assignment = greedy_cover(pts, t)
+        assert (centers, assignment) == scalar_greedy_cover(pts, t)
+        if len(pts) <= 12:
+            assert brute_min_cover_size(pts, t) <= len(centers)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, t):
+        with pytest.raises(InvalidParameter):
+            greedy_cover([[0.0], [1.0]], t)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_points_must_be_finite(self, bad):
+        with pytest.raises(InvalidParameter):
+            greedy_cover([[0.0], [bad]], 0.1)

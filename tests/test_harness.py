@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -133,6 +136,9 @@ def run_cli(argv):
 
 BAD_DOMAIN_BASE = {"domain_size": 3, "samples": [[0, 0.5]],
                    "perturbations": {"0": [0], "1": [1], "2": [2]}}
+# a valid domain, for the rows whose fault is a flag
+FLAG_DOMAIN = json.dumps({**BAD_DOMAIN_BASE, "class_matrix": [[0.0, 0.5, 1.0],
+                                                              [1.0, 0.5, 0.0]]})
 
 
 class TestCli:
@@ -242,6 +248,17 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0] == "point,center"
 
+    def test_nan_cover_radius_exits_one(self, domain_file):
+        # a cover whose balls miss their own centers never ends; in a child
+        # process that fails at the timeout instead of hanging the run
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from robustreg.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "cover", "--config", domain_file, "--t", "nan"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
     def test_regress_report(self, domain_file):
         code, out = run_cli(["regress", "--config", domain_file,
                              "--epsilon", "0.04", "--p", "2", "--seed", "2"])
@@ -312,6 +329,9 @@ class TestCli:
         # a sample size below 1 on the command line
         ("gen --m 0", "{}"),
         ("gen --m -2", "{}"),
+        # a NaN margin or cover radius on the command line
+        ("fatdim --gamma nan", FLAG_DOMAIN),
+        ("cover --t nan", FLAG_DOMAIN),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
