@@ -27,7 +27,6 @@ from .errors import (
     DegenerateWeights,
     EmptyPool,
     EmptySample,
-    Infeasible,
     InvalidParameter,
     MissingPerturbation,
     NotCompressible,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
 from .core import Hypothesis, LabeledExample, PerturbationMap
-from .errors import Infeasible, InvalidParameter, NotCompressible, ReconstructionFailed
+from .errors import InvalidParameter, NotCompressible, ReconstructionFailed
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
     source, with the coefficients as side information unless all are 1."""
     if any(len(src) == 0 for src in ensemble.sources):
         raise NotCompressible("an ensemble member carries no source indices")
-    outside = [i for src in ensemble.sources for i in src if not 0 <= i < len(sample)]
-    if outside:
+    indices = np.concatenate(ensemble.sources)
+    outside = indices[(indices < 0) | (indices >= len(sample))]
+    if outside.size:
         raise NotCompressible(f"source index {outside[0]} outside the sample")
     unit = all(a == 1.0 for a in ensemble.alphas)
     return CompressionScheme(
@@ -80,20 +81,23 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
 def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
                 rerm, U: PerturbationMap) -> Hypothesis:
     """Refit every group at the scheme's refit radius and recombine under
-    the stored aggregation."""
+    the stored aggregation.
+
+    The distinct groups (as sorted index sets) are refit in one batched
+    ``rerm(sample, groups, U, radius)`` call; the oracle is deterministic,
+    so a repeated group is fit once.  A group the oracle cannot fit raises
+    :class:`ReconstructionFailed`.
+    """
     median = scheme.aggregation == "median"
     scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
-    members, refits = [], {}
-    for g, group in enumerate(scheme.groups):
-        points = tuple(sorted(set(group)))
-        if points not in refits:  # the oracle is deterministic: refit once
-            try:
-                refits[points] = rerm([sample[i] for i in points], U, scale)
-            except Infeasible as exc:
-                raise ReconstructionFailed(
-                    f"group {g} is infeasible at {scale:.6g}: {exc}"
-                ) from exc
-        members.append(refits[points])
+    points = [tuple(sorted(set(group))) for group in scheme.groups]
+    distinct = list(dict.fromkeys(points))
+    refits = dict(zip(distinct, rerm(sample, distinct, U, scale)))
+    members = [refits[p] for p in points]
+    for g, h in enumerate(members):
+        if h is None:
+            raise ReconstructionFailed(
+                f"group {g} {scheme.groups[g]} is infeasible at {scale:.6g}")
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
     values = aggregate(np.stack([h.values for h in members]), alphas, median)
     descriptor = ("reconstruction", scheme.aggregation,
@@ -118,8 +122,8 @@ def generalization_bound(kind: str, k: int, m: int, delta: float,
         raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
     if not 0.0 <= empirical <= 1.0:
         raise InvalidParameter(f"empirical must be in [0, 1], got {empirical}")
-    if c <= 0:
-        raise InvalidParameter(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise InvalidParameter(f"c must be positive and finite, got {c}")
     base = (k * math.log(m) + math.log(1.0 / delta)) / m
     if kind == "realizable":
         return c * base

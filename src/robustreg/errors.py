@@ -25,19 +25,6 @@ class CapExceeded(RobustRegError):
     """Brute-force search caps would be exceeded."""
 
 
-class Infeasible(RobustRegError):
-    """No hypothesis meets the requested worst-case deviation.
-
-    ``min_deviation`` is the smallest achievable worst-case deviation
-    (for interval oracles, the width of the gap between the constraint
-    intervals).
-    """
-
-    def __init__(self, message, min_deviation=None):
-        super().__init__(message)
-        self.min_deviation = min_deviation
-
-
 class DegenerateWeights(RobustRegError):
     """Total weight is zero where positive mass is required."""
 

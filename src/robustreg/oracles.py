@@ -1,9 +1,11 @@
 """Robust empirical risk minimizers, finite classes and point distributions.
 
-A RERM call returns a hypothesis whose worst-case deviation over every
-perturbation of every given point is at most eta (Chebyshev-style
-feasibility, not loss minimization).  Tie-breaking is deterministic so
-reconstruction from compressed points replays bit-identically.
+A RERM call ``rerm(sample, subsets, U, eta)`` fits every given subset of
+sample indices at once: for each, a hypothesis whose worst-case deviation
+over every perturbation of every point in it is at most eta
+(Chebyshev-style feasibility, not loss minimization), or None where no
+hypothesis is.  Tie-breaking is deterministic so reconstruction from
+compressed points replays bit-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .core import (
     constant_hypothesis,
     robust_deviations,
 )
-from .errors import CapExceeded, Infeasible, InvalidParameter
+from .errors import CapExceeded, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -113,41 +116,48 @@ class PointDistribution:
         return np.where(mask, self.weights, 0.0).sum(axis=-1)
 
 
-def rerm_finite(cls: FiniteClass, subset: Sequence[LabeledExample],
-                U: PerturbationMap, eta: float) -> Hypothesis:
-    """Lowest-index row whose worst robust deviation on the subset is <= eta."""
+def rerm_finite(cls: FiniteClass, sample: Sequence[LabeledExample],
+                subsets: Sequence[Sequence[int]], U: PerturbationMap,
+                eta: float) -> list[Hypothesis | None]:
+    """For each subset of sample indices, the lowest-index row whose worst
+    robust deviation on those points is <= eta, or None if no row is.
+
+    The deviations are taken once, over the points some subset uses; a
+    row fits a subset iff it exceeds eta on none of its points, counted
+    for every row and subset at once by a product with the 0/1
+    membership matrix (integer counts, exact in float64).
+    """
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
-    worst = robust_deviations(cls.matrix, subset, U).max(axis=1, initial=0.0)
-    feasible = np.flatnonzero(worst <= eta)
-    if feasible.size == 0:
-        best = float(worst.min())
-        raise Infeasible(
-            f"no hypothesis within {eta} on all points (best worst-case {best:.6g})",
-            min_deviation=best,
-        )
-    return cls.hypothesis(int(feasible[0]))
+    cols = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    used, where = np.unique(np.fromiter(chain.from_iterable(subsets), np.intp, cols.size),
+                            return_inverse=True)
+    member = np.zeros((used.size, len(subsets)))
+    member[where, cols] = 1.0
+    exceeds = robust_deviations(cls.matrix, [sample[i] for i in used], U) > eta
+    fits = exceeds.astype(float) @ member == 0.0
+    rows = fits.argmax(axis=0)
+    return [cls.hypothesis(int(r)) if ok else None for r, ok in zip(rows, fits.any(axis=0))]
 
 
-def rerm_constant(subset: Sequence[LabeledExample], U: PerturbationMap,
-                  eta: float) -> Hypothesis:
-    """Midpoint of the feasible constant interval intersect [0, 1].
+def rerm_constant(sample: Sequence[LabeledExample], subsets: Sequence[Sequence[int]],
+                  U: PerturbationMap, eta: float) -> list[Hypothesis | None]:
+    """For each subset of sample indices, the midpoint of the feasible
+    constant interval intersect [0, 1], or None if it is empty.
 
     A constant ignores the perturbed argument, so feasibility is just
     label intervals intersecting.
     """
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
-    lo, hi = 0.0, 1.0
-    for ex in subset:
-        lo = max(lo, ex.y - eta)
-        hi = min(hi, ex.y + eta)
-    if lo > hi:
-        raise Infeasible(
-            f"constant intervals have empty intersection (gap {lo - hi:.6g})",
-            min_deviation=lo - hi,
-        )
-    return constant_hypothesis((lo + hi) / 2.0, U.domain_size)
+    fits = []
+    for subset in subsets:
+        lo, hi = 0.0, 1.0
+        for i in subset:
+            lo = max(lo, sample[i].y - eta)
+            hi = min(hi, sample[i].y + eta)
+        fits.append(constant_hypothesis((lo + hi) / 2.0, U.domain_size) if lo <= hi else None)
+    return fits
 
 
 class FiniteClassOracle:
@@ -161,8 +171,8 @@ class FiniteClassOracle:
     def __init__(self, cls: FiniteClass):
         self.cls = cls
 
-    def rerm(self, subset, U, eta) -> Hypothesis:
-        return rerm_finite(self.cls, subset, U, eta)
+    def rerm(self, sample, subsets, U, eta) -> list[Hypothesis | None]:
+        return rerm_finite(self.cls, sample, subsets, U, eta)
 
     @staticmethod
     def _fat(matrix, gamma) -> int:
@@ -195,8 +205,8 @@ class FiniteClassOracle:
 class ConstantClassOracle:
     """The convex class of all constants in [0, 1]."""
 
-    def rerm(self, subset, U, eta) -> Hypothesis:
-        return rerm_constant(subset, U, eta)
+    def rerm(self, sample, subsets, U, eta) -> list[Hypothesis | None]:
+        return rerm_constant(sample, subsets, U, eta)
 
     def fat(self, gamma: float) -> int:
         # one point is shattered iff the [0, 1] range admits a 2*gamma gap

@@ -37,7 +37,6 @@ from .dimensions import greedy_cover
 from .errors import (
     ChainAssertionFailed,
     EmptyPool,
-    Infeasible,
     InvalidParameter,
     RobustRegError,
     SparsifyFailed,
@@ -115,13 +114,14 @@ def build_pool(
     threshold: int = 256,
     n_samples: int = 64,
 ) -> tuple[list[Hypothesis], list[tuple[int, ...]], int]:
-    """One RERM output per chosen size-d sample subset.
+    """One RERM output per chosen size-d sample subset, all from one
+    batched ``rerm(sample, subsets, U, eta_rerm)`` call.
 
     Every subset is enumerated while there are at most ``threshold`` of
     them; beyond that, ``n_samples`` subsets are drawn with ``rng`` (each
-    without replacement) and deduplicated.  Infeasible subsets are
-    skipped.  Returns the pool, the subset (sorted sample indices) each
-    member was fit on, and the count of skipped subsets.
+    without replacement) and deduplicated.  Infeasible subsets (a None
+    fit) are skipped.  Returns the pool, the subset (sorted sample
+    indices) each member was fit on, and the count of skipped subsets.
     """
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
@@ -130,28 +130,19 @@ def build_pool(
         raise InvalidParameter("pool construction needs a nonempty sample")
     d_eff = min(d, m)
     if math.comb(m, d_eff) <= threshold:
-        subsets = itertools.combinations(range(m), d_eff)
+        subsets = list(itertools.combinations(range(m), d_eff))
     else:
         if n_samples < 1:
             raise InvalidParameter("sampling the pool needs n_samples >= 1")
-        seen, drawn = set(), []
-        for _ in range(n_samples):
-            s = tuple(sorted(rng.choice(m, size=d_eff, replace=False).tolist()))
-            if s not in seen:
-                seen.add(s)
-                drawn.append(s)
-        subsets = drawn
-    pool, sources, skipped = [], [], 0
-    for s in subsets:
-        try:
-            h = rerm([sample[i] for i in s], U, eta_rerm)
-        except Infeasible:
-            skipped += 1
-            continue
-        pool.append(h)
-        sources.append(s)
-    if not pool:
+        drawn = (tuple(np.sort(rng.choice(m, size=d_eff, replace=False)).tolist())
+                 for _ in range(n_samples))
+        subsets = list(dict.fromkeys(drawn))
+    fitted = [(h, s) for h, s in zip(rerm(sample, subsets, U, eta_rerm), subsets)
+              if h is not None]
+    skipped = len(subsets) - len(fitted)
+    if not fitted:
         raise EmptyPool(f"all {skipped} candidate subsets were infeasible")
+    pool, sources = map(list, zip(*fitted))
     return pool, sources, skipped
 
 
@@ -318,7 +309,8 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
 
     t4 = time.perf_counter()
     # member sources index the fitted points; the scheme indexes the sample
-    final = replace(final, sources=tuple(tuple(fit[j] for j in src) for src in final.sources))
+    remapped = np.asarray(fit)[np.asarray(final.sources)].tolist()
+    final = replace(final, sources=tuple(map(tuple, remapped)))
     scheme, h = _replay(final, sample, oracle.rerm, U, eta)
     worst = float(robust_deviations(h.values, sub, U).max())
     _check("robust deviation of the reconstruction on the fitted points", worst, eta)

@@ -141,7 +141,7 @@ class TestFindWeakLearner:
         sample = labeled([(0, 0.1), (1, 0.5), (2, 0.9)])
         U = PerturbationMap.identity(3)
         cls = make_class([[0.1, 0.5, 0.9], [0.5, 0.5, 0.5]])
-        rerm = lambda pts, u, e: rerm_finite(cls, pts, u, e)
+        rerm = lambda pts, subsets, u, e: rerm_finite(cls, pts, subsets, u, e)
         pool, sources, _ = build_pool(sample, U, rerm, 0.2 / 8, 64,
                                       rng=np.random.default_rng(1))
         assert sources == [(0, 1, 2)]

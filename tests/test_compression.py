@@ -76,8 +76,7 @@ class TestReconstruct:
 
     def test_round_trip_evaluates_identically(self):
         sample = labeled([(0, 0.2), (1, 0.21), (2, 0.22)])
-        members = [rerm_constant(sample[:2], self.U3, 0.2 / 8),
-                   rerm_constant(sample[1:], self.U3, 0.2 / 8)]
+        members = rerm_constant(sample, [(0, 1), (1, 2)], self.U3, 0.2 / 8)
         ens = median_ensemble(members, [(0, 1), (1, 2)], alphas=(0.7, 1.3))
         scheme = compress(ens, sample, 0.2)
         assert scheme.alphas == (0.7, 1.3)
@@ -89,7 +88,7 @@ class TestReconstruct:
         sample = labeled([(0, 0.0), (1, 1.0)])
         scheme = CompressionScheme(eta=0.2, aggregation="median",
                                    groups=((0, 1),), alphas=(1.0,))
-        with pytest.raises(ReconstructionFailed):
+        with pytest.raises(ReconstructionFailed, match=r"group 0 \(0, 1\)"):
             reconstruct(scheme, sample, rerm_constant, PerturbationMap.identity(2))
 
 
@@ -159,6 +158,11 @@ class TestGeneralizationBound:
             generalization_bound("bernstein", 5, 100, 0.1, empirical=2.0)
         with pytest.raises(InvalidParameter):
             generalization_bound("quantum", 5, 100, 0.1)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        with pytest.raises(InvalidParameter, match="c must be"):
+            generalization_bound("agnostic", 10, 1000, 0.05, c=c)
 
 
 class TestSchemeJson:

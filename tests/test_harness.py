@@ -63,7 +63,7 @@ class TestGenInstance:
     def test_realizable_sample_is_feasible_at_eta(self):
         cfg = config_for()
         cls, U, sample, _ = gen_instance(cfg, 3, m=12)
-        h = rerm_finite(cls, sample, U, cfg.eta)  # must not raise
+        (h,) = rerm_finite(cls, sample, [range(len(sample))], U, cfg.eta)
         assert h is not None
 
     def test_noise_rate_flips_labels(self):
@@ -332,12 +332,17 @@ class TestCli:
         # a NaN margin or cover radius on the command line
         ("fatdim --gamma nan", FLAG_DOMAIN),
         ("cover --t nan", FLAG_DOMAIN),
+        # a constant that is not finite; bounds reads no config
+        ("bounds --kind agnostic --k 10 --m 1000 --c nan", None),
+        ("bounds --kind agnostic --k 10 --m 1000 --c inf", None),
     ])
     def test_bad_config_document_exits_one(self, tmp_path, capsys, command, content):
         path = tmp_path / "exp.json"
         if content is not None:
             path.write_text(content)
-        argv = [*command.split(), "--config", str(path)]
+        argv = command.split()
+        if argv[0] != "bounds":
+            argv += ["--config", str(path)]
         if command == "learn-improper":
             argv += ["--eta", "0.2"]
         code, out = run_cli(argv)

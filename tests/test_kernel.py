@@ -5,6 +5,8 @@ sets and the errors add in the same order, so vectorised and scalar
 results must agree to the last bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,15 +17,19 @@ from robustreg import (
     FiniteClass,
     FiniteClassOracle,
     Hypothesis,
-    Infeasible,
     LabeledExample,
     Lp,
     MissingPerturbation,
     PerturbationMap,
+    build_pool,
     empirical_error,
+    reconstruct,
+    rerm_constant,
     rerm_finite,
     robust_deviations,
 )
+from robustreg.compression import CompressionScheme
+from robustreg.errors import ReconstructionFailed
 
 from reference import (
     brute_max_fit_subsets,
@@ -75,16 +81,89 @@ def test_kernel_matches_scalar_maxima(inst):
             assert devs[r, i] == scalar_robust_deviation(row, ex, U)
 
 
-@given(instances(), ETAS)
-def test_rerm_matches_scalar(inst, eta):
+@st.composite
+def subsets_of(draw, m, max_subsets=6):
+    """Ragged lists of sample indices, repeats and empty lists allowed."""
+    subset = st.lists(st.integers(0, max(m - 1, 0)), max_size=6 if m else 0)
+    return draw(st.lists(subset, max_size=max_subsets))
+
+
+@given(instances(), ETAS, st.data())
+def test_rerm_matches_scalar(inst, eta, data):
     matrix, U, sample = inst
-    row, worst = scalar_rerm(matrix, sample, U, eta)
-    if row is None:
-        with pytest.raises(Infeasible) as err:
-            rerm_finite(FiniteClass(matrix), sample, U, eta)
-        assert err.value.min_deviation == min(worst)
+    # drawn subsets, and the whole sample as one
+    subsets = data.draw(subsets_of(len(sample))) + [range(len(sample))]
+    fits = rerm_finite(FiniteClass(matrix), sample, subsets, U, eta)
+    assert len(fits) == len(subsets)
+    for subset, h in zip(subsets, fits):
+        row, _ = scalar_rerm(matrix, [sample[i] for i in subset], U, eta)
+        assert (h is None) if row is None else h.descriptor == ("finite", row)
+
+
+@pytest.mark.parametrize("subsets, rows", [
+    ([[]], [0]),  # nothing to fit: the first row
+    ([[1], [1, 1, 1], [0, 1]], [1, 1, None]),  # repeats count once
+    ([[2], [0, 2], [2, 0, 2]], [None, None, None]),  # no row fits point 2
+    ([[0], [0, 3], [], [1]], [0, 0, 0, 1]),  # ragged
+])
+def test_rerm_on_exact_ties(subsets, rows):
+    # rows 0.25 and 0.75; points 0 and 1 sit exactly eta = 1/8 from one row
+    cls = FiniteClass(np.array([[0.25] * 4, [0.75] * 4]))
+    sample = [LabeledExample(x, y) for x, y in enumerate([0.125, 0.875, 0.5, 0.25])]
+    fits = rerm_finite(cls, sample, subsets, PerturbationMap.identity(4), 0.125)
+    assert [None if h is None else h.descriptor[1] for h in fits] == rows
+
+
+def interval_midpoint(ys, eta):
+    lo, hi = 0.0, 1.0
+    for y in ys:
+        lo, hi = max(lo, y - eta), min(hi, y + eta)
+    return (lo + hi) / 2.0 if lo <= hi else None
+
+
+@given(instances(), ETAS, st.data())
+def test_rerm_constant_matches_interval_intersection(inst, eta, data):
+    _, U, sample = inst
+    subsets = data.draw(subsets_of(len(sample)))
+    fits = rerm_constant(sample, subsets, U, eta)
+    assert len(fits) == len(subsets)
+    for subset, h in zip(subsets, fits):
+        mid = interval_midpoint([sample[i].y for i in subset], eta)
+        assert (h is None) if mid is None else h.descriptor == ("constant", mid)
+
+
+@pytest.mark.parametrize("threshold", [10 ** 6, 4])
+def test_build_pool_equals_a_scalar_rerm_loop(threshold):
+    # above the threshold the pool draws 64 subsets; below, it enumerates
+    rng = np.random.default_rng(7)
+    matrix = np.round(rng.uniform(size=(12, 16)) * 4) / 4
+    U = PerturbationMap.grid_ball(16, 1)
+    sample = [LabeledExample(int(x), float(y)) for x, y in
+              zip(rng.integers(0, 16, size=9), np.round(rng.uniform(size=9) * 4) / 4)]
+    pool, sources, skipped = build_pool(
+        sample, U, FiniteClassOracle(FiniteClass(matrix)).rerm, 0.25, 3,
+        rng=np.random.default_rng(3), threshold=threshold)
+    if threshold > 100:
+        subsets = list(itertools.combinations(range(9), 3))
     else:
-        assert rerm_finite(FiniteClass(matrix), sample, U, eta).descriptor == ("finite", row)
+        draw = np.random.default_rng(3)
+        subsets = list(dict.fromkeys(
+            tuple(sorted(draw.choice(9, size=3, replace=False).tolist())) for _ in range(64)))
+    rows = [scalar_rerm(matrix, [sample[i] for i in s], U, 0.25)[0] for s in subsets]
+    assert [h.descriptor for h in pool] == [("finite", r) for r in rows if r is not None]
+    assert sources == [s for s, r in zip(subsets, rows) if r is not None]
+    assert skipped == rows.count(None) > 0
+
+
+def test_reconstruct_names_the_infeasible_group():
+    # group 1 holds labels 0 and 1, which no row fits within 0.2 / 8
+    cls = FiniteClass(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    sample = [LabeledExample(0, 0.0), LabeledExample(1, 0.0), LabeledExample(2, 1.0)]
+    scheme = CompressionScheme(eta=0.2, aggregation="median",
+                               groups=((0, 1), (0, 2), (1, 0)), alphas=(1.0, 1.0, 1.0))
+    with pytest.raises(ReconstructionFailed, match=r"group 1 \(0, 2\) is infeasible at 0.025"):
+        reconstruct(scheme, sample, FiniteClassOracle(cls).rerm,
+                    PerturbationMap.identity(3))
 
 
 @given(instances(max_m=8), ETAS)
@@ -125,7 +204,7 @@ class TestMissingPerturbation:
         with pytest.raises(MissingPerturbation, match=str(x)):
             robust_deviations(self.cls.matrix, sample, self.U)
         with pytest.raises(MissingPerturbation):
-            rerm_finite(self.cls, sample, self.U, 0.5)
+            rerm_finite(self.cls, sample, [[0], [1]], self.U, 0.5)
         with pytest.raises(MissingPerturbation):
             FiniteClassOracle(self.cls).max_fit_subset(sample, self.U, 0.5)
         with pytest.raises(MissingPerturbation):

@@ -112,7 +112,7 @@ def finite_pool_case():
                        for _ in range(5)]
     cls = make_class(rows)
     U, sample, cover = cover_of(values, values)
-    rerm = lambda pts, u, e: rerm_finite(cls, pts, u, e)
+    rerm = lambda pts, subsets, u, e: rerm_finite(cls, pts, subsets, u, e)
     pool, sources, _ = build_pool(sample, U, rerm, 0.2 / 4, 3,
                                   rng=np.random.default_rng(5))
     return U, sample, cover, rerm, pool, sources

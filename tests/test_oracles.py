@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from robustreg import (
     rerm_finite,
     robust_deviations,
 )
-from robustreg.errors import Infeasible, InvalidParameter, WeakLearnerNotFound
+from robustreg.errors import InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, load_class_csv
 
 from conftest import labeled, make_class, pool_setup, violations
@@ -22,19 +24,26 @@ TWO_CONSTANTS = make_class([[0.2], [0.8]])
 ID1 = PerturbationMap.identity(1)
 
 
+def fit_all(rerm, pts, U, eta):
+    """One batched fit of every point of ``pts``: the single-subset call."""
+    return rerm(pts, [range(len(pts))], U, eta)[0]
+
+
 class TestRermFinite:
     def test_empty_subset_returns_first_row(self):
-        h = rerm_finite(TWO_CONSTANTS, [], ID1, 0.1)
+        h = fit_all(partial(rerm_finite, TWO_CONSTANTS), [], ID1, 0.1)
         assert h.descriptor == ("finite", 0)
 
     def test_feasibility_scan(self):
-        h = rerm_finite(TWO_CONSTANTS, labeled([(0, 0.75)]), ID1, 0.1)
+        h = fit_all(partial(rerm_finite, TWO_CONSTANTS), labeled([(0, 0.75)]), ID1, 0.1)
         assert h.descriptor == ("finite", 1)
 
-    def test_infeasible_carries_min_deviation(self):
-        with pytest.raises(Infeasible) as err:
-            rerm_finite(TWO_CONSTANTS, labeled([(0, 0.5)]), ID1, 0.1)
-        assert err.value.min_deviation == pytest.approx(0.3)
+    def test_infeasible_subset_is_none(self):
+        # both rows miss 0.5 by 0.3; the fits around it are unaffected
+        pts = labeled([(0, 0.5), (0, 0.2)])
+        fits = rerm_finite(TWO_CONSTANTS, pts, [[0], [1], [0, 1]], ID1, 0.1)
+        assert fits[0] is None and fits[2] is None
+        assert fits[1].descriptor == ("finite", 0)
 
     @given(st.data())
     @settings(max_examples=40)
@@ -49,33 +58,31 @@ class TestRermFinite:
         pts = labeled(data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.floats(0, 1)), max_size=4)))
         eta = data.draw(st.floats(0.05, 1.0))
-        try:
-            h = rerm_finite(cls, pts, U, eta)
-        except Infeasible:
+        h = fit_all(partial(rerm_finite, cls), pts, U, eta)
+        if h is None:
+            assert (robust_deviations(cls.matrix, pts, U).max(axis=1) > eta).all()
             return
         assert (robust_deviations(h.values, pts, U) <= eta).all()
 
     @given(st.floats(0.05, 0.5), st.floats(0.5, 1.0))
     def test_monotone_in_eta(self, small, large):
         pts = labeled([(0, 0.55)])
-        try:
-            rerm_finite(TWO_CONSTANTS, pts, ID1, small)
-        except Infeasible:
+        if fit_all(partial(rerm_finite, TWO_CONSTANTS), pts, ID1, small) is None:
             return  # feasibility at the smaller radius is the premise
-        rerm_finite(TWO_CONSTANTS, pts, ID1, large)  # must not raise
+        assert fit_all(partial(rerm_finite, TWO_CONSTANTS), pts, ID1, large) is not None
 
 
 class TestRermConstant:
     def test_single_point_midpoint(self):
-        assert rerm_constant(labeled([(0, 0.4)]), ID1, 0.2).descriptor[1] == pytest.approx(0.4)
+        h = fit_all(rerm_constant, labeled([(0, 0.4)]), ID1, 0.2)
+        assert h.descriptor[1] == pytest.approx(0.4)
 
     def test_interval_intersection(self):
-        h = rerm_constant(labeled([(0, 0.3), (0, 0.5)]), ID1, 0.2)
+        h = fit_all(rerm_constant, labeled([(0, 0.3), (0, 0.5)]), ID1, 0.2)
         assert h.descriptor[1] == pytest.approx(0.4)
 
     def test_disjoint_intervals(self):
-        with pytest.raises(Infeasible):
-            rerm_constant(labeled([(0, 0.3), (0, 0.5)]), ID1, 0.05)
+        assert fit_all(rerm_constant, labeled([(0, 0.3), (0, 0.5)]), ID1, 0.05) is None
 
     @given(st.data())
     @settings(max_examples=30)
@@ -85,15 +92,8 @@ class TestRermConstant:
         eta = data.draw(st.floats(0.05, 0.9))
         pts = labeled([(0, round(y, 3)) for y in ys])
         grid = np.round(np.linspace(0.0, 1.0, 1001), 3)
-        gridded = make_class(grid[:, None])
-        try:
-            ours = rerm_constant(pts, ID1, eta)
-        except Infeasible:
-            ours = None
-        try:
-            theirs = rerm_finite(gridded, pts, ID1, eta)
-        except Infeasible:
-            theirs = None
+        ours = fit_all(rerm_constant, pts, ID1, eta)
+        theirs = fit_all(partial(rerm_finite, make_class(grid[:, None])), pts, ID1, eta)
         if ours is None:
             assert theirs is None
             return

@@ -51,13 +51,15 @@ def smooth_instance(seed, m=40, eta=0.2, n_hyp=25, domain=30, noise=0.0,
 
 
 def recording_rerm():
-    """rerm_constant that records the sample ids of every subset it fits."""
-    calls = []
+    """rerm_constant that records the sample ids of every subset it fits,
+    and one entry in ``batches`` per call."""
+    calls, batches = [], []
 
-    def rerm(subset, U, eta):
-        calls.append(tuple(ex.x for ex in subset))
-        return rerm_constant(subset, U, eta)
-    return rerm, calls
+    def rerm(sample, subsets, U, eta):
+        batches.append(len(subsets))
+        calls.extend(tuple(sample[i].x for i in s) for s in subsets)
+        return rerm_constant(sample, subsets, U, eta)
+    return rerm, calls, batches
 
 
 class TestBuildPool:
@@ -87,12 +89,12 @@ class TestBuildPool:
                  for _ in range(10)]
         runs = []
         for _ in range(2):
-            rerm, calls = recording_rerm()
+            rerm, calls, batches = recording_rerm()
             pool, sources, _ = build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2,
                                           rng=np.random.default_rng(5), threshold=14,
                                           n_samples=10)
             assert calls == list(dict.fromkeys(drawn)) == sources
-            assert len(pool) == len(calls)
+            assert len(pool) == len(calls) and batches == [len(calls)]
             runs.append(calls)
         assert len(runs[0]) < 10 and runs[0] == runs[1]
 
@@ -110,10 +112,10 @@ class TestBuildPool:
 
     def test_enumerate_cap(self):
         # up to the threshold every subset is refit, in lexicographic order
-        rerm, calls = recording_rerm()
+        rerm, calls, batches = recording_rerm()
         build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=15)
-        assert calls == list(itertools.combinations(range(6), 2))
-        rerm, calls = recording_rerm()
+        assert calls == list(itertools.combinations(range(6), 2)) and batches == [15]
+        rerm, calls, batches = recording_rerm()
         build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=14,
                    n_samples=3)
         assert 1 <= len(calls) <= 3
@@ -263,9 +265,9 @@ def staged_radii(monkeypatch, oracle, stages):
     returns the (innermost running stage, radius) of every rerm call."""
     calls, running, rerm = [], ["run"], oracle.rerm
 
-    def recording(subset, U, eta):
+    def recording(sample, subsets, U, eta):
         calls.append((running[-1], eta))
-        return rerm(subset, U, eta)
+        return rerm(sample, subsets, U, eta)
     oracle.rerm = recording
     for module, name in stages:
         def wrapped(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -279,9 +281,9 @@ def staged_radii(monkeypatch, oracle, stages):
 
 
 class TestRefitRadius:
-    # every RERM call comes from the pool or the replay; boosting picks
-    # from the pool and fits nothing
-    REFITTING = {"build_pool", "reconstruct"}
+    # one batched RERM call for the pool and one for the replay; boosting
+    # picks from the pool and fits nothing
+    REFITTING = ["build_pool", "reconstruct"]
     MEDIAN = [(pl, "build_pool"), (pl, "medboost"), (pl, "reconstruct")]
     AVERAGE = [(pl, "build_pool"), (pl, "mw_boost"), (pl, "reconstruct")]
 
@@ -290,7 +292,7 @@ class TestRefitRadius:
         calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
         rep = improper_learn(oracle, sample, U, eta=0.2, seed=4)
         assert rep.rounds >= 1
-        assert {stage for stage, _ in calls} == self.REFITTING
+        assert [stage for stage, _ in calls] == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 8}
 
     def test_average_runs_refit_at_a_quarter(self, monkeypatch):
@@ -298,7 +300,7 @@ class TestRefitRadius:
         calls = staged_radii(monkeypatch, oracle, self.AVERAGE)
         rep = proper_learn(oracle, sample, U, eta=0.2, epsilon=0.1, seed=17)
         assert rep.rounds >= 1
-        assert {stage for stage, _ in calls} == self.REFITTING
+        assert [stage for stage, _ in calls] == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 4}
 
     def test_agnostic_runs_refit_at_an_eighth_and_time_every_stage(self, monkeypatch):
@@ -306,7 +308,7 @@ class TestRefitRadius:
         calls = staged_radii(monkeypatch, oracle, self.MEDIAN)
         rep = agnostic_eta_learn(oracle, sample, U, eta=0.2, seed=6)
         assert rep.rounds >= 1
-        assert {stage for stage, _ in calls} == self.REFITTING
+        assert [stage for stage, _ in calls] == self.REFITTING
         assert {radius for _, radius in calls} == {0.2 / 8}
         assert list(rep.timings) == ["pool", "cover", "boost", "sparsify", "verify"]
 
