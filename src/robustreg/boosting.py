@@ -36,8 +36,8 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     w = np.asarray(weights, dtype=float)
     if v.ndim != 2 or v.shape[0] == 0 or v.shape[0] != w.size:
         raise InvalidParameter("values and weights must be equal-length and nonempty")
-    if (w < 0).any():
-        raise InvalidParameter("weights must be nonnegative")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise InvalidParameter("weights must be finite and nonnegative")
     total = w.sum()
     if total <= 0:
         raise DegenerateWeights("total weight must be positive")
@@ -75,8 +75,8 @@ class WeightedEnsemble:
             raise InvalidParameter("members, alphas, sources must be equal-length and nonempty")
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
-        if any(a < 0 for a in self.alphas):
-            raise InvalidParameter("alphas must be nonnegative")
+        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
+            raise InvalidParameter("alphas must be finite and nonnegative")
         if self.aggregation == "median" and not any(self.alphas):
             raise InvalidParameter("weighted median needs some positive alpha")
 

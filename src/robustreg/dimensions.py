@@ -5,17 +5,18 @@ candidate point set, the continuous witness is eliminated: fixing a
 per-point cutoff v, a hypothesis can realize the +1 side iff its value
 is >= v and the -1 side iff its value is <= v - 2*gamma, so a set is
 shattered iff some choice of cutoffs splits the class into nonempty
-halves along every point simultaneously.  The search walks the points
-depth-first, carrying the hypothesis groups, as row bitmasks, that each
-still have to realize all remaining sign patterns.  A class is its
-(rows x points) value matrix, so its dual class is the transpose.
+halves along every point simultaneously.  For each set size, one
+depth-first search picks points in increasing index order, one cutoff
+each, and carries the hypothesis groups, as row bitmasks, that each
+still have to realize all remaining sign patterns.  All sets with the
+same first points share those groups, so a dead prefix is pruned once,
+not once per set.  A class is its (rows x points) value matrix, so its
+dual class is the transpose.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -26,15 +27,15 @@ def _row_mask(rows: np.ndarray) -> int:
     return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
 
 
-def _subset_shattered(masks: Sequence[list[tuple[int, int]]], n_hyp: int) -> bool:
-    """masks: the cutoff masks of each point of the set, in order."""
-    m = len(masks)
-
-    def rec(depth: int, groups: list[int]) -> bool:
-        if depth == m:
-            return True
-        need = 1 << (m - depth - 1)  # rows per child group
-        for hi, lo in masks[depth]:
+def _shattered(masks: list[list[tuple[int, int]]], left: int, start: int,
+               groups: list[int]) -> bool:
+    """True iff left more points from index start on, each with one of its
+    (hi, lo) cutoff masks, split every row group down to all sign patterns."""
+    if left == 0:
+        return True
+    need = 1 << (left - 1)  # rows per child group
+    for p in range(start, len(masks) - left + 1):  # leave left - 1 points after p
+        for hi, lo in masks[p]:
             children = []
             for g in groups:
                 g_hi, g_lo = g & hi, g & lo
@@ -42,11 +43,9 @@ def _subset_shattered(masks: Sequence[list[tuple[int, int]]], n_hyp: int) -> boo
                     break
                 children += (g_hi, g_lo)
             else:
-                if rec(depth + 1, children):
+                if _shattered(masks, left - 1, p + 1, children):
                     return True
-        return False
-
-    return rec(0, [(1 << n_hyp) - 1])
+    return False
 
 
 def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
@@ -59,6 +58,8 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
     """
     if not gamma > 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
+    if np.ndim(matrix) != 2:
+        raise InvalidParameter(f"class must be a 2-D matrix, got shape {np.shape(matrix)}")
     n_hyp, n_pts = matrix.shape
     if n_hyp == 0:
         return 0
@@ -78,14 +79,8 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
               if (lo := _row_mask(col <= v - 2.0 * gamma + 1e-12))]
              for col in matrix[:, candidates].T]
     fat = 0
-    for m in range(1, limit + 1):
-        found = any(
-            _subset_shattered(subset, n_hyp)
-            for subset in itertools.combinations(masks, m)
-        )
-        if not found:
-            break
-        fat = m
+    while fat < limit and _shattered(masks, fat + 1, 0, [(1 << n_hyp) - 1]):
+        fat += 1
     return fat
 
 
@@ -114,10 +109,12 @@ def greedy_cover(points: np.ndarray, t: float) -> tuple[list[int], list[int]]:
     if not t > 0:
         raise InvalidParameter(f"cover radius must be positive, got {t}")
     pts = np.ascontiguousarray(points, dtype=float)
+    if pts.shape[0] == 0 and pts.ndim <= 2:  # [] is the empty point list too
+        return [], []
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise InvalidParameter(f"cover points must be 2-D with a coordinate, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidParameter("cover points must be finite")
-    if pts.shape[0] == 0:
-        return [], []
     # one bytes key per row, far cheaper to sort than np.unique(axis=0).
     # Equal rows with other bytes (0.0 and -0.0) get two keys; their balls
     # are equal, so the cover does not change

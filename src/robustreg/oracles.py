@@ -87,8 +87,8 @@ class PointDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidParameter("weights must be a nonempty vector")
-        if (w < 0).any():
-            raise InvalidParameter("weights must be nonnegative")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise InvalidParameter("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise InvalidParameter(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)

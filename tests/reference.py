@@ -4,10 +4,11 @@ These deliberately take different algorithmic routes from the library
 implementations: the shattering oracle enumerates flat witness products
 and counts sign-code coverage, the cover oracle enumerates center
 subsets by size, and the subset oracle enumerates bitmasks.
-``array_fat`` is the exception: it keeps the library's former
-fat-shattering search, so the current one can be compared with it
-exactly, and ``scalar_greedy_cover`` keeps the former cover, which
-compares every pair of points.  ``weak_learner_check`` is the library's
+``array_fat`` and ``subset_fat`` are the exception: they keep the
+library's two former fat-shattering searches, which start the search
+over for every point set, so the current prefix-shared search can be
+compared with them exactly; ``scalar_greedy_cover`` keeps the former
+cover, which compares every pair of points.  ``weak_learner_check`` is the library's
 former weak-learner predicate, which ``scalar_pick`` applies to one pool
 member at a time.
 """
@@ -83,7 +84,7 @@ def _subset_shattered_flat(values: np.ndarray, gamma: float) -> bool:
 
 
 def array_fat(matrix, gamma: float) -> int:
-    """The library's former fat-shattering search, on numpy index arrays.
+    """The library's first fat-shattering search, on numpy index arrays.
 
     Same candidate filter, log2 limit and depth-first recursion as
     ``dimensions.fat_shattering``, but each hypothesis group is an index
@@ -138,6 +139,64 @@ def _array_subset_shattered(values: np.ndarray, gamma: float) -> bool:
         return False
 
     return rec(0, [np.arange(values.shape[0])])
+
+
+def subset_fat(matrix, gamma: float) -> int:
+    """The library's former fat-shattering search, one point set at a time.
+
+    Same cutoff masks, candidate filter and log2 limit as
+    ``dimensions.fat_shattering``, but each of the C(n, m) point sets of
+    size m gets a depth-first search of its own over its points' cutoffs,
+    splitting groups of rows kept as Python-int bitmasks.  No caps.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n_hyp, n_pts = matrix.shape
+    if n_hyp == 0:
+        return 0
+    limit = min(n_pts, int(math.floor(math.log2(n_hyp))) if n_hyp > 1 else 0)
+    spread = (matrix.max(axis=0) - matrix.min(axis=0)) >= 2.0 * gamma - 1e-12
+    candidates = np.flatnonzero(spread)
+    limit = min(limit, candidates.size)
+    masks = [[(_row_mask(col >= v), lo) for v in np.unique(col)
+              if (lo := _row_mask(col <= v - 2.0 * gamma + 1e-12))]
+             for col in matrix[:, candidates].T]
+    fat = 0
+    for m in range(1, limit + 1):
+        found = any(
+            _mask_subset_shattered(subset, n_hyp)
+            for subset in itertools.combinations(masks, m)
+        )
+        if not found:
+            break
+        fat = m
+    return fat
+
+
+def _row_mask(rows: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+
+
+def _mask_subset_shattered(masks, n_hyp: int) -> bool:
+    """masks: the (hi, lo) cutoff masks of each point of the set, in order."""
+    m = len(masks)
+
+    def rec(depth: int, groups: list[int]) -> bool:
+        if depth == m:
+            return True
+        need = 1 << (m - depth - 1)  # rows per child group
+        for hi, lo in masks[depth]:
+            children = []
+            for g in groups:
+                g_hi, g_lo = g & hi, g & lo
+                if g_hi.bit_count() < need or g_lo.bit_count() < need:
+                    break
+                children += (g_hi, g_lo)
+            else:
+                if rec(depth + 1, children):
+                    return True
+        return False
+
+    return rec(0, [(1 << n_hyp) - 1])
 
 
 def brute_min_cover_size(points, t: float) -> int:

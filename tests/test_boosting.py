@@ -72,6 +72,10 @@ class TestWeightedMedian:
         (np.zeros((3, 2)), [1.0, 1.0], InvalidParameter),
         (np.zeros((2, 2)), [1.0, -1.0], InvalidParameter),
         (np.zeros((2, 2)), [0.0, 0.0], DegenerateWeights),
+        # a NaN or infinite weight once gave 0.1 on [[0.1], [0.9]]
+        (np.array([[0.1], [0.9]]), [math.nan, 1.0], InvalidParameter),
+        (np.array([[0.1], [0.9]]), [math.inf, 1.0], InvalidParameter),
+        (np.array([[0.1], [0.9]]), [1.0, math.inf], InvalidParameter),
     ])
     def test_columnwise_checks_its_inputs(self, values, weights, error):
         with pytest.raises(error):
@@ -243,6 +247,14 @@ class TestWeightedEnsemble:
         with pytest.raises(InvalidParameter):
             WeightedEnsemble(members=(h,), alphas=(0.0,), sources=((0,),),
                              aggregation="median")
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("aggregation", ["median", "average"])
+    def test_alphas_must_be_finite_and_nonnegative(self, alpha, aggregation):
+        h = constant_hypothesis(0.5, 1)
+        with pytest.raises(InvalidParameter, match="alphas"):
+            WeightedEnsemble(members=(h, h), alphas=(1.0, alpha), sources=((0,), (1,)),
+                             aggregation=aggregation)
 
     def test_average_evaluation(self):
         ens = WeightedEnsemble(

@@ -6,10 +6,52 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustreg import dual_fat_upper_bound, fat_shattering, greedy_cover
-from robustreg.errors import CapExceeded, InvalidParameter
+from robustreg.errors import CapExceeded, InvalidParameter, UnrealizableSpec
+from robustreg.harness import ExperimentConfig, InstanceSpec, PerturbationSpec, gen_instance
+from robustreg.pipelines import AVERAGE_FAT, MEDIAN_FAT
 
 from conftest import make_class
-from reference import array_fat, brute_fat, brute_min_cover_size, scalar_greedy_cover
+from reference import (
+    array_fat,
+    brute_fat,
+    brute_min_cover_size,
+    scalar_greedy_cover,
+    subset_fat,
+)
+
+
+@st.composite
+def tie_heavy_classes(draw):
+    """(matrix, gamma): up to 48 rows over up to 16 points (the point cap)
+    on a grid of 2-5 value levels, rows and columns repeated in shuffled
+    order.  2*gamma is one or two level gaps half the time, so that gaps
+    land exactly on the margin, and 1.5 gaps or 0.2 otherwise."""
+    n_levels = draw(st.integers(2, 5))
+    levels = np.linspace(0.0, 1.0, n_levels)
+    n_rows, n_pts = draw(st.integers(1, 48)), draw(st.integers(1, 16))
+    d_rows, d_pts = draw(st.integers(1, n_rows)), draw(st.integers(1, n_pts))
+    distinct = levels[np.array(draw(st.lists(
+        st.lists(st.integers(0, n_levels - 1), min_size=d_pts, max_size=d_pts),
+        min_size=d_rows, max_size=d_rows)))]
+    rows = draw(st.lists(st.integers(0, d_rows - 1), min_size=n_rows, max_size=n_rows))
+    cols = draw(st.lists(st.integers(0, d_pts - 1), min_size=n_pts, max_size=n_pts))
+    gap = 1.0 / (n_levels - 1)
+    gamma = draw(st.sampled_from([gap / 2, gap, 0.75 * gap, 0.1]))
+    return distinct[np.ix_(rows, cols)], gamma
+
+
+def small_exact_classes(seeds):
+    """The smooth 16 x 16 classes the small_exact benchmark draws, at other seeds."""
+    config = ExperimentConfig(
+        instance=InstanceSpec(kind="smooth", n_hypotheses=16, domain_size=16,
+                              smooth_step=0.05),
+        perturbation=PerturbationSpec(kind="grid_ball", radius=1), eta=0.2,
+        m_grid=(40,), holdout_size=0)
+    for seed in seeds:
+        try:
+            yield gen_instance(config, seed)[0].matrix
+        except UnrealizableSpec:
+            continue
 
 
 class TestFatShattering:
@@ -57,6 +99,30 @@ class TestFatShattering:
         assert fat_shattering(matrix, 0.5) == array_fat(matrix, 0.5) == 6
         grid = np.linspace(0, 1, 6)[np.random.default_rng(5).integers(0, 6, (256, 8))]
         assert fat_shattering(grid, 0.1) == array_fat(grid, 0.1)
+
+    @given(tie_heavy_classes())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_set_search_on_ties_up_to_the_caps(self, case):
+        matrix, gamma = case
+        fat = fat_shattering(matrix, gamma)
+        assert fat == subset_fat(matrix, gamma)
+        if matrix.shape[1] <= 5:
+            assert fat == brute_fat(matrix, gamma)
+
+    def test_matches_the_per_set_search_on_smooth_classes(self):
+        # the pipelines ask for fat at eta/64 or eta/32 and dual fat at eta
+        seen = 0
+        for matrix in small_exact_classes(range(1000, 1012)):
+            for m in (matrix, matrix.T):
+                for gamma in (0.2 * MEDIAN_FAT, 0.2 * AVERAGE_FAT, 0.2):
+                    assert fat_shattering(m, gamma) == subset_fat(m, gamma)
+            seen += 1
+        assert seen >= 8
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 2, 2)])
+    def test_class_must_be_two_dimensional(self, shape):
+        with pytest.raises(InvalidParameter, match="2-D"):
+            fat_shattering(np.full(shape, 0.5), 0.1)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidParameter):
@@ -193,6 +259,11 @@ class TestGreedyCover:
     def test_radius_must_be_positive(self, t):
         with pytest.raises(InvalidParameter):
             greedy_cover([[0.0], [1.0]], t)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (0, 2, 2), (3, 0)])
+    def test_points_must_be_two_dimensional(self, shape):
+        with pytest.raises(InvalidParameter, match="2-D"):
+            greedy_cover(np.full(shape, 0.5), 0.1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_points_must_be_finite(self, bad):

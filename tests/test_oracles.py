@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -133,6 +134,13 @@ class TestPointDistribution:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameter):
             PointDistribution(np.array([1.5, -0.5]))
+
+    # [nan, 1.0] once passed, since abs(nan - 1) > 1e-9 is False
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan],
+                                         [math.inf, 0.0], [math.inf, -math.inf]])
+    def test_rejects_non_finite(self, weights):
+        with pytest.raises(InvalidParameter, match="finite"):
+            PointDistribution(np.array(weights))
 
     @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=10))
     def test_reweight_renormalizes(self, mults):
