@@ -5,12 +5,13 @@ cover certifies: the member with the least mass of violated cover points
 under the current round distribution, ties to the lowest pool index.  It
 is kept only if it passes the weak-learner mass check.  The same pick
 serves the strong-learner rounds of ``mw``.  Aggregation is the lower
-weighted median.
+weighted median, over the distinct members when the weights are all 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,14 +48,23 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.take_along_axis(np.take_along_axis(v, order, 0), idx[None, :], 0)[0]
 
 
-def aggregate(matrix: np.ndarray, alphas: Sequence[float], median: bool) -> np.ndarray:
-    """Per column of a (members x n) matrix, the lower weighted median or
-    the average.  The average reduces rows of the contiguous (n x members)
-    copy, adding as ``np.mean`` over one point's values does; ``mean(axis=0)``
-    adds in another order and can differ in the last bit."""
-    if median:
-        return weighted_median_columns(matrix, alphas)
-    return np.ascontiguousarray(matrix.T).mean(axis=1)
+def aggregate(members: Sequence[Hypothesis], alphas: Sequence[float],
+              median: bool) -> np.ndarray:
+    """Per point, the lower weighted median or the average of the members.
+
+    A median with all alphas 1 stacks each distinct member object once,
+    weighed by its count: whole weights sum exactly in any order, and the
+    lower median does not depend on the order among equal values, so this
+    is the full stack's median (up to the sign of a zero).  Float alphas
+    keep a row each, as merging would re-associate their sums.  The average
+    reduces rows of the (n x members) stack, as ``np.mean`` over a point does."""
+    if not median:
+        return np.stack([h.values for h in members], axis=1).mean(axis=1)
+    if all(a == 1.0 for a in alphas):
+        counts = Counter(map(id, members))
+        members = list({id(h): h for h in members}.values())
+        alphas = [counts[id(h)] for h in members]
+    return weighted_median_columns(np.stack([h.values for h in members]), alphas)
 
 
 @dataclass(frozen=True)
@@ -84,14 +94,9 @@ class WeightedEnsemble:
         return len(self.members)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Member values, (members x n)."""
-        return np.stack([h.values for h in self.members])
-
-    @cached_property
     def values(self) -> np.ndarray:
         """The aggregated value vector, computed once."""
-        return aggregate(self.matrix, self.alphas, self.aggregation == "median")
+        return aggregate(self.members, self.alphas, self.aggregation == "median")
 
 
 def medboost_alpha(P: PointDistribution, w: Sequence[int]) -> float:

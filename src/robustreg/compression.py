@@ -2,10 +2,10 @@
 
 An ensemble compresses to one group of original-sample indices per
 member: the pool subset it was fit on, all of one size, so group
-boundaries decode without delimiters.  Reconstruction refits every
-group with the deterministic RERM oracle and recombines under the
-stored aggregation tag, which replays the original ensemble
-bit-identically.  Median schemes refit at eta/8; average schemes at
+boundaries decode without delimiters.  Reconstruction refits each
+distinct group once with the deterministic RERM oracle and recombines
+the distinct refits under the stored aggregation tag, which replays the
+original ensemble bit-identically.  Median schemes refit at eta/8; average schemes at
 eta/4 (``boosting.MEDIAN_REFIT`` and ``AVERAGE_REFIT``, the radii the
 runs fit at).  Coefficients are stored as side information unless all
 are 1 (averages and sparsified medians), which reconstruct the same
@@ -36,6 +36,8 @@ class CompressionScheme:
     alphas: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # groups read back from JSON are lists; reconstruct hashes them
+        object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
         if not self.groups or any(len(g) == 0 for g in self.groups):
@@ -66,7 +68,7 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
     source, with the coefficients as side information unless all are 1."""
     if any(len(src) == 0 for src in ensemble.sources):
         raise NotCompressible("an ensemble member carries no source indices")
-    indices = np.concatenate(ensemble.sources)
+    indices = np.concatenate(list(dict.fromkeys(map(tuple, ensemble.sources))))
     outside = indices[(indices < 0) | (indices >= len(sample))]
     if outside.size:
         raise NotCompressible(f"source index {outside[0]} outside the sample")
@@ -83,23 +85,23 @@ def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
     """Refit every group at the scheme's refit radius and recombine under
     the stored aggregation.
 
-    The distinct groups (as sorted index sets) are refit in one batched
-    ``rerm(sample, groups, U, radius)`` call; the oracle is deterministic,
-    so a repeated group is fit once.  A group the oracle cannot fit raises
-    :class:`ReconstructionFailed`.
+    The distinct groups, each read once as its sorted index set, are refit
+    in one batched ``rerm(sample, sets, U, radius)`` call (the oracle is
+    deterministic); a repeated group is one member, weighed by its count.
+    A group the oracle cannot fit raises :class:`ReconstructionFailed`.
     """
     median = scheme.aggregation == "median"
     scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
-    points = [tuple(sorted(set(group))) for group in scheme.groups]
-    distinct = list(dict.fromkeys(points))
+    points = {g: tuple(sorted(set(g))) for g in dict.fromkeys(scheme.groups)}
+    distinct = list(dict.fromkeys(points.values()))
     refits = dict(zip(distinct, rerm(sample, distinct, U, scale)))
-    members = [refits[p] for p in points]
+    members = [refits[points[g]] for g in scheme.groups]
     for g, h in enumerate(members):
         if h is None:
             raise ReconstructionFailed(
                 f"group {g} {scheme.groups[g]} is infeasible at {scale:.6g}")
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
-    values = aggregate(np.stack([h.values for h in members]), alphas, median)
+    values = aggregate(members, alphas, median)
     descriptor = ("reconstruction", scheme.aggregation,
                   tuple(h.descriptor for h in members), tuple(alphas))
     return Hypothesis(values, descriptor)

@@ -50,7 +50,7 @@ class NotCompressible(RobustRegError):
 
 
 class ReconstructionFailed(RobustRegError):
-    """A stored group could not be refit; the scheme is corrupted."""
+    """A stored group cannot be refit, or the refit differs from the run."""
 
 
 class SparsifyFailed(RobustRegError):

@@ -5,7 +5,8 @@ one tail (compress, reconstruct, require the replay to equal the run).
 Every guarantee a pipeline reports is recomputed from the reconstructed
 hypothesis rather than trusted from the run, and each link of the
 guarantee chain (cover set, inflated set, original sample) is evaluated
-directly; a broken link raises :class:`ChainAssertionFailed`.
+directly; a broken link raises :class:`ChainAssertionFailed`, and a replay
+that differs from the run raises :class:`ReconstructionFailed`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     ChainAssertionFailed,
     EmptyPool,
     InvalidParameter,
+    ReconstructionFailed,
     RobustRegError,
     SparsifyFailed,
 )
@@ -205,7 +207,7 @@ def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float):
     scheme = compress(ensemble, sample, eta)
     h = reconstruct(scheme, sample, rerm, U)
     if not np.array_equal(ensemble.values, h.values):
-        raise ChainAssertionFailed("reconstruction differs from the run")
+        raise ReconstructionFailed("reconstruction differs from the run")
     return scheme, h
 
 
@@ -418,7 +420,8 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
 
     A grid point whose run fails is excluded from selection rather than
     aborting the sweep; the selected radius minimizes the holdout tube
-    error at its own radius.
+    error at its own radius.  A failed replay refit what the pool fit at
+    the same radius, a fault, so :class:`ReconstructionFailed` propagates.
     """
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise InvalidParameter("epsilon and delta must be in (0, 1)")
@@ -442,6 +445,8 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
             err = empirical_error(rep.hypothesis, holdout, U, EtaBall(theta))
             trail.append((theta, "ok", err))
             candidates.append((err, theta, rep))
+        except ReconstructionFailed:
+            raise
         except RobustRegError as exc:
             trail.append((theta, type(exc).__name__, None))
     if not candidates:

@@ -31,15 +31,17 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[LabeledExample],
     """
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
+    if max_iters < 1:
+        raise InvalidParameter(f"max_iters must be >= 1, got {max_iters}")
     total = sum(ensemble.alphas)
     if total <= 0:
         raise InvalidParameter("ensemble alphas are not normalizable")
     probs = np.asarray(ensemble.alphas, dtype=float) / total
     zs, ys = examples_arrays(cover)
-    values = ensemble.matrix[:, zs]  # (T, n_cover)
+    values = np.stack([h.values[zs] for h in ensemble.members])  # (T, n_cover)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, max_iters)):
+    for _ in range(max_iters):
         drawn = rng.choice(len(probs), size=k, p=probs)
         picked = values[drawn]
         violators = (np.abs(picked - ys) > eta).sum(axis=0)

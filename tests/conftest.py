@@ -9,6 +9,7 @@ from robustreg import (
     LabeledExample,
     PerturbationMap,
     PointDistribution,
+    reconstruct,
 )
 from robustreg.core import examples_arrays
 
@@ -22,6 +23,12 @@ def make_class(rows) -> FiniteClass:
 
 def labeled(pairs):
     return [LabeledExample(x, y) for x, y in pairs]
+
+
+def shifted_reconstruct(*args):
+    """``reconstruct`` with every value moved, a replay that cannot match."""
+    h = reconstruct(*args)
+    return Hypothesis(h.values + 1.0, h.descriptor)
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ over for every point set, so the current prefix-shared search can be
 compared with them exactly; ``scalar_greedy_cover`` keeps the former
 cover, which compares every pair of points.  ``weak_learner_check`` is the library's
 former weak-learner predicate, which ``scalar_pick`` applies to one pool
-member at a time.
+member at a time.  ``stacked_aggregate`` is the former ensemble
+aggregation, which stacks a row for every member, repeated or not.
 """
 
 from __future__ import annotations
@@ -280,6 +281,16 @@ def scalar_weighted_median(values, weights) -> float:
     order = np.argsort(v, kind="stable")
     cum = np.cumsum(w[order]) / w.sum()
     return float(v[order][int(np.argmax(cum >= 0.5))])
+
+
+def stacked_aggregate(members, alphas, median: bool) -> np.ndarray:
+    """Every member's row stacked, one per member however often it
+    repeats, then one column at a time: the lower weighted median by a
+    stable sort of the column, or the mean of its values."""
+    matrix = np.stack([np.asarray(h.values, dtype=float) for h in members])
+    if median:
+        return np.array([scalar_weighted_median(col, alphas) for col in matrix.T])
+    return np.array([np.mean(col.tolist()) for col in matrix.T])
 
 
 def scalar_robust_deviation(values, ex, U) -> float:

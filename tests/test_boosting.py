@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from robustreg import (
+    Hypothesis,
     PerturbationMap,
     PointDistribution,
     WeightedEnsemble,
@@ -20,8 +21,13 @@ from robustreg.boosting import aggregate, weighted_median_columns
 from robustreg.errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import rerm_finite
 
-from conftest import labeled, make_class, pool_cases, pool_setup, violations
-from reference import scalar_pick, scalar_weighted_median, weak_learner_check
+from conftest import LEVELS, labeled, make_class, pool_cases, pool_setup, violations
+from reference import (
+    scalar_pick,
+    scalar_weighted_median,
+    stacked_aggregate,
+    weak_learner_check,
+)
 
 
 def weighted_median(values, weights):
@@ -84,9 +90,48 @@ class TestWeightedMedian:
     @given(st.integers(8, 200), st.integers(0, 10 ** 6))
     def test_average_aggregation_equals_the_per_point_mean(self, members, seed):
         values = np.random.default_rng(seed).uniform(size=(members, 7))
-        avg = aggregate(values, (1.0,) * members, median=False)
+        hs = [Hypothesis(row, ("row", i)) for i, row in enumerate(values)]
+        avg = aggregate(hs, (1.0,) * members, median=False)
         for j in range(7):
             assert avg[j] == np.mean(values[:, j].tolist())
+
+
+@st.composite
+def repeated_ensembles(draw):
+    """(members, alphas): a few distinct member objects on a few value
+    levels, so that distinct members tie at some points, each repeated any
+    number of times.  All share one descriptor, so only identity tells
+    them apart.  Alphas are all 1, whole numbers, or floats, with zeros."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    distinct = [Hypothesis(np.asarray(r, dtype=float), ("table",)) for r in rows]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    members = [distinct[i] for i in picks]
+    alpha = draw(st.sampled_from([
+        st.just(1.0), st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        st.one_of(st.just(0.0), st.floats(0.01, 2.0))]))
+    alphas = [draw(alpha) for _ in members]
+    if not any(alphas):
+        alphas[0] = 1.0
+    return members, alphas
+
+
+class TestAggregate:
+    @given(repeated_ensembles(), st.booleans())
+    def test_equals_the_full_stack(self, ensemble, median):
+        members, alphas = ensemble
+        got = aggregate(members, alphas, median)
+        assert got.tobytes() == stacked_aggregate(members, alphas, median).tobytes()
+
+    def test_merges_by_identity_not_by_descriptor(self):
+        # three copies of one object outweigh a lone member that shares
+        # its descriptor but not its values
+        low = Hypothesis(np.array([0.1, 0.9]), ("table",))
+        high = Hypothesis(np.array([0.8, 0.2]), ("table",))
+        got = aggregate([high, low, low, low], [1.0] * 4, median=True)
+        assert got.tolist() == [0.1, 0.9]
+        assert aggregate([high, low], [1.0] * 2, median=True).tolist() == [0.1, 0.2]
 
 
 class TestMedboostAlpha:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from robustreg import (
     CompressionScheme,
     EtaBall,
+    FiniteClass,
+    FiniteClassOracle,
     PerturbationMap,
     WeightedEnsemble,
     compress,
@@ -16,10 +19,12 @@ from robustreg import (
     generalization_bound,
     reconstruct,
 )
+from robustreg.boosting import AVERAGE_REFIT, MEDIAN_REFIT
 from robustreg.errors import InvalidParameter, NotCompressible, ReconstructionFailed
 from robustreg.oracles import rerm_constant
 
-from conftest import labeled
+from conftest import LEVELS, labeled
+from reference import stacked_aggregate
 
 
 def median_ensemble(members, sources, alphas=None):
@@ -57,6 +62,21 @@ class TestCompress:
         with pytest.raises(NotCompressible):
             compress(ens, labeled([(0, 0.5)]), 0.2)
 
+    @given(st.lists(st.lists(st.integers(-3, 8), min_size=2, max_size=2),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(0, 3), min_size=1, max_size=20))
+    def test_names_the_first_outside_index_of_all_sources(self, distinct, picks):
+        sources = [distinct[i % len(distinct)] for i in picks]  # lists, some repeated
+        ens = median_ensemble([constant_hypothesis(0.5, 3)] * len(sources), sources)
+        sample = labeled([(i % 3, 0.5) for i in range(5)])
+        every = np.concatenate(sources)
+        outside = every[(every < 0) | (every >= len(sample))]
+        if not outside.size:
+            assert compress(ens, sample, 0.2).groups == tuple(map(tuple, sources))
+            return
+        with pytest.raises(NotCompressible, match=f"^source index {outside[0]} outside"):
+            compress(ens, sample, 0.2)
+
     def test_average_schemes_store_no_alphas(self):
         ens = WeightedEnsemble(members=(constant_hypothesis(0.5, 3),),
                                alphas=(1.0,), sources=((0,),),
@@ -83,6 +103,42 @@ class TestReconstruct:
         h = reconstruct(scheme, sample, rerm_constant, self.U3)
         for z in range(3):
             assert h(z) == ens.values[z]
+        # a scheme read back from its JSON (lists, not tuples) replays the same
+        read = CompressionScheme(**json.loads(scheme.to_json()))
+        assert reconstruct(read, sample, rerm_constant, self.U3).values.tolist() == \
+            h.values.tolist()
+
+    @given(st.data())
+    def test_repeated_and_padded_groups_equal_a_refit_per_group(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+        n = 6
+        cls = FiniteClass(rng.choice(LEVELS, size=(4, n)))
+        U = PerturbationMap.identity(n)
+        # every label is some row's value, so small groups often fit
+        sample = labeled([(x, float(cls.matrix[rng.integers(4), x])) for x in range(n)]
+                         + [(x, float(cls.matrix[0, x])) for x in range(n)])
+        size = data.draw(st.integers(1, 3))
+        sets = data.draw(st.lists(
+            st.lists(st.integers(0, len(sample) - 1), min_size=1, max_size=size, unique=True),
+            min_size=1, max_size=4))
+        # a set smaller than the group size is padded with its last index
+        distinct = [tuple(s) + (s[-1],) * (size - len(s)) for s in sets]
+        groups = tuple(data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=25)))
+        alphas = data.draw(st.one_of(st.none(), st.lists(
+            st.floats(0.1, 2.0), min_size=len(groups), max_size=len(groups))))
+        median = data.draw(st.booleans())
+        scheme = CompressionScheme(eta=0.2, aggregation="median" if median else "average",
+                                   groups=groups, alphas=alphas and tuple(alphas))
+        rerm = FiniteClassOracle(cls).rerm
+        scale = 0.2 * (MEDIAN_REFIT if median else AVERAGE_REFIT)
+        refits = [rerm(sample, [sorted(set(g))], U, scale)[0] for g in groups]
+        if any(h is None for h in refits):
+            with pytest.raises(ReconstructionFailed):
+                reconstruct(scheme, sample, rerm, U)
+            return
+        h = reconstruct(scheme, sample, rerm, U)
+        expected = stacked_aggregate(refits, alphas or [1.0] * len(groups), median)
+        assert h.values.tobytes() == expected.tobytes()
 
     def test_tampered_group_fails_loudly(self):
         sample = labeled([(0, 0.0), (1, 1.0)])

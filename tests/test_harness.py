@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustreg.pipelines as pipelines
 from robustreg import load_domain, rerm_finite
 from robustreg.cli import _parser, main
 from robustreg.errors import InvalidParameter, UnrealizableSpec
@@ -27,6 +28,8 @@ from robustreg.harness import (
     run_experiment,
     write_csv,
 )
+
+from conftest import shifted_reconstruct
 
 
 def config_for(**overrides):
@@ -274,6 +277,13 @@ class TestCli:
         doc = json.loads(out)
         assert doc["pipeline"] == "agnostic-regress"
         assert doc["selected_theta"] is not None
+
+    def test_broken_replay_is_a_runtime_failure(self, domain_file, monkeypatch, capsys):
+        monkeypatch.setattr(pipelines, "reconstruct", shifted_reconstruct)
+        code, out = run_cli(["agnostic-regress", "--config", domain_file,
+                             "--epsilon", "0.5", "--delta", "0.5", "--seed", "2"])
+        assert code == 2 and out == ""
+        assert "ReconstructionFailed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc, key", [
         ("experiment", {"pipeline_config": {"pool_mode": "auto"}}, "pool_mode"),

@@ -22,7 +22,7 @@ from robustreg import (
     theta_grid,
 )
 import robustreg.pipelines as pl
-from robustreg.errors import EmptyPool, InvalidParameter
+from robustreg.errors import EmptyPool, InvalidParameter, ReconstructionFailed
 from robustreg.harness import (
     ExperimentConfig,
     InstanceSpec,
@@ -32,7 +32,7 @@ from robustreg.harness import (
 )
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, rerm_constant
 
-from conftest import labeled, make_class
+from conftest import labeled, make_class, shifted_reconstruct
 from reference import brute_max_fit_subsets
 
 
@@ -378,6 +378,15 @@ class TestAgnosticRegression:
         assert rep.p == 2.0
         assert rep.emp_lp_robust_err == empirical_error(rep.hypothesis, sample, U, Lp(2.0))
         assert rep.holdout_lp_err == empirical_error(rep.hypothesis, holdout, U, Lp(2.0))
+
+    def test_a_broken_replay_stops_the_sweep(self, monkeypatch):
+        # every radius refits groups the pool fit at that radius, so a
+        # replay that differs from its run is a fault, not a failed radius
+        monkeypatch.setattr(pl, "reconstruct", shifted_reconstruct)
+        oracle, U, sample, holdout = smooth_instance(83, m=32, eta=0.2)
+        with pytest.raises(ReconstructionFailed, match="differs from the run"):
+            agnostic_regression(oracle, sample, holdout, U, epsilon=0.3,
+                                delta=0.2, p=1.0, seed=7)
 
     def test_holdout_size_precondition(self):
         oracle, U, sample, holdout = smooth_instance(89, m=10)

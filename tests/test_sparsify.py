@@ -81,6 +81,12 @@ class TestSparsify:
         with pytest.raises(InvalidParameter):
             sparsify(ens, cover_points([0.5]), eta=0.1, k=0)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_must_be_positive(self, max_iters):
+        ens = ensemble_of([0.5], [1.0])
+        with pytest.raises(InvalidParameter, match="max_iters"):
+            sparsify(ens, cover_points([0.5]), eta=0.1, k=1, max_iters=max_iters)
+
 
 class TestDefaultK:
     def test_smallest_case(self):
