@@ -14,6 +14,8 @@ from .core import (
     LabeledExample,
     Lp,
     PerturbationMap,
+    Sample,
+    as_sample,
     constant_hypothesis,
     empirical_error,
     inflate,

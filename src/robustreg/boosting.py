@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, LabeledExample, examples_arrays
+from .core import Hypothesis, SampleLike, as_sample
 from .errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 from .oracles import PointDistribution
 
@@ -138,7 +138,7 @@ def find_weak_learner(P: PointDistribution, violated: np.ndarray) -> int:
 
 
 def medboost(
-    cover: Sequence[LabeledExample],
+    cover: SampleLike,
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
@@ -157,13 +157,13 @@ def medboost(
     """
     if T < 1:
         raise InvalidParameter(f"T must be >= 1, got {T}")
+    cover = as_sample(cover)
     if not cover:
         raise InvalidParameter("cover must be nonempty")
     if not pool or len(pool) != len(sources):
         raise InvalidParameter("pool and sources must be equal-length and nonempty")
-    zs, ys = examples_arrays(cover)
-    values = np.stack([h.values[zs] for h in pool])
-    violated = np.abs(values - ys) > eta / 4
+    values = np.stack([h.values[cover.xs] for h in pool])
+    violated = np.abs(values - cover.ys) > eta / 4
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []
     alphas: list[float] = []
@@ -178,7 +178,7 @@ def medboost(
         alphas.append(alpha)
         P = P.reweight(np.exp(-alpha * w))
         med = weighted_median_columns(values[picks], np.array(alphas))
-        if (np.abs(med - ys) <= eta / 4).all():
+        if (np.abs(med - cover.ys) <= eta / 4).all():
             break
     return WeightedEnsemble(
         members=tuple(pool[i] for i in picks), alphas=tuple(alphas),

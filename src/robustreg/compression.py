@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
-from .core import Hypothesis, LabeledExample, PerturbationMap
+from .core import Hypothesis, PerturbationMap, SampleLike, as_sample
 from .errors import InvalidParameter, NotCompressible, ReconstructionFailed
 
 
@@ -62,7 +61,7 @@ class CompressionScheme:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
+def compress(ensemble: WeightedEnsemble, sample: SampleLike,
              eta: float) -> CompressionScheme:
     """Encode an ensemble as one group of sample indices per member, its
     source, with the coefficients as side information unless all are 1."""
@@ -80,21 +79,22 @@ def compress(ensemble: WeightedEnsemble, sample: Sequence[LabeledExample],
     )
 
 
-def reconstruct(scheme: CompressionScheme, sample: Sequence[LabeledExample],
+def reconstruct(scheme: CompressionScheme, sample: SampleLike,
                 rerm, U: PerturbationMap) -> Hypothesis:
     """Refit every group at the scheme's refit radius and recombine under
     the stored aggregation.
 
     The distinct groups, each read once as its sorted index set, are refit
     in one batched ``rerm(sample, sets, U, radius)`` call (the oracle is
-    deterministic); a repeated group is one member, weighed by its count.
-    A group the oracle cannot fit raises :class:`ReconstructionFailed`.
+    deterministic); groups it refits with one hypothesis object, as RERM
+    does groups that fit the same row, are one member, weighed by their
+    count.  A group the oracle cannot fit raises :class:`ReconstructionFailed`.
     """
     median = scheme.aggregation == "median"
     scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
     points = {g: tuple(sorted(set(g))) for g in dict.fromkeys(scheme.groups)}
     distinct = list(dict.fromkeys(points.values()))
-    refits = dict(zip(distinct, rerm(sample, distinct, U, scale)))
+    refits = dict(zip(distinct, rerm(as_sample(sample), distinct, U, scale)))
     members = [refits[points[g]] for g in scheme.groups]
     for g, h in enumerate(members):
         if h is None:

@@ -1,6 +1,8 @@
 """Instances, labeled samples, perturbation maps, robust losses, inflation.
 
 Instances are integer ids into a finite domain ``{0, ..., n-1}``.  A
+sample is a :class:`Sample`, an id array and a label array, which every
+function that reads one builds once from a list of examples.  A
 perturbation map sends each instance to the finite set of corruptions an
 adversary may apply at test time; the instance itself is always a member
 of its own set.  The robust losses take the worst case over that set,
@@ -10,8 +12,10 @@ which for finite sets is an exact maximum.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -29,6 +33,43 @@ class LabeledExample:
     def __post_init__(self):
         if not 0.0 <= self.y <= 1.0:
             raise InvalidParameter(f"label must be in [0, 1], got {self.y}")
+
+
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """A labeled sample as two arrays: ``xs[i]`` is an instance id and
+    ``ys[i]`` its label in [0, 1]."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "xs", xs := np.asarray(self.xs, dtype=np.intp))
+        object.__setattr__(self, "ys", ys := np.asarray(self.ys, dtype=float))
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise InvalidParameter(f"ids {xs.shape} and labels {ys.shape} must be 1-D, one length")
+        bad = ~((ys >= 0.0) & (ys <= 1.0))  # NaN is out of range too
+        if bad.any():
+            raise InvalidParameter(f"label must be in [0, 1], got {float(ys[bad][0])}")
+
+    def __len__(self) -> int:
+        return self.xs.size
+
+    def take(self, idx) -> "Sample":
+        """The examples at the positions ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Sample(self.xs[idx], self.ys[idx])
+
+
+SampleLike = Sample | Sequence[LabeledExample]
+
+
+def as_sample(examples: SampleLike) -> Sample:
+    """``examples`` as a :class:`Sample`; a Sample is returned as it is."""
+    if isinstance(examples, Sample):
+        return examples
+    return Sample(np.array([ex.x for ex in examples], dtype=np.intp),
+                  np.array([ex.y for ex in examples], dtype=float))
 
 
 class PerturbationMap:
@@ -172,37 +213,31 @@ class Lp:
 LossMode = EtaBall | Lp
 
 
-def inflate(sample: Sequence[LabeledExample], U: PerturbationMap) -> list[LabeledExample]:
+def inflate(sample: SampleLike, U: PerturbationMap) -> Sample:
     """Expand a sample to all reachable perturbed points.
 
     Each distinct perturbed point appears once, labeled by its
     lowest-index origin.  Points follow their origin's place in the sample,
-    ids ascending within one origin, so downstream covers and boosting runs
-    replay identically.
+    ids ascending within one origin (the first occurrences in the flattened
+    sorted rows of ``U.index``), so downstream covers and boosting replay.
     """
-    labels: dict[int, float] = {}  # insertion order is the output order
-    for ex in sample:
-        for z in sorted(U.of(ex.x)):
-            labels.setdefault(z, ex.y)
-    return [LabeledExample(x=z, y=y) for z, y in labels.items()]
+    sample = as_sample(sample)
+    rows = np.sort(U.index(sample.xs), axis=1)
+    _, first = np.unique(rows.ravel(), return_index=True)  # stable: first occurrences
+    first.sort()
+    return Sample(rows.ravel()[first], sample.ys[first // rows.shape[1]])
 
 
-def examples_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, labels) of labeled examples, as arrays."""
-    return (np.array([ex.x for ex in examples], dtype=np.intp),
-            np.array([ex.y for ex in examples], dtype=float))
-
-
-def robust_deviations(values: np.ndarray, sample: Sequence[LabeledExample],
+def robust_deviations(values: np.ndarray, sample: SampleLike,
                       U: PerturbationMap) -> np.ndarray:
     """Exact worst ``|values[r, z] - y|`` over z in U(x), for every row r
     of a (rows x n) value matrix and every example (x, y): (rows, m)."""
-    xs, ys = examples_arrays(sample)
+    sample = as_sample(sample)
     values = np.atleast_2d(values)
-    return np.abs(values[:, U.index(xs)] - ys[:, None]).max(axis=2)
+    return np.abs(values[:, U.index(sample.xs)] - sample.ys[:, None]).max(axis=2)
 
 
-def empirical_error(h: Hypothesis, sample: Sequence[LabeledExample],
+def empirical_error(h: Hypothesis, sample: SampleLike,
                     U: PerturbationMap, mode: LossMode) -> float:
     if len(sample) == 0:
         raise EmptySample("empirical error over an empty sample")
@@ -211,9 +246,9 @@ def empirical_error(h: Hypothesis, sample: Sequence[LabeledExample],
         losses = (1.0 if dev >= mode.eta else 0.0 for dev in devs)
     else:
         losses = (dev ** mode.p for dev in devs)
-    # the builtin sum adds in sample order; numpy's pairwise sum would
-    # change the last bit of Lp errors over eight or more points
-    return sum(losses) / len(sample)
+    # left to right in sample order: numpy's pairwise sum moves the last bit
+    # of Lp errors, and the builtin sum is compensated from Python 3.12 on
+    return reduce(operator.add, losses, 0.0) / len(sample)
 
 
 @dataclass(frozen=True)

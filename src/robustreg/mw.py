@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import WeightedEnsemble, least_violated
-from .core import Hypothesis, LabeledExample, examples_arrays
+from .core import Hypothesis, SampleLike, as_sample
 from .errors import InvalidParameter, StrongLearnerNotFound
 from .oracles import PointDistribution
 
@@ -47,7 +47,7 @@ def find_strong_learner(P: PointDistribution, violated: np.ndarray,
 
 
 def mw_boost(
-    cover: Sequence[LabeledExample],
+    cover: SampleLike,
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
@@ -68,11 +68,12 @@ def mw_boost(
     """
     if T < 1:
         raise InvalidParameter(f"T must be >= 1, got {T}")
+    cover = as_sample(cover)
     if not cover:
         raise InvalidParameter("cover must be nonempty")
     if not pool or len(pool) != len(sources):
         raise InvalidParameter("pool and sources must be equal-length and nonempty")
-    zs, ys = examples_arrays(cover)
+    zs, ys = cover.xs, cover.ys
     dev = np.abs(np.stack([h.values[zs] for h in pool]) - ys)
     violated, correct = dev >= eta / 2, dev <= eta / 2
     P = PointDistribution.uniform(len(cover))

@@ -21,8 +21,9 @@ import numpy as np
 from . import dimensions
 from .core import (
     Hypothesis,
-    LabeledExample,
     PerturbationMap,
+    SampleLike,
+    as_sample,
     constant_hypothesis,
     robust_deviations,
 )
@@ -116,7 +117,7 @@ class PointDistribution:
         return np.where(mask, self.weights, 0.0).sum(axis=-1)
 
 
-def rerm_finite(cls: FiniteClass, sample: Sequence[LabeledExample],
+def rerm_finite(cls: FiniteClass, sample: SampleLike,
                 subsets: Sequence[Sequence[int]], U: PerturbationMap,
                 eta: float) -> list[Hypothesis | None]:
     """For each subset of sample indices, the lowest-index row whose worst
@@ -125,7 +126,8 @@ def rerm_finite(cls: FiniteClass, sample: Sequence[LabeledExample],
     The deviations are taken once, over the points some subset uses; a
     row fits a subset iff it exceeds eta on none of its points, counted
     for every row and subset at once by a product with the 0/1
-    membership matrix (integer counts, exact in float64).
+    membership matrix (integer counts, exact in float64).  Subsets fit by
+    the same row share one hypothesis object.
     """
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
@@ -134,13 +136,14 @@ def rerm_finite(cls: FiniteClass, sample: Sequence[LabeledExample],
                             return_inverse=True)
     member = np.zeros((used.size, len(subsets)))
     member[where, cols] = 1.0
-    exceeds = robust_deviations(cls.matrix, [sample[i] for i in used], U) > eta
+    exceeds = robust_deviations(cls.matrix, as_sample(sample).take(used), U) > eta
     fits = exceeds.astype(float) @ member == 0.0
-    rows = fits.argmax(axis=0)
-    return [cls.hypothesis(int(r)) if ok else None for r, ok in zip(rows, fits.any(axis=0))]
+    rows = np.where(fits.any(axis=0), fits.argmax(axis=0), -1).tolist()
+    fitted = {r: cls.hypothesis(r) for r in rows if r >= 0}
+    return [fitted.get(r) for r in rows]
 
 
-def rerm_constant(sample: Sequence[LabeledExample], subsets: Sequence[Sequence[int]],
+def rerm_constant(sample: SampleLike, subsets: Sequence[Sequence[int]],
                   U: PerturbationMap, eta: float) -> list[Hypothesis | None]:
     """For each subset of sample indices, the midpoint of the feasible
     constant interval intersect [0, 1], or None if it is empty.
@@ -150,12 +153,12 @@ def rerm_constant(sample: Sequence[LabeledExample], subsets: Sequence[Sequence[i
     """
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
+    ys = as_sample(sample).ys
     fits = []
     for subset in subsets:
-        lo, hi = 0.0, 1.0
-        for i in subset:
-            lo = max(lo, sample[i].y - eta)
-            hi = min(hi, sample[i].y + eta)
+        labels = ys[np.asarray(subset, dtype=np.intp)]
+        lo = float((labels - eta).max(initial=0.0))
+        hi = float((labels + eta).min(initial=1.0))
         fits.append(constant_hypothesis((lo + hi) / 2.0, U.domain_size) if lo <= hi else None)
     return fits
 
@@ -235,7 +238,7 @@ class ConstantClassOracle:
         """
         if not sample:
             return (), constant_hypothesis(0.5, U.domain_size)
-        ys = np.array([ex.y for ex in sample])
+        ys = as_sample(sample).ys
         endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
         mids = (endpoints[:-1] + endpoints[1:]) / 2.0
         best_c, best_count = 0.5, int((np.abs(ys - 0.5) < eta).sum())

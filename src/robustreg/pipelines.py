@@ -26,11 +26,12 @@ from .compression import CompressionScheme, compress, generalization_bound, reco
 from .core import (
     EtaBall,
     Hypothesis,
-    LabeledExample,
     Lp,
     PerturbationMap,
+    Sample,
+    SampleLike,
+    as_sample,
     empirical_error,
-    examples_arrays,
     inflate,
     robust_deviations,
 )
@@ -106,7 +107,7 @@ class PipelineReport:
 
 
 def build_pool(
-    sample: Sequence[LabeledExample],
+    sample: SampleLike,
     U: PerturbationMap,
     rerm,
     eta_rerm: float,
@@ -127,6 +128,7 @@ def build_pool(
     """
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
+    sample = as_sample(sample)
     m = len(sample)
     if m == 0:
         raise InvalidParameter("pool construction needs a nonempty sample")
@@ -149,21 +151,25 @@ def build_pool(
 
 
 def dual_embed(pool: Sequence[Hypothesis],
-               inflated: Sequence[LabeledExample]) -> np.ndarray:
-    """Deviation profile of every inflated point across the pool:
-    (points x pool) matrix of |h(z) - y|."""
+               inflated: SampleLike) -> np.ndarray:
+    """Deviation profile of every inflated point across the distinct pool
+    members: (points x members) matrix of |h(z) - y|, a column per member
+    object in first-occurrence order (a repeated member would only add an
+    equal column, which changes no sup-norm distance)."""
     if not pool:
         raise InvalidParameter("pool must be nonempty")
-    zs, ys = examples_arrays(inflated)
-    return np.abs(np.stack([h.values[zs] for h in pool]) - ys).T
+    inflated = as_sample(inflated)
+    members = {id(h): h for h in pool}.values()
+    return np.abs(np.stack([h.values[inflated.xs] for h in members], axis=1)
+                  - inflated.ys[:, None])
 
 
 def _seeds(seed: int, n: int):
     return np.random.SeedSequence(seed).spawn(n)
 
 
-_Head = NamedTuple("_Head", [("inflated", list), ("pool", list), ("sources", list),
-                             ("skipped", int), ("cover", list), ("cert", float),
+_Head = NamedTuple("_Head", [("inflated", Sample), ("pool", list), ("sources", list),
+                             ("skipped", int), ("cover", Sample), ("cert", float),
                              ("d", int), ("T", int), ("timings", dict)])
 
 
@@ -189,7 +195,7 @@ def _head(oracle, sample, U, eta, median: bool, epsilon: float,
     centers, assignment = greedy_cover(dual, radius)
     cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
     _check("cover certificate", cert, radius)
-    cover = [inflated[i] for i in centers]
+    cover = inflated.take(centers)
     timings["cover"] = time.perf_counter() - t1
     T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
     return _Head(inflated, pool, sources, skipped, cover, cert, d, T, timings)
@@ -232,7 +238,7 @@ def _report(pipeline, eta, seed, sample, U, scheme, h, head: _Head,
     )
 
 
-def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
+def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
                  eta: float, epsilon: float, config: PipelineConfig | None = None,
                  seed: int = 0) -> PipelineReport:
     """Averaging learner: strong per-round fits, cover at eta/2.
@@ -245,6 +251,7 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     if not 0.0 < epsilon <= 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
+    sample = as_sample(sample)
     (pool_ss,) = _seeds(seed, 1)
     head = _head(oracle, sample, U, eta, False, epsilon, config, pool_ss)
 
@@ -254,11 +261,10 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
 
     t3 = time.perf_counter()
     scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta)
-    zs, ys = examples_arrays(head.cover)
-    cover_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta / 2))
+    cover, inflated = head.cover, head.inflated
+    cover_rate = float(np.mean(np.abs(h.values[cover.xs] - cover.ys) >= eta / 2))
     _check("cover rate", cover_rate, epsilon)
-    zs, ys = examples_arrays(head.inflated)
-    inflated_rate = float(np.mean(np.abs(h.values[zs] - ys) >= eta))
+    inflated_rate = float(np.mean(np.abs(h.values[inflated.xs] - inflated.ys) >= eta))
     _check("inflated-set rate", inflated_rate, epsilon)
     sample_err = empirical_error(h, sample, U, EtaBall(eta))
     _check("robust sample error", sample_err, epsilon)
@@ -276,11 +282,11 @@ def proper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
 
 
 def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
-                  fit: tuple[int, ...]):
+                  fit: Sequence[int]):
     """The median learner fitted to the points ``fit`` of the sample and
     compressed over the whole sample.  Returns the report, the head, k and
     the worst robust deviation of the replay on the fitted points."""
-    sub = [sample[i] for i in fit]
+    sub = sample.take(fit)
     pool_ss, sparsify_ss = _seeds(seed, 2)
     head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
 
@@ -289,11 +295,11 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
     head.timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
-    zs, ys = examples_arrays(head.cover)
-    _check("median deviation on the cover", np.abs(ensemble.values[zs] - ys).max(), eta / 4)
-    zs, ys = examples_arrays(head.inflated)
+    cover, inflated = head.cover, head.inflated
+    _check("median deviation on the cover",
+           np.abs(ensemble.values[cover.xs] - cover.ys).max(), eta / 4)
     _check("median deviation on the inflated set",
-           np.abs(ensemble.values[zs] - ys).max(), eta / 2)
+           np.abs(ensemble.values[inflated.xs] - inflated.ys).max(), eta / 2)
     _check("median robust deviation on the sample",
            robust_deviations(ensemble.values, sub, U).max(), eta / 2)
 
@@ -326,7 +332,7 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
     return report, head, k, worst
 
 
-def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
+def improper_learn(oracle, sample: SampleLike, U: PerturbationMap,
                    eta: float, config: PipelineConfig | None = None,
                    seed: int = 0) -> PipelineReport:
     """Median-boosting learner with an accuracy-independent compression.
@@ -338,16 +344,16 @@ def improper_learn(oracle, sample: Sequence[LabeledExample], U: PerturbationMap,
     """
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
+    sample = as_sample(sample)
     report, head, k, worst = _median_learn(
-        oracle, sample, U, eta, config, seed, "improper",
-        tuple(range(len(sample))))
+        oracle, sample, U, eta, config, seed, "improper", range(len(sample)))
     report.uniform = bool(worst <= eta)
     report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
                     "d": head.d, "k": k, "max_robust_dev": worst}
     return report
 
 
-def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
+def agnostic_eta_learn(oracle, sample: SampleLike,
                        U: PerturbationMap, eta: float,
                        config: PipelineConfig | None = None,
                        seed: int = 0) -> PipelineReport:
@@ -355,6 +361,7 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
     refit radius eta/8, then run the median-boosting learner on it."""
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
+    sample = as_sample(sample)
     if len(sample) == 0:
         raise InvalidParameter("agnostic learner needs a nonempty sample")
     fit, witness = oracle.max_fit_subset(sample, U, eta * MEDIAN_REFIT)
@@ -373,7 +380,7 @@ def agnostic_eta_learn(oracle, sample: Sequence[LabeledExample],
     return report
 
 
-def realizable_regression(oracle, sample: Sequence[LabeledExample],
+def realizable_regression(oracle, sample: SampleLike,
                           U: PerturbationMap, epsilon: float, p: float,
                           config: PipelineConfig | None = None,
                           seed: int = 0) -> PipelineReport:
@@ -383,6 +390,7 @@ def realizable_regression(oracle, sample: Sequence[LabeledExample],
     if p < 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
     eta = epsilon ** (1.0 / p)
+    sample = as_sample(sample)
     report = improper_learn(oracle, sample, U, eta, config, seed)
     report.p = p
     if p != 1.0:  # the learner reported the Lp error at p = 1
@@ -411,8 +419,7 @@ def theta_grid(m: int) -> list[float]:
     return grid
 
 
-def agnostic_regression(oracle, sample: Sequence[LabeledExample],
-                        holdout: Sequence[LabeledExample], U: PerturbationMap,
+def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: PerturbationMap,
                         epsilon: float, delta: float, p: float,
                         config: PipelineConfig | None = None,
                         seed: int = 0) -> PipelineReport:
@@ -427,6 +434,7 @@ def agnostic_regression(oracle, sample: Sequence[LabeledExample],
         raise InvalidParameter("epsilon and delta must be in (0, 1)")
     if p < 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
+    sample, holdout = as_sample(sample), as_sample(holdout)
     needed = math.ceil((1.0 / epsilon ** 2) * math.log(1.0 / delta))
     if len(holdout) < needed:
         raise InvalidParameter(
@@ -476,8 +484,8 @@ PIPELINES = {
 }
 
 
-def run_pipeline(name: str, oracle, sample: Sequence[LabeledExample],
-                 U: PerturbationMap, *, holdout: Sequence[LabeledExample] = (),
+def run_pipeline(name: str, oracle, sample: SampleLike,
+                 U: PerturbationMap, *, holdout: SampleLike = (),
                  eta: float | None = None, epsilon: float | None = None,
                  delta: float | None = None, p: float = 1.0,
                  config: PipelineConfig | None = None,

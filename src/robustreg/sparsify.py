@@ -10,16 +10,17 @@ median inside the tube, which is re-asserted on every acceptance.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from functools import reduce
 
 import numpy as np
 
 from .boosting import WeightedEnsemble, weighted_median_columns
-from .core import LabeledExample, examples_arrays
+from .core import SampleLike, as_sample
 from .errors import InvalidParameter, RobustRegError, SparsifyFailed
 
 
-def sparsify(ensemble: WeightedEnsemble, cover: Sequence[LabeledExample],
+def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
              eta: float, k: int, max_iters: int = 200,
              seed: int = 0) -> WeightedEnsemble:
     """First sampled k-subset whose per-point violators stay below k/2.
@@ -33,22 +34,23 @@ def sparsify(ensemble: WeightedEnsemble, cover: Sequence[LabeledExample],
         raise InvalidParameter(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise InvalidParameter(f"max_iters must be >= 1, got {max_iters}")
-    total = sum(ensemble.alphas)
+    # left to right: the builtin sum is compensated from Python 3.12 on
+    total = reduce(operator.add, ensemble.alphas, 0.0)
     if total <= 0:
         raise InvalidParameter("ensemble alphas are not normalizable")
     probs = np.asarray(ensemble.alphas, dtype=float) / total
-    zs, ys = examples_arrays(cover)
-    values = np.stack([h.values[zs] for h in ensemble.members])  # (T, n_cover)
+    cover = as_sample(cover)
+    values = np.stack([h.values[cover.xs] for h in ensemble.members])  # (T, n_cover)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max_iters):
         drawn = rng.choice(len(probs), size=k, p=probs)
         picked = values[drawn]
-        violators = (np.abs(picked - ys) > eta).sum(axis=0)
+        violators = (np.abs(picked - cover.ys) > eta).sum(axis=0)
         worst = int(violators.max()) if len(cover) else 0
         if worst * 2 < k:
             med = weighted_median_columns(picked, np.ones(k))
-            if not (np.abs(med - ys) <= eta).all():
+            if not (np.abs(med - cover.ys) <= eta).all():
                 raise RobustRegError(
                     "majority certificate failed to pin the median"
                 )  # unreachable: a strict majority inside the tube pins it

@@ -11,7 +11,7 @@ from robustreg import (
     PointDistribution,
     reconstruct,
 )
-from robustreg.core import examples_arrays
+from robustreg.core import as_sample
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -67,5 +67,5 @@ def pool_setup(rows, ys, mults=None):
 
 def violations(pool, cover, test):
     """(pool x cover) mask of ``test(|h(z) - y|)``, as the boosters build it."""
-    zs, ys = examples_arrays(cover)
-    return test(np.abs(np.stack([h.values[zs] for h in pool]) - ys))
+    cover = as_sample(cover)
+    return test(np.abs(np.stack([h.values[cover.xs] for h in pool]) - cover.ys))

@@ -11,7 +11,11 @@ compared with them exactly; ``scalar_greedy_cover`` keeps the former
 cover, which compares every pair of points.  ``weak_learner_check`` is the library's
 former weak-learner predicate, which ``scalar_pick`` applies to one pool
 member at a time.  ``stacked_aggregate`` is the former ensemble
-aggregation, which stacks a row for every member, repeated or not.
+aggregation, which stacks a row for every member, repeated or not;
+``full_dual`` likewise keeps a dual column for every pool entry, and
+``scalar_inflate`` is the former inflation, one example at a time.
+Float sums add left to right in an explicit loop, as the library must
+on every Python version.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from robustreg.core import examples_arrays
+from robustreg.core import as_sample
 from robustreg.errors import InvalidParameter
 
 
@@ -318,14 +322,46 @@ def scalar_max_fit_subset(matrix, sample, U, eta):
     return best_fit, best_row
 
 
+def left_to_right_sum(values) -> float:
+    """0.0 plus each value in turn, one rounding per addition."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def scalar_empirical_error(values, sample, U, eta=None, p=None) -> float:
-    """Mean tube loss (eta given) or mean p-th power loss, added by the
-    builtin sum in sample order."""
+    """Mean tube loss (eta given) or mean p-th power loss, added left to
+    right in sample order."""
     losses = []
     for ex in sample:
         dev = scalar_robust_deviation(values, ex, U)
         losses.append((1.0 if dev >= eta else 0.0) if eta is not None else dev ** p)
-    return sum(losses) / len(sample)
+    return left_to_right_sum(losses) / len(sample)
+
+
+def scalar_draw_probabilities(alphas) -> list[float]:
+    """Each coefficient over the left-to-right sum of all of them."""
+    total = left_to_right_sum(alphas)
+    return [float(a) / total for a in alphas]
+
+
+def scalar_inflate(sample, U) -> list[tuple[int, float]]:
+    """(id, label) of every distinct perturbed point, labeled by its
+    lowest-index origin, in origin order with ids ascending within one
+    origin: one dict insertion per example and perturbation."""
+    labels: dict[int, float] = {}  # insertion order is the output order
+    for ex in sample:
+        for z in sorted(U.of(ex.x)):
+            labels.setdefault(z, ex.y)
+    return list(labels.items())
+
+
+def full_dual(pool, inflated) -> np.ndarray:
+    """(points x pool) matrix of |h(z) - y|, a column for every pool entry
+    however often its object repeats."""
+    inflated = as_sample(inflated)
+    return np.abs(np.stack([h.values[inflated.xs] for h in pool]) - inflated.ys).T
 
 
 def weak_learner_check(h, P, points, eta: float, beta: float) -> bool:
@@ -339,8 +375,8 @@ def weak_learner_check(h, P, points, eta: float, beta: float) -> bool:
         raise InvalidParameter(f"beta must be in [0, 1/2], got {beta}")
     if len(P) != len(points):
         raise InvalidParameter("distribution and point list lengths differ")
-    zs, ys = examples_arrays(points)
-    return P.mass(np.abs(h.values[zs] - ys) > eta) < 0.5 - beta - 1e-12
+    points = as_sample(points)
+    return P.mass(np.abs(h.values[points.xs] - points.ys) > eta) < 0.5 - beta - 1e-12
 
 
 def scalar_pick(pool, P, cover, violates, accept):

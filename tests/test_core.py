@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from robustreg import (
     LabeledExample,
     Lp,
     PerturbationMap,
+    Sample,
+    as_sample,
     constant_hypothesis,
     empirical_error,
     inflate,
@@ -18,6 +22,7 @@ from robustreg import (
 from robustreg.errors import EmptySample, InvalidParameter, MissingPerturbation
 
 from conftest import labeled
+from reference import left_to_right_sum, scalar_empirical_error
 
 
 def hyp_from_values(values):
@@ -25,21 +30,61 @@ def hyp_from_values(values):
     return Hypothesis(v, ("table", tuple(v)))
 
 
+class TestSample:
+    def test_as_sample_reads_ids_and_labels_in_order(self):
+        sample = as_sample(labeled([(2, 0.5), (0, 1.0), (2, 0.0)]))
+        assert sample.xs.tolist() == [2, 0, 2] and sample.ys.tolist() == [0.5, 1.0, 0.0]
+        assert sample.xs.dtype == np.intp and sample.ys.dtype == float
+        assert len(sample) == 3 and as_sample(sample) is sample
+        assert len(as_sample([])) == 0
+
+    def test_take_keeps_the_given_order(self):
+        sample = Sample(np.array([4, 5, 6]), np.array([0.1, 0.2, 0.3]))
+        part = sample.take([2, 0, 2])
+        assert part.xs.tolist() == [6, 4, 6] and part.ys.tolist() == [0.3, 0.1, 0.3]
+
+    @pytest.mark.parametrize("y", [1.5, -0.25, math.nan, math.inf])
+    def test_refuses_labels_outside_the_unit_interval(self, y):
+        with pytest.raises(InvalidParameter) as err:
+            Sample(np.array([0, 1]), np.array([0.5, y]))
+        # the message LabeledExample gives for the same label
+        with pytest.raises(InvalidParameter) as single:
+            LabeledExample(1, y)
+        assert str(err.value) == str(single.value)
+
+    def test_refuses_ids_and_labels_of_different_lengths(self):
+        with pytest.raises(InvalidParameter, match="one length"):
+            Sample(np.array([0, 1, 2]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("xs, ys", [
+        (np.zeros((2, 2), dtype=int), np.full((2, 2), 0.5)),
+        (np.array(3), np.array(0.5)),
+        (np.array([0, 1]), np.full((2, 1), 0.5)),
+    ])
+    def test_refuses_arrays_that_are_not_1d(self, xs, ys):
+        with pytest.raises(InvalidParameter, match="1-D"):
+            Sample(xs, ys)
+
+
+def pairs_of(sample):
+    """The (id, label) pairs of a Sample, in order."""
+    return list(zip(sample.xs.tolist(), sample.ys.tolist()))
+
+
 class TestInflate:
     def test_identity_perturbation_is_the_sample(self):
-        sample = labeled([(0, 0.3)])
-        out = inflate(sample, PerturbationMap.identity(1))
-        assert out == sample
+        out = inflate(labeled([(0, 0.3)]), PerturbationMap.identity(1))
+        assert pairs_of(out) == [(0, 0.3)]
 
     def test_shared_perturbation_takes_min_index_label(self):
         U = PerturbationMap({0: (0, 2), 1: (1, 2), 2: (2,)})
         out = inflate(labeled([(0, 0.3), (1, 0.7)]), U)
-        assert out == labeled([(0, 0.3), (2, 0.3), (1, 0.7)])
+        assert pairs_of(out) == [(0, 0.3), (2, 0.3), (1, 0.7)]
 
     def test_duplicate_point_suppressed_with_min_index_label(self):
         U = PerturbationMap({0: (0, 1), 1: (1,)})
         out = inflate(labeled([(0, 0.2), (1, 0.9)]), U)
-        assert out == labeled([(0, 0.2), (1, 0.2)])
+        assert pairs_of(out) == [(0, 0.2), (1, 0.2)]
 
     def test_missing_entry_names_the_instance(self):
         with pytest.raises(MissingPerturbation, match="3"):
@@ -49,9 +94,9 @@ class TestInflate:
                               st.floats(0, 1, allow_nan=False)),
                     min_size=1, max_size=10, unique_by=lambda t: t[0]))
     def test_identity_inflation_is_a_bijection(self, pairs):
-        sample = labeled(pairs)
-        out = inflate(sample, PerturbationMap.identity(15))
-        assert out == sample
+        out = inflate(labeled(pairs), PerturbationMap.identity(15))
+        assert out.xs.dtype == np.intp and out.ys.dtype == float
+        assert pairs_of(out) == [(x, float(y)) for x, y in pairs]
 
     @given(st.data())
     @settings(max_examples=60)
@@ -67,12 +112,12 @@ class TestInflate:
         sample = labeled([(x, (x + 1) / (n + 1)) for x in range(n)])
         out = inflate(sample, U)
         # the origin of a point is the first example whose set holds it
-        origins = [next(j for j, ex in enumerate(sample) if e.x in U.of(ex.x))
-                   for e in out]
-        assert [e.y for e in out] == [sample[j].y for j in origins]
-        keys = [(j, e.x) for j, e in zip(origins, out)]
+        origins = [next(j for j, ex in enumerate(sample) if z in U.of(ex.x))
+                   for z in out.xs.tolist()]
+        assert out.ys.tolist() == [sample[j].y for j in origins]
+        keys = [(j, z) for j, z in zip(origins, out.xs.tolist())]
         assert keys == sorted(set(keys))
-        assert {e.x for e in out} == {z for ex in sample for z in U.of(ex.x)}
+        assert set(out.xs.tolist()) == {z for ex in sample for z in U.of(ex.x)}
 
 
 def robust_loss(h, ex, U, mode):
@@ -147,6 +192,17 @@ class TestEmpiricalError:
         U = PerturbationMap.identity(3)
         sample = labeled([(0, 0.1), (1, 0.2), (2, 0.3)])
         assert empirical_error(h, sample, U, Lp(1)) == pytest.approx(0.2)
+
+    def test_losses_add_left_to_right(self):
+        # 1 + 1e-16 rounds back to 1 at each step; a compensated sum (the
+        # builtin sum from Python 3.12 on) would keep the ten small losses
+        values = np.array([1.0] + [1e-16] * 10)
+        h = Hypothesis(values, ("table",))
+        sample = labeled([(x, 0.0) for x in range(11)])
+        U = PerturbationMap.identity(11)
+        assert math.fsum(values.tolist()) != left_to_right_sum(values.tolist())
+        err = empirical_error(h, sample, U, Lp(1.0))
+        assert err == scalar_empirical_error(values, sample, U, p=1.0) == 1.0 / 11
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

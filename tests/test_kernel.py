@@ -2,7 +2,10 @@
 
 Every comparison is exact: the kernel takes maxima over the same finite
 sets and the errors add in the same order, so vectorised and scalar
-results must agree to the last bit.
+results must agree to the last bit.  Inflation is checked against the
+former one-example-at-a-time loop, and the cover of the dual over the
+distinct pool members against the cover of the dual with a column for
+every pool entry.
 """
 
 import itertools
@@ -22,7 +25,10 @@ from robustreg import (
     MissingPerturbation,
     PerturbationMap,
     build_pool,
+    dual_embed,
     empirical_error,
+    greedy_cover,
+    inflate,
     reconstruct,
     rerm_constant,
     rerm_finite,
@@ -33,7 +39,9 @@ from robustreg.errors import ReconstructionFailed
 
 from reference import (
     brute_max_fit_subsets,
+    full_dual,
     scalar_empirical_error,
+    scalar_inflate,
     scalar_max_fit_subset,
     scalar_rerm,
     scalar_robust_deviation,
@@ -100,6 +108,16 @@ def test_rerm_matches_scalar(inst, eta, data):
         assert (h is None) if row is None else h.descriptor == ("finite", row)
 
 
+@given(instances(), ETAS, st.data())
+def test_rerm_fits_one_object_per_row(inst, eta, data):
+    matrix, U, sample = inst
+    subsets = data.draw(subsets_of(len(sample), max_subsets=12)) + [[], []]
+    fitted = [h for h in rerm_finite(FiniteClass(matrix), sample, subsets, U, eta) if h]
+    by_row = {}
+    assert all(by_row.setdefault(h.descriptor, h) is h for h in fitted)
+    assert len({id(h) for h in fitted}) == len(by_row)
+
+
 @pytest.mark.parametrize("subsets, rows", [
     ([[]], [0]),  # nothing to fit: the first row
     ([[1], [1, 1, 1], [0, 1]], [1, 1, None]),  # repeats count once
@@ -112,6 +130,42 @@ def test_rerm_on_exact_ties(subsets, rows):
     sample = [LabeledExample(x, y) for x, y in enumerate([0.125, 0.875, 0.5, 0.25])]
     fits = rerm_finite(cls, sample, subsets, PerturbationMap.identity(4), 0.125)
     assert [None if h is None else h.descriptor[1] for h in fits] == rows
+
+
+@given(instances(max_m=16))
+def test_inflate_matches_the_scalar_loop(inst):
+    _, U, sample = inst
+    out = inflate(sample, U)
+    assert list(zip(out.xs.tolist(), out.ys.tolist())) == scalar_inflate(sample, U)
+
+
+@pytest.mark.parametrize("U", [PerturbationMap.identity(5), PerturbationMap.grid_ball(5, 2)])
+def test_inflate_keeps_labels_at_the_ends_of_the_range(U):
+    # repeated ids and overlapping balls, labels exactly 0 and 1
+    sample = [LabeledExample(x, y) for x, y in [(3, 1.0), (0, 0.0), (3, 0.0), (4, 1.0)]]
+    out = inflate(sample, U)
+    assert list(zip(out.xs.tolist(), out.ys.tolist())) == scalar_inflate(sample, U)
+
+
+@given(instances(max_m=12), st.sampled_from([0.05, 0.125, 0.25]), st.data())
+@settings(max_examples=60)
+def test_cover_of_the_distinct_member_dual_equals_the_full_dual(inst, t, data):
+    matrix, U, sample = inst
+    subsets = data.draw(subsets_of(len(sample), max_subsets=10))
+    fits = rerm_finite(FiniteClass(matrix), sample, subsets, U, 0.5)
+    # repeated objects, distinct objects with equal values, and one that
+    # shares a descriptor but not its values
+    copies = [Hypothesis(matrix[r].copy(), ("finite", r)) for r in range(len(matrix))]
+    impostor = Hypothesis(1.0 - matrix[0], ("finite", 0))
+    order = data.draw(st.permutations([h for h in fits if h] + copies + copies[:1] + [impostor]))
+    pool = list(order)
+    inflated = inflate(sample, U)
+    distinct, full = dual_embed(pool, inflated), full_dual(pool, inflated)
+    assert distinct.shape == (len(inflated), len({id(h) for h in pool}))
+    (c1, a1), (c2, a2) = greedy_cover(distinct, t), greedy_cover(full, t)
+    assert c1 == c2 and a1 == a2
+    assert (np.abs(distinct - distinct[a1]).max(initial=0.0)
+            == np.abs(full - full[a2]).max(initial=0.0))
 
 
 def interval_midpoint(ys, eta):

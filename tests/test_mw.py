@@ -126,7 +126,7 @@ class TestMwBoost:
         ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.1, T=3)
         assert ens.aggregation == "average"
         assert ens.values[0] == pytest.approx(0.45)
-        rate = np.mean([abs(ens.values[pt.x] - pt.y) >= 0.1 for pt in cover])
+        rate = np.mean(np.abs(ens.values[cover.xs] - cover.ys) >= 0.1)
         assert rate == 0.0
 
     def test_cover_condition_on_a_finite_class(self):
@@ -137,9 +137,7 @@ class TestMwBoost:
         scheme = compress(ens, sample, eta=0.2)
         h = reconstruct(scheme, sample, rerm, U)
         assert np.array_equal(h.values, ens.values)
-        avg = h.values[[pt.x for pt in cover]]
-        ys = np.array([pt.y for pt in cover])
-        assert float((np.abs(avg - ys) >= 0.1).mean()) <= 0.1
+        assert float((np.abs(h.values[cover.xs] - cover.ys) >= 0.1).mean()) <= 0.1
 
     @pytest.mark.parametrize("T, rounds", [(1, 1), (2, 4), (3, 6)])
     def test_running_on_equals_a_restart_with_doubled_rounds(self, T, rounds):

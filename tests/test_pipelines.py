@@ -57,7 +57,7 @@ def recording_rerm():
 
     def rerm(sample, subsets, U, eta):
         batches.append(len(subsets))
-        calls.extend(tuple(sample[i].x for i in s) for s in subsets)
+        calls.extend(tuple(int(sample.xs[i]) for i in s) for s in subsets)
         return rerm_constant(sample, subsets, U, eta)
     return rerm, calls, batches
 

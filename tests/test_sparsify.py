@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from robustreg import WeightedEnsemble, constant_hypothesis, default_k, sparsify
 from robustreg.errors import InvalidParameter, SparsifyFailed
 
 from conftest import labeled
+from reference import left_to_right_sum, scalar_draw_probabilities
 
 
 def cover_points(labels):
@@ -75,6 +78,25 @@ class TestSparsify:
         cover = cover_points([0.5])
         out = sparsify(ens, cover, eta=0.1, k=3, seed=0)
         assert sum(len(s) for s in out.sources) <= sum(len(s) for s in ens.sources)
+
+    def test_draw_probabilities_are_alphas_over_their_left_to_right_sum(self, monkeypatch):
+        # a compensated sum (the builtin sum from Python 3.12 on) of these
+        # alphas differs from the left-to-right one in the last bit
+        alphas = [1.0] + [1e-16] * 10
+        assert math.fsum(alphas) != left_to_right_sum(alphas)
+        make, seen = np.random.default_rng, []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def choice(self, n, size, p):
+                seen.append(p.tolist())
+                return self.rng.choice(n, size=size, p=p)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        sparsify(ensemble_of([0.5] * 11, alphas), cover_points([0.5]), eta=0.1, k=1)
+        assert seen == [scalar_draw_probabilities(alphas)]
 
     def test_k_must_be_positive(self):
         ens = ensemble_of([0.5], [1.0])
