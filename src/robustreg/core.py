@@ -44,7 +44,12 @@ class Sample:
     ys: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", xs := np.asarray(self.xs, dtype=np.intp))
+        xs = np.asarray(self.xs)
+        if xs.dtype.kind == "f":  # a cast would truncate 2.5 to 2 and wrap 1e30 around
+            bad = ~((xs == np.floor(xs)) & (np.abs(xs) < np.iinfo(np.intp).max))
+            if bad.any():
+                raise InvalidParameter(f"instance id must be an integer, got {xs[bad][0]}")
+        object.__setattr__(self, "xs", xs := xs.astype(np.intp, copy=False))
         object.__setattr__(self, "ys", ys := np.asarray(self.ys, dtype=float))
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise InvalidParameter(f"ids {xs.shape} and labels {ys.shape} must be 1-D, one length")
@@ -68,7 +73,7 @@ def as_sample(examples: SampleLike) -> Sample:
     """``examples`` as a :class:`Sample`; a Sample is returned as it is."""
     if isinstance(examples, Sample):
         return examples
-    return Sample(np.array([ex.x for ex in examples], dtype=np.intp),
+    return Sample(np.array([ex.x for ex in examples]),
                   np.array([ex.y for ex in examples], dtype=float))
 
 
@@ -159,7 +164,8 @@ class _FunctionValues:
 class Hypothesis:
     """A map from instance ids ``0..n-1`` to [0, 1], held as its n values.
 
-    The descriptor (class tag plus parameters) carries equality.  A
+    Two hypotheses are equal only when they are one object; the
+    descriptor (class tag plus parameters) names the hypothesis.  A
     function of the id may stand in for the vector in a hand-built
     hypothesis that is only called; the library builds only vectors.
     """
@@ -173,12 +179,6 @@ class Hypothesis:
 
     def __call__(self, z: int) -> float:
         return float(self.values[z])
-
-    def __eq__(self, other):
-        return isinstance(other, Hypothesis) and self.descriptor == other.descriptor
-
-    def __hash__(self):
-        return hash(self.descriptor)
 
 
 def constant_hypothesis(value: float, domain_size: int) -> Hypothesis:

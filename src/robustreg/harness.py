@@ -81,16 +81,16 @@ class ExperimentConfig:
             raise InvalidParameter("noise_rate must be in [0, 1]")
         if not self.m_grid:
             raise InvalidParameter("bad value [] for 'm_grid', empty")
-        # the least value of every count, size and seed (None: unset)
-        inst, cfg, index = self.instance, self.pipeline_config, self.target.index
+        # the least value of every count, size and seed (None: unset); the
+        # pipeline config checks its own when it is built
+        inst, index = self.instance, self.target.index
         least = [("n_hypotheses", inst.n_hypotheses, 1), ("domain_size", inst.domain_size, 1),
                  ("levels", inst.levels, 2), ("smooth_step", inst.smooth_step, 0),
                  ("blocks", inst.blocks, 1), ("defect_blocks", inst.defect_blocks, 0),
                  ("radius", self.perturbation.radius, 0), ("k", self.perturbation.k, 0),
                  ("index", index, 0), *(("m_grid", m, 1) for m in self.m_grid),
                  ("holdout_size", self.holdout_size, 0), ("trials", self.trials, 1),
-                 ("seed", self.seed, 0), ("rejection_budget", self.rejection_budget, 1),
-                 ("d", cfg.d, 1), ("T", cfg.T, 1)]
+                 ("seed", self.seed, 0), ("rejection_budget", self.rejection_budget, 1)]
         for key, value, low in least:
             if value is not None and value < low:
                 raise InvalidParameter(f"bad value {value!r} for {key!r}, below {low}")
@@ -264,18 +264,15 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
                     config.pipeline, oracle, sample, U, holdout=holdout,
                     eta=config.eta, epsilon=config.epsilon, delta=config.delta,
                     p=config.p, config=config.pipeline_config, seed=run_seed)
-                if report.status != "ok" or report.hypothesis is None:
-                    row["status"] = report.status
-                else:
-                    row.update({
-                        "emp_robust_err": report.emp_eta_robust_err,
-                        "holdout_robust_err": empirical_error(
-                            report.hypothesis, holdout, U, EtaBall(report.eta)),
-                        "compression_size": report.compression_size,
-                        "cover_size": report.cover_size,
-                        "bound_realizable": report.bound_realizable,
-                        "bound_agnostic": report.bound_agnostic,
-                    })
+                row.update({
+                    "emp_robust_err": report.emp_eta_robust_err,
+                    "holdout_robust_err": empirical_error(
+                        report.hypothesis, holdout, U, EtaBall(report.eta)),
+                    "compression_size": report.compression_size,
+                    "cover_size": report.cover_size,
+                    "bound_realizable": report.bound_realizable,
+                    "bound_agnostic": report.bound_agnostic,
+                })
             except RobustRegError as exc:
                 row["status"] = type(exc).__name__
             rows.append(row)

@@ -55,6 +55,10 @@ AVERAGE_FAT = 1 / 32
 ROUNDS_PER_LOG_COVER = 4.0
 # Confidence of the reported compression bounds.
 BOUND_DELTA = 0.05
+# The pool enumerates every size-d subset while there are at most this many,
+# and otherwise draws POOL_DRAWS of them.
+POOL_ENUMERATE_MAX = 256
+POOL_DRAWS = 64
 
 
 @dataclass
@@ -65,12 +69,17 @@ class PipelineConfig:
     d: int | None = None
     T: int | None = None
 
+    def __post_init__(self):
+        for key, value in (("d", self.d), ("T", self.T)):
+            if value is not None and value < 1:
+                raise InvalidParameter(f"bad value {value!r} for {key!r}, below 1")
+
 
 @dataclass(kw_only=True)
 class PipelineReport:
-    """What a pipeline run produced, with errors recomputed from the
-    reconstruction.  The fields are serialised in their order, except the
-    hypothesis and the timings."""
+    """What a successful pipeline run produced (a run that fails raises), with
+    errors recomputed from the reconstruction.  The fields are serialised in
+    their order, except the hypothesis and the timings."""
 
     pipeline: str
     eta: float
@@ -106,25 +115,17 @@ class PipelineReport:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def build_pool(
-    sample: SampleLike,
-    U: PerturbationMap,
-    rerm,
-    eta_rerm: float,
-    d: int,
-    *,
-    rng: np.random.Generator,
-    threshold: int = 256,
-    n_samples: int = 64,
-) -> tuple[list[Hypothesis], list[tuple[int, ...]], int]:
+def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d: int, *,
+               rng: np.random.Generator) -> tuple[list[Hypothesis], list[tuple[int, ...]], int]:
     """One RERM output per chosen size-d sample subset, all from one
     batched ``rerm(sample, subsets, U, eta_rerm)`` call.
 
-    Every subset is enumerated while there are at most ``threshold`` of
-    them; beyond that, ``n_samples`` subsets are drawn with ``rng`` (each
-    without replacement) and deduplicated.  Infeasible subsets (a None
-    fit) are skipped.  Returns the pool, the subset (sorted sample
-    indices) each member was fit on, and the count of skipped subsets.
+    Every subset is enumerated while there are at most
+    ``POOL_ENUMERATE_MAX`` of them; beyond that, ``POOL_DRAWS`` subsets
+    are drawn with ``rng`` (each without replacement) and deduplicated.
+    Infeasible subsets (a None fit) are skipped.  Returns the pool, the
+    subset (sorted sample indices) each member was fit on, and the count
+    of skipped subsets.
     """
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
@@ -133,13 +134,11 @@ def build_pool(
     if m == 0:
         raise InvalidParameter("pool construction needs a nonempty sample")
     d_eff = min(d, m)
-    if math.comb(m, d_eff) <= threshold:
+    if math.comb(m, d_eff) <= POOL_ENUMERATE_MAX:
         subsets = list(itertools.combinations(range(m), d_eff))
     else:
-        if n_samples < 1:
-            raise InvalidParameter("sampling the pool needs n_samples >= 1")
         drawn = (tuple(np.sort(rng.choice(m, size=d_eff, replace=False)).tolist())
-                 for _ in range(n_samples))
+                 for _ in range(POOL_DRAWS))
         subsets = list(dict.fromkeys(drawn))
     fitted = [(h, s) for h, s in zip(rerm(sample, subsets, U, eta_rerm), subsets)
               if h is not None]
@@ -358,7 +357,9 @@ def agnostic_eta_learn(oracle, sample: SampleLike,
                        config: PipelineConfig | None = None,
                        seed: int = 0) -> PipelineReport:
     """Fit the largest subset one class member fits within the median
-    refit radius eta/8, then run the median-boosting learner on it."""
+    refit radius eta/8, then run the median-boosting learner on it; raise
+    :class:`EmptyPool` when no member fits any point (every pool subset
+    would be infeasible)."""
     if not 0.0 < eta < 1.0:
         raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     sample = as_sample(sample)
@@ -366,11 +367,7 @@ def agnostic_eta_learn(oracle, sample: SampleLike,
         raise InvalidParameter("agnostic learner needs a nonempty sample")
     fit, witness = oracle.max_fit_subset(sample, U, eta * MEDIAN_REFIT)
     if not fit:
-        return PipelineReport(
-            pipeline="agnostic-eta", eta=eta, seed=seed,
-            status="infeasible", subset_size=0,
-            extra={"certificate": "every hypothesis violates every point"},
-        )
+        raise EmptyPool(f"no class member fits any point within {eta * MEDIAN_REFIT:.6g}")
     report, head, k, _ = _median_learn(oracle, sample, U, eta, config, seed,
                                        "agnostic-eta", fit)
     report.subset_size = len(fit)
@@ -447,9 +444,6 @@ def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: Pert
         child_seed = int(child.generate_state(1)[0])
         try:
             rep = agnostic_eta_learn(oracle, sample, U, theta, config, child_seed)
-            if rep.status != "ok":
-                trail.append((theta, rep.status, None))
-                continue
             err = empirical_error(rep.hypothesis, holdout, U, EtaBall(theta))
             trail.append((theta, "ok", err))
             candidates.append((err, theta, rep))

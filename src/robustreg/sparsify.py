@@ -19,21 +19,21 @@ from .boosting import WeightedEnsemble, weighted_median_columns
 from .core import SampleLike, as_sample
 from .errors import InvalidParameter, RobustRegError, SparsifyFailed
 
+# Draws of k members tried before sparsification gives up.
+MAX_DRAWS = 200
+
 
 def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
-             eta: float, k: int, max_iters: int = 200,
-             seed: int = 0) -> WeightedEnsemble:
+             eta: float, k: int, seed: int = 0) -> WeightedEnsemble:
     """First sampled k-subset whose per-point violators stay below k/2.
 
     The result keeps the drawn members' source sets and unit weights
     (the sparsified median is unweighted).  Raises
-    :class:`SparsifyFailed` with the best violation count seen when the
-    iteration budget runs out.
+    :class:`SparsifyFailed` with the best violation count seen when
+    ``MAX_DRAWS`` draws have all failed.
     """
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
-    if max_iters < 1:
-        raise InvalidParameter(f"max_iters must be >= 1, got {max_iters}")
     # left to right: the builtin sum is compensated from Python 3.12 on
     total = reduce(operator.add, ensemble.alphas, 0.0)
     if total <= 0:
@@ -43,7 +43,7 @@ def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
     values = np.stack([h.values[cover.xs] for h in ensemble.members])  # (T, n_cover)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max_iters):
+    for _ in range(MAX_DRAWS):
         drawn = rng.choice(len(probs), size=k, p=probs)
         picked = values[drawn]
         violators = (np.abs(picked - cover.ys) > eta).sum(axis=0)
@@ -62,7 +62,7 @@ def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
             )
         best = worst if best is None else min(best, worst)
     raise SparsifyFailed(
-        f"no accepted draw in {max_iters} iterations (best violation count {best})",
+        f"no accepted draw in {MAX_DRAWS} iterations (best violation count {best})",
         best_violations=best,
     )
 

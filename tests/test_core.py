@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestSample:
             LabeledExample(1, y)
         assert str(err.value) == str(single.value)
 
+    @pytest.mark.parametrize("x", [2.5, math.nan, math.inf, 1e30])
+    def test_refuses_ids_that_are_not_integers(self, x):
+        for make in (lambda: Sample(np.array([1.0, x]), np.array([0.3, 0.3])),
+                     lambda: as_sample([LabeledExample(1, 0.3), LabeledExample(x, 0.3)])):
+            with pytest.raises(InvalidParameter, match=re.escape(f"an integer, got {x}")):
+                make()
+
+    def test_reads_whole_float_ids(self):
+        assert Sample(np.array([2.0, 0.0]), np.array([0.3, 0.3])).xs.tolist() == [2, 0]
+
     def test_refuses_ids_and_labels_of_different_lengths(self):
         with pytest.raises(InvalidParameter, match="one length"):
             Sample(np.array([0, 1, 2]), np.array([0.5, 0.5]))
@@ -64,6 +75,14 @@ class TestSample:
     def test_refuses_arrays_that_are_not_1d(self, xs, ys):
         with pytest.raises(InvalidParameter, match="1-D"):
             Sample(xs, ys)
+
+
+def test_hypotheses_compare_by_identity():
+    # hand-built hypotheses may share a descriptor and differ in value
+    low = Hypothesis(np.array([0.1, 0.9]), ("table",))
+    high = Hypothesis(np.array([0.8, 0.2]), ("table",))
+    assert low != high and low == low
+    assert len({low, high, low}) == 2
 
 
 def pairs_of(sample):

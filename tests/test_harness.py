@@ -209,16 +209,18 @@ class TestCli:
         doc = json.loads(out)
         assert doc["status"] == "ok" and doc["uniform"] is True
 
-    def test_infeasible_learn_is_a_runtime_failure(self, tmp_path):
+    def test_infeasible_learn_is_a_runtime_failure(self, tmp_path, capsys):
+        # the one class row fits neither label within eta/8
         path = tmp_path / "d.json"
         path.write_text(json.dumps({
             "domain_size": 2, "samples": [[0, 0.0], [1, 1.0]],
             "perturbations": {"0": [0], "1": [1]},
             "class_matrix": [[0.5, 0.5]],
         }))
-        code, _ = run_cli(["learn-improper", "--config", str(path),
-                           "--eta", "0.2"])
-        assert code == 2
+        for command in ("learn-improper", "agnostic-eta"):
+            code, out = run_cli([command, "--config", str(path), "--eta", "0.2"])
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err.startswith("runtime failure: EmptyPool")
 
     def test_bounds_values(self):
         code, out = run_cli(["bounds", "--kind", "realizable", "--k", "10",

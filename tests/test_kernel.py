@@ -9,6 +9,7 @@ every pool entry.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from robustreg import (
 )
 from robustreg.compression import CompressionScheme
 from robustreg.errors import ReconstructionFailed
+from robustreg.pipelines import POOL_DRAWS, POOL_ENUMERATE_MAX
 
 from reference import (
     brute_max_fit_subsets,
@@ -186,23 +188,27 @@ def test_rerm_constant_matches_interval_intersection(inst, eta, data):
         assert (h is None) if mid is None else h.descriptor == ("constant", mid)
 
 
-@pytest.mark.parametrize("threshold", [10 ** 6, 4])
-def test_build_pool_equals_a_scalar_rerm_loop(threshold):
-    # above the threshold the pool draws 64 subsets; below, it enumerates
+@pytest.mark.parametrize("d", [3, 4])
+def test_build_pool_equals_a_scalar_rerm_loop(d):
+    # 11 choose 3 subsets are few enough to enumerate; of 11 choose 4 the pool
+    # draws POOL_DRAWS
+    enumerate_all = math.comb(11, d) <= POOL_ENUMERATE_MAX
+    assert enumerate_all == (d == 3)
     rng = np.random.default_rng(7)
     matrix = np.round(rng.uniform(size=(12, 16)) * 4) / 4
     U = PerturbationMap.grid_ball(16, 1)
     sample = [LabeledExample(int(x), float(y)) for x, y in
-              zip(rng.integers(0, 16, size=9), np.round(rng.uniform(size=9) * 4) / 4)]
+              zip(rng.integers(0, 16, size=11), np.round(rng.uniform(size=11) * 4) / 4)]
     pool, sources, skipped = build_pool(
-        sample, U, FiniteClassOracle(FiniteClass(matrix)).rerm, 0.25, 3,
-        rng=np.random.default_rng(3), threshold=threshold)
-    if threshold > 100:
-        subsets = list(itertools.combinations(range(9), 3))
+        sample, U, FiniteClassOracle(FiniteClass(matrix)).rerm, 0.25, d,
+        rng=np.random.default_rng(3))
+    if enumerate_all:
+        subsets = list(itertools.combinations(range(11), d))
     else:
         draw = np.random.default_rng(3)
         subsets = list(dict.fromkeys(
-            tuple(sorted(draw.choice(9, size=3, replace=False).tolist())) for _ in range(64)))
+            tuple(sorted(draw.choice(11, size=d, replace=False).tolist()))
+            for _ in range(POOL_DRAWS)))
     rows = [scalar_rerm(matrix, [sample[i] for i in s], U, 0.25)[0] for s in subsets]
     assert [h.descriptor for h in pool] == [("finite", r) for r in rows if r is not None]
     assert sources == [s for s, r in zip(subsets, rows) if r is not None]

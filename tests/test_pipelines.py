@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -8,6 +7,7 @@ import pytest
 from robustreg import (
     Lp,
     PerturbationMap,
+    PipelineConfig,
     agnostic_eta_learn,
     agnostic_regression,
     build_pool,
@@ -65,8 +65,8 @@ def recording_rerm():
 class TestBuildPool:
     U3 = PerturbationMap.identity(3)
     SAMPLE = labeled([(0, 0.2), (1, 0.2), (2, 0.2)])
-    U6 = PerturbationMap.identity(6)
-    SAMPLE6 = labeled([(i, 0.5) for i in range(6)])
+    U11 = PerturbationMap.identity(11)
+    SAMPLE11 = labeled([(i, 0.5) for i in range(11)])
 
     RNG = np.random.default_rng(0)
 
@@ -82,21 +82,21 @@ class TestBuildPool:
         assert len(pool) == 1 and sources == [(0, 1, 2)]
 
     def test_sample_mode_is_reproducible(self):
-        # above the threshold exactly the deduplicated sampled subsets are
-        # refit, in the order drawn
+        # beyond POOL_ENUMERATE_MAX subsets exactly the deduplicated drawn
+        # subsets are refit, in the order drawn
+        assert math.comb(11, 4) > pl.POOL_ENUMERATE_MAX
         rng = np.random.default_rng(5)
-        drawn = [tuple(sorted(rng.choice(6, size=2, replace=False).tolist()))
-                 for _ in range(10)]
+        drawn = [tuple(sorted(rng.choice(11, size=4, replace=False).tolist()))
+                 for _ in range(pl.POOL_DRAWS)]
         runs = []
         for _ in range(2):
             rerm, calls, batches = recording_rerm()
-            pool, sources, _ = build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2,
-                                          rng=np.random.default_rng(5), threshold=14,
-                                          n_samples=10)
+            pool, sources, _ = build_pool(self.SAMPLE11, self.U11, rerm, 0.1, 4,
+                                          rng=np.random.default_rng(5))
             assert calls == list(dict.fromkeys(drawn)) == sources
             assert len(pool) == len(calls) and batches == [len(calls)]
             runs.append(calls)
-        assert len(runs[0]) < 10 and runs[0] == runs[1]
+        assert len(runs[0]) < pl.POOL_DRAWS and runs[0] == runs[1]
 
     def test_infeasible_subsets_are_counted(self):
         spread = labeled([(0, 0.0), (1, 1.0), (2, 0.5)])
@@ -111,17 +111,17 @@ class TestBuildPool:
             build_pool(spread, self.U3, rerm_constant, 0.1, 2, rng=self.RNG)
 
     def test_enumerate_cap(self):
-        # up to the threshold every subset is refit, in lexicographic order
+        # up to POOL_ENUMERATE_MAX subsets every one is refit, in
+        # lexicographic order; beyond, at most POOL_DRAWS are drawn
+        cap = pl.POOL_ENUMERATE_MAX
         rerm, calls, batches = recording_rerm()
-        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=15)
-        assert calls == list(itertools.combinations(range(6), 2)) and batches == [15]
+        build_pool(labeled([(i, 0.5) for i in range(cap)]), PerturbationMap.identity(cap),
+                   rerm, 0.1, 1, rng=self.RNG)
+        assert calls == [(i,) for i in range(cap)] and batches == [cap]
         rerm, calls, batches = recording_rerm()
-        build_pool(self.SAMPLE6, self.U6, rerm, 0.1, 2, rng=self.RNG, threshold=14,
-                   n_samples=3)
-        assert 1 <= len(calls) <= 3
-        with pytest.raises(InvalidParameter):
-            build_pool(self.SAMPLE6, self.U6, rerm_constant, 0.1, 2, rng=self.RNG,
-                       threshold=14, n_samples=0)
+        build_pool(labeled([(i, 0.5) for i in range(cap + 1)]),
+                   PerturbationMap.identity(cap + 1), rerm, 0.1, 1, rng=self.RNG)
+        assert 1 <= len(calls) <= pl.POOL_DRAWS and batches == [len(calls)]
 
 
 class TestDualEmbed:
@@ -251,13 +251,12 @@ class TestAgnosticEtaLearn:
             assert frozenset(fit) in subsets
 
     def test_infeasible_certificate(self):
+        # no class member fits any point, so every pool subset is infeasible
         cls = make_class([[0.0, 0.0]])
         U = PerturbationMap.identity(2)
         sample = labeled([(0, 1.0), (1, 1.0)])
-        rep = agnostic_eta_learn(FiniteClassOracle(cls), sample, U, eta=0.5, seed=0)
-        assert rep.status == "infeasible"
-        assert rep.subset_size == 0
-        assert rep.hypothesis is None
+        with pytest.raises(EmptyPool, match="no class member fits any point"):
+            agnostic_eta_learn(FiniteClassOracle(cls), sample, U, eta=0.5, seed=0)
 
 
 def staged_radii(monkeypatch, oracle, stages):
@@ -388,11 +387,31 @@ class TestAgnosticRegression:
             agnostic_regression(oracle, sample, holdout, U, epsilon=0.3,
                                 delta=0.2, p=1.0, seed=7)
 
+    def test_radii_that_fit_nothing_are_empty_pools_in_the_trail(self):
+        # the class row is 0.09 from every label: the refit radius theta/8
+        # reaches it from theta = 0.8 on, and theta = 1 is outside (0, 1)
+        oracle = FiniteClassOracle(make_class([[0.5] * 5]))
+        U = PerturbationMap.identity(5)
+        sample = labeled([(i, 0.41) for i in range(5)])
+        rep = agnostic_regression(oracle, sample, sample[:3], U, epsilon=0.5,
+                                  delta=0.5, p=1.0, seed=3)
+        assert rep.extra["grid"] == [(0.2, "EmptyPool", None), (0.4, "EmptyPool", None),
+                                     (0.8, "ok", 0.0), (1.0, "InvalidParameter", None)]
+        assert rep.selected_theta == 0.8 and rep.subset_size == 5
+
     def test_holdout_size_precondition(self):
         oracle, U, sample, holdout = smooth_instance(89, m=10)
         with pytest.raises(InvalidParameter):
             agnostic_regression(oracle, sample, holdout[:2], U, epsilon=0.05,
                                 delta=0.05, p=1.0)
+
+
+@pytest.mark.parametrize("key", ["d", "T"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_pipeline_config_refuses_overrides_below_one(key, value):
+    # the message an experiment config gives for the same value
+    with pytest.raises(InvalidParameter, match=f"^bad value {value} for '{key}', below 1$"):
+        PipelineConfig(**{key: value})
 
 
 class TestReportSerialization:

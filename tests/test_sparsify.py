@@ -5,6 +5,7 @@ import pytest
 
 from robustreg import WeightedEnsemble, constant_hypothesis, default_k, sparsify
 from robustreg.errors import InvalidParameter, SparsifyFailed
+from robustreg.sparsify import MAX_DRAWS
 
 from conftest import labeled
 from reference import left_to_right_sum, scalar_draw_probabilities
@@ -34,19 +35,21 @@ class TestSparsify:
         ens = ensemble_of([0.5, 0.52, 0.48], [0.2, 0.5, 0.3])
         cover = cover_points([0.5, 0.5, 0.5])
         for seed in range(5):
-            out = sparsify(ens, cover, eta=0.1, k=3, max_iters=1, seed=seed)
+            out = sparsify(ens, cover, eta=0.1, k=3, seed=seed)
             assert len(out) == 3
 
     def test_heavy_bad_member_needs_a_minority_draw(self):
-        # one member misses the point badly and owns 0.9 of the mass
-        ens = ensemble_of([0.9, 0.5, 0.5], [0.9, 0.05, 0.05])
+        # one member misses the point badly and owns 0.95 of the mass, so a
+        # draw with at most one copy of it is rare enough that some seeds
+        # never find one in MAX_DRAWS draws
+        ens = ensemble_of([0.9, 0.5, 0.5], [0.95, 0.025, 0.025])
         cover = cover_points([0.5])
         accepted = 0
         for seed in range(30):
             try:
-                out = sparsify(ens, cover, eta=0.1, k=3, max_iters=1, seed=seed)
+                out = sparsify(ens, cover, eta=0.1, k=3, seed=seed)
             except SparsifyFailed as err:
-                assert err.best_violations is not None
+                assert err.best_violations == 2  # a draw with fewer is accepted
                 continue
             accepted += 1
             med = sorted(m(0) for m in out.members)[1]
@@ -57,8 +60,9 @@ class TestSparsify:
         ens = ensemble_of([0.9, 0.9, 0.9], [1.0, 1.0, 1.0])
         cover = cover_points([0.1])
         with pytest.raises(SparsifyFailed) as err:
-            sparsify(ens, cover, eta=0.1, k=3, max_iters=5, seed=1)
+            sparsify(ens, cover, eta=0.1, k=3, seed=1)
         assert err.value.best_violations == 3
+        assert f"in {MAX_DRAWS} iterations" in str(err.value)
 
     def test_certificate_pins_the_median_on_every_acceptance(self):
         rng = np.random.default_rng(8)
@@ -67,7 +71,7 @@ class TestSparsify:
         cover = cover_points([0.5, 0.45, 0.55])
         for seed in range(20):
             try:
-                out = sparsify(ens, cover, eta=0.12, k=5, max_iters=1, seed=seed)
+                out = sparsify(ens, cover, eta=0.12, k=5, seed=seed)
             except SparsifyFailed:
                 continue
             for pt in cover:
@@ -102,12 +106,6 @@ class TestSparsify:
         ens = ensemble_of([0.5], [1.0])
         with pytest.raises(InvalidParameter):
             sparsify(ens, cover_points([0.5]), eta=0.1, k=0)
-
-    @pytest.mark.parametrize("max_iters", [0, -1])
-    def test_max_iters_must_be_positive(self, max_iters):
-        ens = ensemble_of([0.5], [1.0])
-        with pytest.raises(InvalidParameter, match="max_iters"):
-            sparsify(ens, cover_points([0.5]), eta=0.1, k=1, max_iters=max_iters)
 
 
 class TestDefaultK:
