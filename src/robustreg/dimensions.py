@@ -5,13 +5,14 @@ candidate point set, the continuous witness is eliminated: fixing a
 per-point cutoff v, a hypothesis can realize the +1 side iff its value
 is >= v and the -1 side iff its value is <= v - 2*gamma, so a set is
 shattered iff some choice of cutoffs splits the class into nonempty
-halves along every point simultaneously.  For each set size, one
-depth-first search picks points in increasing index order, one cutoff
-each, and carries the hypothesis groups, as row bitmasks, that each
-still have to realize all remaining sign patterns.  All sets with the
-same first points share those groups, so a dead prefix is pruned once,
-not once per set.  A class is its (rows x points) value matrix, so its
-dual class is the transpose.
+halves along every point simultaneously.  For each set size s, a search
+picks points in increasing index order, one cutoff each, on row groups
+packed in uint64 words: level k pairs each surviving configuration (the
+groups its cutoffs leave) with each cutoff of a later point, and keeps a
+pair only if every child group has 2^(s-k-1) rows or more, so a dead
+prefix is pruned once.  Levels run depth-first in bounded blocks, up to
+the first full-depth pair.  A class is its (rows x points) value matrix,
+so its dual class is the transpose.
 """
 
 from __future__ import annotations
@@ -22,30 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
 
-
-def _row_mask(rows: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
-
-
-def _shattered(masks: list[list[tuple[int, int]]], left: int, start: int,
-               groups: list[int]) -> bool:
-    """True iff left more points from index start on, each with one of its
-    (hi, lo) cutoff masks, split every row group down to all sign patterns."""
-    if left == 0:
-        return True
-    need = 1 << (left - 1)  # rows per child group
-    for p in range(start, len(masks) - left + 1):  # leave left - 1 points after p
-        for hi, lo in masks[p]:
-            children = []
-            for g in groups:
-                g_hi, g_lo = g & hi, g & lo
-                if g_hi.bit_count() < need or g_lo.bit_count() < need:
-                    break
-                children += (g_hi, g_lo)
-            else:
-                if _shattered(masks, left - 1, p + 1, children):
-                    return True
-    return False
+_BLOCK_WORDS = 1 << 14  # the words a search temporary holds, within the default caps
 
 
 def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
@@ -60,6 +38,8 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
     if np.ndim(matrix) != 2:
         raise InvalidParameter(f"class must be a 2-D matrix, got shape {np.shape(matrix)}")
+    if max_points < 0 or max_hypotheses < 0:
+        raise InvalidParameter(f"caps must be nonnegative, got {max_hypotheses} x {max_points}")
     n_hyp, n_pts = matrix.shape
     if n_hyp == 0:
         return 0
@@ -67,19 +47,54 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
         raise CapExceeded(
             f"class is {n_hyp} x {n_pts}, caps are {max_hypotheses} x {max_points}"
         )
+    if not np.isfinite(matrix).all():
+        raise InvalidParameter("class entries must be finite")
     # shattering m points needs 2^m hypotheses with distinct sign patterns
     limit = min(n_pts, int(math.floor(math.log2(n_hyp))) if n_hyp > 1 else 0)
     spread = (matrix.max(axis=0) - matrix.min(axis=0)) >= 2.0 * gamma - 1e-12
-    candidates = np.flatnonzero(spread)
-    limit = min(limit, candidates.size)
-    # per point, (hi, lo) row masks of each attained cutoff v: value >= v and
-    # <= v - 2*gamma.  A feasible cutoff slides up to an attained value, one with
-    # no lo row splits nothing; the 1e-12 guard keeps a 2*gamma gap shatterable
-    masks = [[(_row_mask(col >= v), lo) for v in np.unique(col)
-              if (lo := _row_mask(col <= v - 2.0 * gamma + 1e-12))]
-             for col in matrix[:, candidates].T]
+    cols = matrix[:, spread].T
+    limit = min(limit, cols.shape[0])
+    # an item per candidate point and attained cutoff v: rows >= v (hi), <= v - 2*gamma (lo).
+    # A feasible cutoff slides up to an attained value; 1e-12 keeps a 2*gamma gap shattered
+    srt = np.sort(cols, axis=1)
+    point, at = np.nonzero(np.diff(srt, axis=1, prepend=-np.inf) != 0)  # first occurrences
+    v = srt[point, at, None]
+    bits = np.zeros((2, v.size, -(-n_hyp // 64) * 64), dtype=bool)
+    bits[:, :, :n_hyp] = cols[point] >= v, cols[point] <= v - 2.0 * gamma + 1e-12
+    hi, lo = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    full = np.packbits(np.arange(bits.shape[2]) < n_hyp, bitorder="little").view("<u8")
+    nxt = np.searchsorted(point, point, side="right")  # each item's first later item
+    ends = np.searchsorted(point, np.arange(cols.shape[0]), side="right").tolist()
+
+    def extends(stops: list[int], groups: np.ndarray, starts: np.ndarray) -> bool:
+        """True iff some configuration c (row groups groups[c], items from
+        starts[c] on) takes one item below each stop, every split leaving
+        each child group 2^(stops left - 1) rows or more."""
+        need, first, stop = 1 << (len(stops) - 1), int(starts.min()), stops[0]
+        n_grp, n_words = groups.shape[1:]
+        keep = np.arange(first, stop) >= starts[:, None]
+        for j in range(n_grp):
+            for masks in (hi[first:stop], lo[first:stop]):
+                count = np.bitwise_count(groups[:, j, 0, None] & masks[:, 0])
+                for w in range(1, n_words):  # uint8 counts would wrap past 255 rows
+                    count = np.add(count, np.bitwise_count(groups[:, j, w, None] & masks[:, w]),
+                                   dtype=np.intp)
+                keep &= count >= need
+        cfg, item = np.nonzero(keep)
+        if item.size and len(stops) == 1:
+            return True
+        # children per block, so that theirs and their pairs' arrays stay bounded
+        chunk = max(1, _BLOCK_WORDS // max(hi.shape[0], 2 * n_grp * n_words))
+        for c in range(0, item.size, chunk):
+            parent, pick = groups[cfg[c:c + chunk]], item[c:c + chunk] + first
+            children = np.stack([parent & hi[pick, None], parent & lo[pick, None]], axis=2)
+            if extends(stops[1:], children.reshape(pick.size, -1, n_words), nxt[pick]):
+                return True
+        return False
+
     fat = 0
-    while fat < limit and _shattered(masks, fat + 1, 0, [(1 << n_hyp) - 1]):
+    # level k of size s takes a point with s - k - 1 points after it
+    while fat < limit and extends(ends[-fat - 1:], full[None, None], np.zeros(1, np.intp)):
         fat += 1
     return fat
 

@@ -4,10 +4,11 @@ These deliberately take different algorithmic routes from the library
 implementations: the shattering oracle enumerates flat witness products
 and counts sign-code coverage, the cover oracle enumerates center
 subsets by size, and the subset oracle enumerates bitmasks.
-``array_fat`` and ``subset_fat`` are the exception: they keep the
-library's two former fat-shattering searches, which start the search
-over for every point set, so the current prefix-shared search can be
-compared with them exactly; ``scalar_greedy_cover`` keeps the former
+``array_fat``, ``subset_fat`` and ``prefix_fat`` are the exception: they
+keep the library's three former fat-shattering searches, the first two
+starting over for every point set and the third a depth-first walk on
+Python-int row masks, so the current level search can be compared with
+them exactly; ``scalar_greedy_cover`` keeps the former
 cover, which compares every pair of points.  ``weak_learner_check`` is the library's
 former weak-learner predicate, which ``scalar_pick`` applies to one pool
 member at a time.  ``stacked_aggregate`` is the former ensemble
@@ -202,6 +203,52 @@ def _mask_subset_shattered(masks, n_hyp: int) -> bool:
         return False
 
     return rec(0, [(1 << n_hyp) - 1])
+
+
+def prefix_fat(matrix, gamma: float) -> int:
+    """The library's former fat-shattering search, depth-first on Python ints.
+
+    Same cutoffs, candidate filter and log2 limit as
+    ``dimensions.fat_shattering``: for each set size, one depth-first search
+    picks points in increasing index order, one (hi, lo) cutoff mask each,
+    and splits row groups kept as Python-int bitmasks.  No caps.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n_hyp, n_pts = matrix.shape
+    if n_hyp == 0:
+        return 0
+    limit = min(n_pts, int(math.floor(math.log2(n_hyp))) if n_hyp > 1 else 0)
+    spread = (matrix.max(axis=0) - matrix.min(axis=0)) >= 2.0 * gamma - 1e-12
+    candidates = np.flatnonzero(spread)
+    limit = min(limit, candidates.size)
+    masks = [[(_row_mask(col >= v), lo) for v in np.unique(col)
+              if (lo := _row_mask(col <= v - 2.0 * gamma + 1e-12))]
+             for col in matrix[:, candidates].T]
+    fat = 0
+    while fat < limit and _prefix_shattered(masks, fat + 1, 0, [(1 << n_hyp) - 1]):
+        fat += 1
+    return fat
+
+
+def _prefix_shattered(masks: list[list[tuple[int, int]]], left: int, start: int,
+                      groups: list[int]) -> bool:
+    """True iff left more points from index start on, each with one of its
+    (hi, lo) cutoff masks, split every row group down to all sign patterns."""
+    if left == 0:
+        return True
+    need = 1 << (left - 1)  # rows per child group
+    for p in range(start, len(masks) - left + 1):  # leave left - 1 points after p
+        for hi, lo in masks[p]:
+            children = []
+            for g in groups:
+                g_hi, g_lo = g & hi, g & lo
+                if g_hi.bit_count() < need or g_lo.bit_count() < need:
+                    break
+                children += (g_hi, g_lo)
+            else:
+                if _prefix_shattered(masks, left - 1, p + 1, children):
+                    return True
+    return False
 
 
 def brute_min_cover_size(points, t: float) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +16,22 @@ from reference import (
     array_fat,
     brute_fat,
     brute_min_cover_size,
+    prefix_fat,
     scalar_greedy_cover,
     subset_fat,
 )
 
 
 @st.composite
-def tie_heavy_classes(draw):
-    """(matrix, gamma): up to 48 rows over up to 16 points (the point cap)
-    on a grid of 2-5 value levels, rows and columns repeated in shuffled
-    order.  2*gamma is one or two level gaps half the time, so that gaps
-    land exactly on the margin, and 1.5 gaps or 0.2 otherwise."""
+def tie_heavy_classes(draw, n_rows=st.integers(1, 48), max_points=16):
+    """(matrix, gamma): n_rows rows (up to 48 by default) over up to
+    max_points points (by default 16, the point cap) on a grid of 2-5 value
+    levels, rows and columns repeated in shuffled order.  2*gamma is one or
+    two level gaps half the time, so that gaps land exactly on the margin,
+    and 1.5 gaps or 0.2 otherwise."""
     n_levels = draw(st.integers(2, 5))
     levels = np.linspace(0.0, 1.0, n_levels)
-    n_rows, n_pts = draw(st.integers(1, 48)), draw(st.integers(1, 16))
+    n_rows, n_pts = draw(n_rows), draw(st.integers(1, max_points))
     d_rows, d_pts = draw(st.integers(1, n_rows)), draw(st.integers(1, n_pts))
     distinct = levels[np.array(draw(st.lists(
         st.lists(st.integers(0, n_levels - 1), min_size=d_pts, max_size=d_pts),
@@ -91,6 +94,19 @@ class TestFatShattering:
         with pytest.raises(CapExceeded):
             fat_shattering(np.full((4, 17), 0.5), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_entries_must_be_finite(self, bad):
+        # with v = inf a row lands in both halves of a cutoff, so the
+        # infinite class read as shattering 2 points, where brute_fat reads 1
+        matrix = np.array([[bad, bad], [bad, bad], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidParameter, match="finite"):
+            fat_shattering(matrix, 0.1)
+
+    @pytest.mark.parametrize("caps", [{"max_points": -3}, {"max_hypotheses": -1}])
+    def test_caps_must_be_nonnegative(self, caps):
+        with pytest.raises(InvalidParameter, match="caps"):
+            fat_shattering(np.full((2, 2), 0.5), 0.1, **caps)
+
     def test_at_the_row_cap_matches_the_array_search(self):
         # the 2^6 sign patterns sit in rows 192..255 only, so the search
         # needs every bit of a 256-bit row mask
@@ -100,14 +116,38 @@ class TestFatShattering:
         grid = np.linspace(0, 1, 6)[np.random.default_rng(5).integers(0, 6, (256, 8))]
         assert fat_shattering(grid, 0.1) == array_fat(grid, 0.1)
 
+    def test_memory_is_bounded_at_the_caps(self):
+        # 12 six-level points and 4 constant ones at a margin below one level
+        # gap: a level search that held each level whole peaked near 70 MB
+        levels = np.random.default_rng(0).integers(0, 6, (256, 16))
+        levels[:, 12:] = 0
+        matrix = np.linspace(0.0, 1.0, 6)[levels]
+        tracemalloc.start()
+        try:
+            fat = fat_shattering(matrix, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert fat == array_fat(matrix, 0.05) == 6
+
     @given(tie_heavy_classes())
     @settings(max_examples=80, deadline=None)
     def test_matches_the_per_set_search_on_ties_up_to_the_caps(self, case):
         matrix, gamma = case
         fat = fat_shattering(matrix, gamma)
-        assert fat == subset_fat(matrix, gamma)
+        assert fat == subset_fat(matrix, gamma) == prefix_fat(matrix, gamma)
         if matrix.shape[1] <= 5:
             assert fat == brute_fat(matrix, gamma)
+
+    # rows fill one word less one bit, one word, one word and one bit, two
+    # words, two words and one bit, and four words (the row cap)
+    @given(tie_heavy_classes(n_rows=st.sampled_from([63, 64, 65, 128, 129, 256]),
+                             max_points=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_former_search_at_word_boundaries(self, case):
+        matrix, gamma = case
+        assert fat_shattering(matrix, gamma) == prefix_fat(matrix, gamma)
 
     def test_matches_the_per_set_search_on_smooth_classes(self):
         # the pipelines ask for fat at eta/64 or eta/32 and dual fat at eta
@@ -115,7 +155,8 @@ class TestFatShattering:
         for matrix in small_exact_classes(range(1000, 1012)):
             for m in (matrix, matrix.T):
                 for gamma in (0.2 * MEDIAN_FAT, 0.2 * AVERAGE_FAT, 0.2):
-                    assert fat_shattering(m, gamma) == subset_fat(m, gamma)
+                    fat = fat_shattering(m, gamma)
+                    assert fat == subset_fat(m, gamma) == prefix_fat(m, gamma)
             seen += 1
         assert seen >= 8
 

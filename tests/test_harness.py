@@ -343,6 +343,9 @@ class TestCli:
         ("gen --m -2", "{}"),
         # a NaN margin or cover radius on the command line
         ("fatdim --gamma nan", FLAG_DOMAIN),
+        # a negative cap
+        ("fatdim --gamma 0.1 --max-points -3", FLAG_DOMAIN),
+        ("fatdim --gamma 0.1 --max-hypotheses -1", FLAG_DOMAIN),
         ("cover --t nan", FLAG_DOMAIN),
         # a constant that is not finite; bounds reads no config
         ("bounds --kind agnostic --k 10 --m 1000 --c nan", None),
