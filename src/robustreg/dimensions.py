@@ -38,6 +38,7 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
     if np.ndim(matrix) != 2:
         raise InvalidParameter(f"class must be a 2-D matrix, got shape {np.shape(matrix)}")
+    matrix = np.asarray(matrix, dtype=float)  # the values FiniteClass holds
     if max_points < 0 or max_hypotheses < 0:
         raise InvalidParameter(f"caps must be nonnegative, got {max_hypotheses} x {max_points}")
     n_hyp, n_pts = matrix.shape

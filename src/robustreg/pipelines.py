@@ -71,8 +71,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         for key, value in (("d", self.d), ("T", self.T)):
+            if value is not None and not _is_int(value):
+                raise InvalidParameter(f"bad value {value!r} for {key!r}, not an integer")
             if value is not None and value < 1:
                 raise InvalidParameter(f"bad value {value!r} for {key!r}, below 1")
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(kw_only=True)
@@ -121,12 +128,16 @@ def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d:
     batched ``rerm(sample, subsets, U, eta_rerm)`` call.
 
     Every subset is enumerated while there are at most
-    ``POOL_ENUMERATE_MAX`` of them; beyond that, ``POOL_DRAWS`` subsets
-    are drawn with ``rng`` (each without replacement) and deduplicated.
+    ``POOL_ENUMERATE_MAX`` of them; beyond that, the subsets are the ones
+    ``POOL_DRAWS`` calls of ``rng.choice(m, d, replace=False)`` give,
+    taken from one generator call (:func:`_choice_subsets`), and
+    deduplicated in the order drawn.
     Infeasible subsets (a None fit) are skipped.  Returns the pool, the
     subset (sorted sample indices) each member was fit on, and the count
     of skipped subsets.
     """
+    if not _is_int(d):
+        raise InvalidParameter(f"d must be an integer, got {d!r}")
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
     sample = as_sample(sample)
@@ -137,9 +148,8 @@ def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d:
     if math.comb(m, d_eff) <= POOL_ENUMERATE_MAX:
         subsets = list(itertools.combinations(range(m), d_eff))
     else:
-        drawn = (tuple(np.sort(rng.choice(m, size=d_eff, replace=False)).tolist())
-                 for _ in range(POOL_DRAWS))
-        subsets = list(dict.fromkeys(drawn))
+        drawn = _choice_subsets(rng, m, d_eff, POOL_DRAWS)
+        subsets = list(dict.fromkeys(map(tuple, drawn.tolist())))
     fitted = [(h, s) for h, s in zip(rerm(sample, subsets, U, eta_rerm), subsets)
               if h is not None]
     skipped = len(subsets) - len(fitted)
@@ -147,6 +157,59 @@ def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d:
         raise EmptyPool(f"all {skipped} candidate subsets were infeasible")
     pool, sources = map(list, zip(*fitted))
     return pool, sources, skipped
+
+
+def _choice_subsets(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndarray:
+    """The sorted results of ``n`` successive ``rng.choice(m, d,
+    replace=False)`` calls as an (n x d) array, from one ``rng.integers``
+    call that consumes the same generator stream.
+
+    ``choice`` runs Floyd's sampling: step t = 0, ..., d-1 draws v in
+    [0, j] for j = m-d+t and takes v, or j when v is already taken; it
+    then shuffles its result with draws in [0, i] for i = d-1, ..., 1,
+    which sorting discards but which must be consumed.  For m > 10000 and
+    d > m // 50 it instead swaps position i = m-1, ..., max(m-d, 1) of
+    range(m) with a draw in [0, i] and keeps the last d positions.
+    """
+    floyd = not (m > 10000 and d > m // 50)
+    steps = np.arange(m - d, m)
+    highs = (np.concatenate([steps, np.arange(d - 1, 0, -1)]) if floyd
+             else np.arange(m - 1, max(m - d, 1) - 1, -1))
+    draws = rng.integers(0, np.broadcast_to(highs, (n, highs.size)), endpoint=True)
+    subsets = np.empty((n, d), dtype=np.int64)
+    block = max(1, (1 << 22) // m)  # rows whose (rows x m) table is at most 32 MB
+    for lo in range(0, n, block):
+        drawn = draws[lo:lo + block]
+        k = len(drawn)
+        if not floyd:
+            perm, rows = np.tile(np.arange(m), (k, 1)), np.arange(k)
+            for i, j in zip(highs.tolist(), drawn.T):
+                held = perm[:, i].copy()
+                perm[:, i] = perm[rows, j]
+                perm[rows, j] = held
+            subsets[lo:lo + k] = perm[:, m - d:]
+            continue
+        drawn = drawn[:, :d]
+        # step t takes its j when its value was drawn at an earlier step ...
+        t = np.tile(np.arange(d), k)
+        flat = (drawn + np.arange(0, k * m, m)[:, None]).ravel()
+        first = np.full(k * m, d, dtype=t.dtype)
+        np.minimum.at(first, flat, t)
+        takes_j = first[flat] < t
+        # ... or is the j of an earlier step that takes its j: flat step
+        # src links to flat step dst, and each pass marks the steps linked
+        # to a marked one until a pass marks none
+        src = np.flatnonzero((drawn >= m - d) & (drawn < steps))
+        dst = src + (drawn - steps).ravel()[src]
+        while src.size:
+            hit = takes_j[dst]
+            if not hit.any():
+                break
+            takes_j[src[hit]] = True
+            src, dst = src[~hit], dst[~hit]
+        subsets[lo:lo + k] = np.where(takes_j.reshape(k, d), steps, drawn)
+    subsets.sort(axis=1)
+    return subsets
 
 
 def dual_embed(pool: Sequence[Hypothesis],

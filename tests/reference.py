@@ -15,6 +15,8 @@ member at a time.  ``stacked_aggregate`` is the former ensemble
 aggregation, which stacks a row for every member, repeated or not;
 ``full_dual`` likewise keeps a dual column for every pool entry, and
 ``scalar_inflate`` is the former inflation, one example at a time.
+``choice_draws`` is the pool's former draw, one ``rng.choice`` call per
+subset.
 Float sums add left to right in an explicit loop, as the library must
 on every Python version.
 """
@@ -437,3 +439,10 @@ def scalar_pick(pool, P, cover, violates, accept):
         if best is None or mass < best_mass:
             best, best_mass = i, mass
     return (best if accept(pool[best], best_mass) else None), best_mass
+
+
+def choice_draws(rng, m: int, d: int, n: int) -> list[tuple[int, ...]]:
+    """``n`` subsets as the pool drew them before one generator call
+    replaced the loop: one ``rng.choice`` call each, sorted."""
+    return [tuple(np.sort(rng.choice(m, size=d, replace=False)).tolist())
+            for _ in range(n)]

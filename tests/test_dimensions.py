@@ -84,6 +84,14 @@ class TestFatShattering:
         assert fat_shattering(matrix, 0.11) == 1  # first point's spread is only 0.2
         assert fat_shattering(matrix, 0.41) == 0
 
+    def test_boolean_class_reads_as_its_float_copy(self):
+        rng = np.random.default_rng(4)
+        for matrix in (np.array([[True, False], [False, True]]),
+                       np.eye(4, dtype=bool), rng.random((16, 5)) < 0.5):
+            for gamma in (0.1, 0.25, 0.5, 0.51):
+                assert fat_shattering(matrix, gamma) == fat_shattering(matrix.astype(float), gamma)
+        assert fat_shattering(np.array([[True, False], [False, True]]), 0.5) == 1
+
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             fat_shattering(np.full((4, 20), 0.5), 0.1)

@@ -3,9 +3,10 @@
 Every comparison is exact: the kernel takes maxima over the same finite
 sets and the errors add in the same order, so vectorised and scalar
 results must agree to the last bit.  Inflation is checked against the
-former one-example-at-a-time loop, and the cover of the dual over the
+former one-example-at-a-time loop, the cover of the dual over the
 distinct pool members against the cover of the dual with a column for
-every pool entry.
+every pool entry, and the pool's drawn subsets against one
+``rng.choice`` call per subset.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustreg import (
@@ -37,10 +38,11 @@ from robustreg import (
 )
 from robustreg.compression import CompressionScheme
 from robustreg.errors import ReconstructionFailed
-from robustreg.pipelines import POOL_DRAWS, POOL_ENUMERATE_MAX
+from robustreg.pipelines import POOL_DRAWS, POOL_ENUMERATE_MAX, _choice_subsets
 
 from reference import (
     brute_max_fit_subsets,
+    choice_draws,
     full_dual,
     scalar_empirical_error,
     scalar_inflate,
@@ -205,14 +207,46 @@ def test_build_pool_equals_a_scalar_rerm_loop(d):
     if enumerate_all:
         subsets = list(itertools.combinations(range(11), d))
     else:
-        draw = np.random.default_rng(3)
-        subsets = list(dict.fromkeys(
-            tuple(sorted(draw.choice(11, size=d, replace=False).tolist()))
-            for _ in range(POOL_DRAWS)))
+        subsets = list(dict.fromkeys(choice_draws(np.random.default_rng(3), 11, d, POOL_DRAWS)))
     rows = [scalar_rerm(matrix, [sample[i] for i in s], U, 0.25)[0] for s in subsets]
     assert [h.descriptor for h in pool] == [("finite", r) for r in rows if r is not None]
     assert sources == [s for s, r in zip(subsets, rows) if r is not None]
     assert skipped == rows.count(None) > 0
+
+
+@st.composite
+def choice_shapes(draw):
+    m = draw(st.integers(2, 400))
+    return m, draw(st.integers(1, m))
+
+
+# numpy's choice shuffles the tail of range(m) instead of running Floyd's
+# sampling from m = 10001 and d = m // 50 + 1 on
+@example((10000, 200), 0)
+@example((10000, 201), 1)
+@example((10001, 200), 2)
+@example((10001, 201), 3)
+# above 2^22 // m rows a call runs its rows in blocks
+@example((100000, 10), 8)
+@example((100000, 2001), 9)
+@example((400, 1), 4)
+@example((400, 399), 5)
+@example((2, 1), 6)
+# the benchmark workloads' pool shapes
+@example((40, 6), 701)
+@example((190, 88), 701)
+@example((320, 180), 701)
+@example((1280, 15), 701)
+@given(choice_shapes(), st.integers(0, 2 ** 64 - 1))
+def test_choice_subsets_equal_one_choice_call_per_subset(shape, seed):
+    m, d = shape
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    subsets = _choice_subsets(rng, m, d, POOL_DRAWS)
+    expected = np.array(choice_draws(loop, m, d, POOL_DRAWS), dtype=np.int64)
+    assert subsets.dtype == np.int64 and subsets.shape == (POOL_DRAWS, d)
+    assert subsets.tobytes() == expected.tobytes()
+    # the generator stream continues where the calls would leave it
+    assert rng.bit_generator.state == loop.bit_generator.state
 
 
 def test_reconstruct_names_the_infeasible_group():

@@ -110,6 +110,11 @@ class TestBuildPool:
         with pytest.raises(EmptyPool):
             build_pool(spread, self.U3, rerm_constant, 0.1, 2, rng=self.RNG)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, True])
+    def test_d_must_be_an_integer(self, d):
+        with pytest.raises(InvalidParameter, match="d must be an integer"):
+            build_pool(self.SAMPLE11, self.U11, rerm_constant, 0.1, d, rng=self.RNG)
+
     def test_enumerate_cap(self):
         # up to POOL_ENUMERATE_MAX subsets every one is refit, in
         # lexicographic order; beyond, at most POOL_DRAWS are drawn
@@ -412,6 +417,21 @@ def test_pipeline_config_refuses_overrides_below_one(key, value):
     # the message an experiment config gives for the same value
     with pytest.raises(InvalidParameter, match=f"^bad value {value} for '{key}', below 1$"):
         PipelineConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["d", "T"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0)])
+def test_pipeline_config_refuses_overrides_that_are_not_integers(key, value):
+    with pytest.raises(InvalidParameter, match=f"^bad value .* for '{key}', not an integer$"):
+        PipelineConfig(**{key: value})
+
+
+def test_pipeline_config_and_build_pool_accept_numpy_integers():
+    assert PipelineConfig(d=np.int64(3), T=np.int32(2)).d == 3
+    pool, sources, _ = build_pool(labeled([(0, 0.2), (1, 0.2), (2, 0.2)]),
+                                  PerturbationMap.identity(3), rerm_constant, 0.1, np.int64(2),
+                                  rng=np.random.default_rng(0))
+    assert sources == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestReportSerialization:
