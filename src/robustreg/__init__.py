@@ -5,7 +5,7 @@ explicit finite perturbation sets, built from robust ERM oracles,
 dual-space covers, boosting, and sample compression schemes.
 """
 
-from .boosting import WeightedEnsemble, find_weak_learner, medboost, medboost_alpha
+from .boosting import PointDistribution, WeightedEnsemble, find_weak_learner, medboost, medboost_alpha
 from .compression import CompressionScheme, compress, generalization_bound, reconstruct
 from .core import (
     DomainData,
@@ -45,7 +45,6 @@ from .oracles import (
     ConstantClassOracle,
     FiniteClass,
     FiniteClassOracle,
-    PointDistribution,
     rerm_constant,
     rerm_finite,
 )

@@ -18,15 +18,53 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, SampleLike, as_sample
+from .core import Hypothesis, Sample, SampleLike, as_sample
 from .errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
-from .oracles import PointDistribution
 
 # The paper's refit radii, as fractions of eta: every RERM fit of a median
 # scheme (pool, reconstruction) runs at eta/8, of an average scheme at
 # eta/4, so that a stored scheme replays its run.
 MEDIAN_REFIT = 1 / 8
 AVERAGE_REFIT = 1 / 4
+
+
+@dataclass(frozen=True)
+class PointDistribution:
+    """Normalized nonnegative weights over a finite point list."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise InvalidParameter("weights must be a nonempty vector")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise InvalidParameter("weights must be finite and nonnegative")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise InvalidParameter(f"weights must sum to 1, got {w.sum()!r}")
+        object.__setattr__(self, "weights", w)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    @classmethod
+    def uniform(cls, n: int) -> "PointDistribution":
+        if n < 1:
+            raise InvalidParameter("distribution needs at least one point")
+        return cls(np.full(n, 1.0 / n))
+
+    def reweight(self, multipliers: np.ndarray) -> "PointDistribution":
+        w = self.weights * np.asarray(multipliers, dtype=float)
+        total = w.sum()
+        if total <= 0:
+            raise InvalidParameter("reweighting zeroed the distribution")
+        return PointDistribution(w / total)
+
+    def mass(self, mask: np.ndarray):
+        """P-mass of the points in ``mask``, or of each row of a C-ordered
+        (k x n) mask.  Points outside the mask add as zeros, so each row
+        sums as a one-row mask of it does."""
+        return np.where(mask, self.weights, 0.0).sum(axis=-1)
 
 
 def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -93,6 +131,15 @@ class WeightedEnsemble:
     def __len__(self) -> int:
         return len(self.members)
 
+    @classmethod
+    def from_picks(cls, pool: Sequence[Hypothesis], sources: Sequence[tuple[int, ...]],
+                   picks: Sequence[int], aggregation: str,
+                   alphas: Sequence[float] | None = None) -> "WeightedEnsemble":
+        """``pool[i]`` with source ``sources[i]`` for each i in ``picks``, alphas default 1."""
+        return cls(members=tuple(pool[i] for i in picks),
+                   alphas=tuple(alphas) if alphas is not None else (1.0,) * len(picks),
+                   sources=tuple(sources[i] for i in picks), aggregation=aggregation)
+
     @cached_property
     def values(self) -> np.ndarray:
         """The aggregated value vector, computed once."""
@@ -137,6 +184,20 @@ def find_weak_learner(P: PointDistribution, violated: np.ndarray) -> int:
     return best
 
 
+def cover_values(cover: SampleLike, pool: Sequence[Hypothesis],
+                 sources: Sequence[tuple[int, ...]], T: int) -> tuple[Sample, np.ndarray]:
+    """The checked inputs of a booster: the cover as a Sample and the
+    (pool x cover) matrix of every member's values on the cover points."""
+    if T < 1:
+        raise InvalidParameter(f"T must be >= 1, got {T}")
+    cover = as_sample(cover)
+    if not cover:
+        raise InvalidParameter("cover must be nonempty")
+    if not pool or len(pool) != len(sources):
+        raise InvalidParameter("pool and sources must be equal-length and nonempty")
+    return cover, np.stack([h.values[cover.xs] for h in pool])
+
+
 def medboost(
     cover: SampleLike,
     pool: Sequence[Hypothesis],
@@ -155,14 +216,7 @@ def medboost(
     copies of that member with unit weights.  The run stops once the
     median is within eta/4 on every cover point.
     """
-    if T < 1:
-        raise InvalidParameter(f"T must be >= 1, got {T}")
-    cover = as_sample(cover)
-    if not cover:
-        raise InvalidParameter("cover must be nonempty")
-    if not pool or len(pool) != len(sources):
-        raise InvalidParameter("pool and sources must be equal-length and nonempty")
-    values = np.stack([h.values[cover.xs] for h in pool])
+    cover, values = cover_values(cover, pool, sources, T)
     violated = np.abs(values - cover.ys) > eta / 4
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []
@@ -180,7 +234,4 @@ def medboost(
         med = weighted_median_columns(values[picks], np.array(alphas))
         if (np.abs(med - cover.ys) <= eta / 4).all():
             break
-    return WeightedEnsemble(
-        members=tuple(pool[i] for i in picks), alphas=tuple(alphas),
-        sources=tuple(sources[i] for i in picks), aggregation="median",
-    )
+    return WeightedEnsemble.from_picks(pool, sources, picks, "median", alphas)

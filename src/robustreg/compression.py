@@ -48,8 +48,8 @@ class CompressionScheme:
 
     @property
     def size(self) -> int:
-        """Total number of stored points, |kappa(S)|."""
-        return sum(len(g) for g in self.groups)
+        """Total number of stored points, |kappa(S)|: the groups share one size."""
+        return len(self.groups) * len(self.groups[0])
 
     def to_json(self) -> str:
         doc = {

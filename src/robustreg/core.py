@@ -206,8 +206,8 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise InvalidParameter(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:  # NaN fails too
+            raise InvalidParameter(f"p must be finite and >= 1, got {self.p}")
 
 
 LossMode = EtaBall | Lp
@@ -241,14 +241,12 @@ def empirical_error(h: Hypothesis, sample: SampleLike,
                     U: PerturbationMap, mode: LossMode) -> float:
     if len(sample) == 0:
         raise EmptySample("empirical error over an empty sample")
-    devs = robust_deviations(h.values, sample, U)[0].tolist()
-    if isinstance(mode, EtaBall):
-        losses = (1.0 if dev >= mode.eta else 0.0 for dev in devs)
-    else:
-        losses = (dev ** mode.p for dev in devs)
+    devs = robust_deviations(h.values, sample, U)[0]
+    if isinstance(mode, EtaBall):  # a count, exact in any order
+        return int(np.count_nonzero(devs >= mode.eta)) / len(sample)
     # left to right in sample order: numpy's pairwise sum moves the last bit
     # of Lp errors, and the builtin sum is compensated from Python 3.12 on
-    return reduce(operator.add, losses, 0.0) / len(sample)
+    return reduce(operator.add, (dev ** mode.p for dev in devs.tolist()), 0.0) / len(sample)
 
 
 @dataclass(frozen=True)

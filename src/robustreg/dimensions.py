@@ -26,6 +26,17 @@ from .errors import CapExceeded, InvalidParameter
 _BLOCK_WORDS = 1 << 14  # the words a search temporary holds, within the default caps
 
 
+def as_class_matrix(matrix) -> np.ndarray:
+    """A class's (rows x points) values as floats, booleans as 0 and 1."""
+    try:
+        m = np.asarray(matrix)
+    except ValueError:  # ragged rows
+        m = np.empty((), dtype=object)
+    if m.ndim != 2 or m.dtype.kind not in "biuf":  # no strings, objects or complex values
+        raise InvalidParameter(f"class must be a 2-D matrix of real numbers, got {m.dtype} {m.shape}")
+    return np.asarray(m, dtype=float)
+
+
 def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
                    max_hypotheses: int = 256) -> int:
     """Size of the largest point set that the rows of a (rows x points)
@@ -36,9 +47,7 @@ def fat_shattering(matrix: np.ndarray, gamma: float, *, max_points: int = 16,
     """
     if not gamma > 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
-    if np.ndim(matrix) != 2:
-        raise InvalidParameter(f"class must be a 2-D matrix, got shape {np.shape(matrix)}")
-    matrix = np.asarray(matrix, dtype=float)  # the values FiniteClass holds
+    matrix = as_class_matrix(matrix)  # the values FiniteClass holds
     if max_points < 0 or max_hypotheses < 0:
         raise InvalidParameter(f"caps must be nonnegative, got {max_hypotheses} x {max_points}")
     n_hyp, n_pts = matrix.shape

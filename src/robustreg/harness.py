@@ -267,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
                 row.update({
                     "emp_robust_err": report.emp_eta_robust_err,
                     "holdout_robust_err": empirical_error(
-                        report.hypothesis, holdout, U, EtaBall(report.eta)),
+                        report.hypothesis, holdout, U, EtaBall(report.eta)) if holdout else None,
                     "compression_size": report.compression_size,
                     "cover_size": report.cover_size,
                     "bound_realizable": report.bound_realizable,

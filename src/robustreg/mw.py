@@ -16,10 +16,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .boosting import WeightedEnsemble, least_violated
-from .core import Hypothesis, SampleLike, as_sample
+from .boosting import PointDistribution, WeightedEnsemble, cover_values, least_violated
+from .core import Hypothesis, SampleLike
 from .errors import InvalidParameter, StrongLearnerNotFound
-from .oracles import PointDistribution
 
 MAX_DOUBLINGS = 4
 # The discount of a cover point the round's learner handles within eta/2.
@@ -66,15 +65,8 @@ def mw_boost(
     The last ensemble is returned either way; callers recompute the
     condition and fail loudly.
     """
-    if T < 1:
-        raise InvalidParameter(f"T must be >= 1, got {T}")
-    cover = as_sample(cover)
-    if not cover:
-        raise InvalidParameter("cover must be nonempty")
-    if not pool or len(pool) != len(sources):
-        raise InvalidParameter("pool and sources must be equal-length and nonempty")
-    zs, ys = cover.xs, cover.ys
-    dev = np.abs(np.stack([h.values[zs] for h in pool]) - ys)
+    cover, values = cover_values(cover, pool, sources, T)
+    dev = np.abs(values - cover.ys)
     violated, correct = dev >= eta / 2, dev <= eta / 2
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []
@@ -83,12 +75,9 @@ def mw_boost(
             i = find_strong_learner(P, violated, epsilon)
             picks.append(i)
             P = mw_update(P, correct[i])
-        ensemble = WeightedEnsemble(
-            members=tuple(pool[i] for i in picks), alphas=(1.0,) * len(picks),
-            sources=tuple(sources[i] for i in picks), aggregation="average",
-        )
+        ensemble = WeightedEnsemble.from_picks(pool, sources, picks, "average")
         # the aggregation the returned ensemble and its reconstruction use
-        rate = float((np.abs(ensemble.values[zs] - ys) >= eta / 2).mean())
+        rate = float((np.abs(ensemble.values[cover.xs] - cover.ys) >= eta / 2).mean())
         if rate <= epsilon:
             break
     return ensemble

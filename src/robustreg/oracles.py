@@ -1,4 +1,4 @@
-"""Robust empirical risk minimizers, finite classes and point distributions.
+"""Robust empirical risk minimizers and finite classes.
 
 A RERM call ``rerm(sample, subsets, U, eta)`` fits every given subset of
 sample indices at once: for each, a hypothesis whose worst-case deviation
@@ -37,9 +37,7 @@ class FiniteClass:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise InvalidParameter("class matrix must be 2-D")
+        m = dimensions.as_class_matrix(self.matrix)
         if m.shape[0] < 1:
             raise InvalidParameter("class must contain at least one hypothesis")
         if not ((m >= 0.0) & (m <= 1.0)).all():
@@ -78,45 +76,6 @@ def load_class_csv(path) -> FiniteClass:
     return FiniteClass(matrix[:, np.argsort(ids)])
 
 
-@dataclass(frozen=True)
-class PointDistribution:
-    """Normalized nonnegative weights over a finite point list."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidParameter("weights must be a nonempty vector")
-        if not (np.isfinite(w) & (w >= 0)).all():
-            raise InvalidParameter("weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise InvalidParameter(f"weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    @classmethod
-    def uniform(cls, n: int) -> "PointDistribution":
-        if n < 1:
-            raise InvalidParameter("distribution needs at least one point")
-        return cls(np.full(n, 1.0 / n))
-
-    def reweight(self, multipliers: np.ndarray) -> "PointDistribution":
-        w = self.weights * np.asarray(multipliers, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise InvalidParameter("reweighting zeroed the distribution")
-        return PointDistribution(w / total)
-
-    def mass(self, mask: np.ndarray):
-        """P-mass of the points in ``mask``, or of each row of a C-ordered
-        (k x n) mask.  Points outside the mask add as zeros, so each row
-        sums as a one-row mask of it does."""
-        return np.where(mask, self.weights, 0.0).sum(axis=-1)
-
-
 def rerm_finite(cls: FiniteClass, sample: SampleLike,
                 subsets: Sequence[Sequence[int]], U: PerturbationMap,
                 eta: float) -> list[Hypothesis | None]:
@@ -129,18 +88,24 @@ def rerm_finite(cls: FiniteClass, sample: SampleLike,
     membership matrix (integer counts, exact in float64).  Subsets fit by
     the same row share one hypothesis object.
     """
-    if not 0.0 < eta <= 1.0:
-        raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
-    cols = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
-    used, where = np.unique(np.fromiter(chain.from_iterable(subsets), np.intp, cols.size),
-                            return_inverse=True)
+    points, cols = _batch(subsets, eta)
+    used, where = np.unique(points, return_inverse=True)
     member = np.zeros((used.size, len(subsets)))
     member[where, cols] = 1.0
     exceeds = robust_deviations(cls.matrix, as_sample(sample).take(used), U) > eta
     fits = exceeds.astype(float) @ member == 0.0
     rows = np.where(fits.any(axis=0), fits.argmax(axis=0), -1).tolist()
-    fitted = {r: cls.hypothesis(r) for r in rows if r >= 0}
+    fitted = {r: cls.hypothesis(r) for r in set(rows) if r >= 0}
     return [fitted.get(r) for r in rows]
+
+
+def _batch(subsets: Sequence[Sequence[int]], eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A RERM call's checked radius and subsets: the sample indices of all
+    subsets end to end, and the subset each belongs to."""
+    if not 0.0 < eta <= 1.0:
+        raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
+    cols = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    return np.fromiter(chain.from_iterable(subsets), np.intp, cols.size), cols
 
 
 def rerm_constant(sample: SampleLike, subsets: Sequence[Sequence[int]],
@@ -151,16 +116,13 @@ def rerm_constant(sample: SampleLike, subsets: Sequence[Sequence[int]],
     A constant ignores the perturbed argument, so feasibility is just
     label intervals intersecting.
     """
-    if not 0.0 < eta <= 1.0:
-        raise InvalidParameter(f"eta must be in (0, 1], got {eta}")
-    ys = as_sample(sample).ys
-    fits = []
-    for subset in subsets:
-        labels = ys[np.asarray(subset, dtype=np.intp)]
-        lo = float((labels - eta).max(initial=0.0))
-        hi = float((labels + eta).min(initial=1.0))
-        fits.append(constant_hypothesis((lo + hi) / 2.0, U.domain_size) if lo <= hi else None)
-    return fits
+    points, cols = _batch(subsets, eta)
+    labels = as_sample(sample).ys[points]
+    lo, hi = np.zeros(len(subsets)), np.ones(len(subsets))
+    np.maximum.at(lo, cols, labels - eta)
+    np.minimum.at(hi, cols, labels + eta)
+    return [constant_hypothesis(c, U.domain_size) if ok else None
+            for c, ok in zip(((lo + hi) / 2.0).tolist(), (lo <= hi).tolist())]
 
 
 class FiniteClassOracle:
@@ -236,15 +198,13 @@ class ConstantClassOracle:
         endpoints, so midpoints of consecutive endpoints (clamped into
         [0, 1]) enumerate every achievable fit set.
         """
-        if not sample:
-            return (), constant_hypothesis(0.5, U.domain_size)
         ys = as_sample(sample).ys
         endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
-        mids = (endpoints[:-1] + endpoints[1:]) / 2.0
-        best_c, best_count = 0.5, int((np.abs(ys - 0.5) < eta).sum())
-        for c in np.clip(mids, 0.0, 1.0):
-            count = int((np.abs(ys - c) < eta).sum())
-            if count > best_count:
-                best_c, best_count = float(c), count
-        fit = tuple(i for i, y in enumerate(ys) if abs(y - best_c) < eta)
-        return fit, constant_hypothesis(best_c, U.domain_size)
+        mids = np.clip((endpoints[:-1] + endpoints[1:]) / 2.0, 0.0, 1.0)
+        counts = (np.abs(ys - mids[:, None]) < eta).sum(axis=1)
+        # 0.5 unless a midpoint fits strictly more; the first such midpoint
+        best = 0.5
+        if counts.max(initial=0) > (np.abs(ys - 0.5) < eta).sum():
+            best = float(mids[np.argmax(counts)])
+        fit = tuple(np.flatnonzero(np.abs(ys - best) < eta).tolist())
+        return fit, constant_hypothesis(best, U.domain_size)

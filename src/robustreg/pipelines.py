@@ -309,8 +309,7 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     the oracle folds the average into one member, that member's descriptor
     is reported as the properness witness.
     """
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
+    loss = EtaBall(eta)
     if not 0.0 < epsilon <= 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
     sample = as_sample(sample)
@@ -328,7 +327,7 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     _check("cover rate", cover_rate, epsilon)
     inflated_rate = float(np.mean(np.abs(h.values[inflated.xs] - inflated.ys) >= eta))
     _check("inflated-set rate", inflated_rate, epsilon)
-    sample_err = empirical_error(h, sample, U, EtaBall(eta))
+    sample_err = empirical_error(h, sample, U, loss)
     _check("robust sample error", sample_err, epsilon)
     head.timings["verify"] = time.perf_counter() - t3
 
@@ -343,11 +342,12 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     )
 
 
-def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
+def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
                   fit: Sequence[int]):
     """The median learner fitted to the points ``fit`` of the sample and
     compressed over the whole sample.  Returns the report, the head, k and
     the worst robust deviation of the replay on the fitted points."""
+    eta = loss.eta
     sub = sample.take(fit)
     pool_ss, sparsify_ss = _seeds(seed, 2)
     head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
@@ -386,11 +386,9 @@ def _median_learn(oracle, sample, U, eta, config, seed, pipeline: str,
     _check("robust deviation of the reconstruction on the fitted points", worst, eta)
     head.timings["verify"] = time.perf_counter() - t4
 
-    report = _report(
-        pipeline, eta, seed, sample, U, scheme, h, head,
-        empirical_error(h, sample, U, EtaBall(eta)),
-        rounds=len(ensemble), sparsify_failed=sparsify_failed,
-    )
+    report = _report(pipeline, eta, seed, sample, U, scheme, h, head,
+                     empirical_error(h, sample, U, loss), rounds=len(ensemble),
+                     sparsify_failed=sparsify_failed)
     return report, head, k, worst
 
 
@@ -404,11 +402,9 @@ def improper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     A failed sparsification downgrades to the unsparsified ensemble and
     is flagged; the uniform condition still holds.
     """
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
     sample = as_sample(sample)
     report, head, k, worst = _median_learn(
-        oracle, sample, U, eta, config, seed, "improper", range(len(sample)))
+        oracle, sample, U, EtaBall(eta), config, seed, "improper", range(len(sample)))
     report.uniform = bool(worst <= eta)
     report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
                     "d": head.d, "k": k, "max_robust_dev": worst}
@@ -423,15 +419,14 @@ def agnostic_eta_learn(oracle, sample: SampleLike,
     refit radius eta/8, then run the median-boosting learner on it; raise
     :class:`EmptyPool` when no member fits any point (every pool subset
     would be infeasible)."""
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter(f"eta must be in (0, 1), got {eta}")
+    loss = EtaBall(eta)
     sample = as_sample(sample)
     if len(sample) == 0:
         raise InvalidParameter("agnostic learner needs a nonempty sample")
     fit, witness = oracle.max_fit_subset(sample, U, eta * MEDIAN_REFIT)
     if not fit:
         raise EmptyPool(f"no class member fits any point within {eta * MEDIAN_REFIT:.6g}")
-    report, head, k, _ = _median_learn(oracle, sample, U, eta, config, seed,
+    report, head, k, _ = _median_learn(oracle, sample, U, loss, config, seed,
                                        "agnostic-eta", fit)
     report.subset_size = len(fit)
     report.extra = {"cover_certificate": head.cert, "d": head.d, "k": k,
@@ -447,23 +442,28 @@ def realizable_regression(oracle, sample: SampleLike,
     """Reduce p-th power loss to the tube loss at radius epsilon^(1/p)."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameter(f"epsilon must be in (0, 1), got {epsilon}")
-    if p < 1.0:
-        raise InvalidParameter(f"p must be >= 1, got {p}")
+    lp = Lp(p)
     eta = epsilon ** (1.0 / p)
     sample = as_sample(sample)
-    report = improper_learn(oracle, sample, U, eta, config, seed)
-    report.p = p
-    if p != 1.0:  # the learner reported the Lp error at p = 1
-        report.emp_lp_robust_err = empirical_error(report.hypothesis, sample, U, Lp(p))
+    report = _report_at_p(improper_learn(oracle, sample, U, eta, config, seed),
+                          "regress", epsilon, sample, U, lp)
     lp_err, eta_err = report.emp_lp_robust_err, report.emp_eta_robust_err
     bound = eta_err * (1.0 - eta ** p) + eta ** p
     if lp_err > bound:
         raise ChainAssertionFailed(
             f"p-loss {lp_err:.6g} exceeds the reduction bound {bound:.6g}")
-    report.pipeline = "regress"
-    report.epsilon = epsilon
     report.extra["reduction_bound"] = bound
     report.extra["eta_from_epsilon"] = eta
+    return report
+
+
+def _report_at_p(report: PipelineReport, pipeline: str, epsilon: float, sample: Sample,
+                 U: PerturbationMap, lp: Lp) -> PipelineReport:
+    """A learner's report as the regression ``pipeline`` at ``epsilon``, with
+    its Lp error taken at p (the learner took it at p = 1)."""
+    report.pipeline, report.epsilon, report.p = pipeline, epsilon, lp.p
+    if lp.p != 1.0:
+        report.emp_lp_robust_err = empirical_error(report.hypothesis, sample, U, lp)
     return report
 
 
@@ -492,8 +492,7 @@ def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: Pert
     """
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise InvalidParameter("epsilon and delta must be in (0, 1)")
-    if p < 1.0:
-        raise InvalidParameter(f"p must be >= 1, got {p}")
+    lp = Lp(p)
     sample, holdout = as_sample(sample), as_sample(holdout)
     needed = math.ceil((1.0 / epsilon ** 2) * math.log(1.0 / delta))
     if len(holdout) < needed:
@@ -517,14 +516,10 @@ def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: Pert
     if not candidates:
         raise RobustRegError("every grid point failed; nothing to select")
     best_err, best_theta, best = min(candidates, key=lambda c: (c[0], c[1]))
-    best.pipeline = "agnostic-regress"
-    best.epsilon = epsilon
+    _report_at_p(best, "agnostic-regress", epsilon, sample, U, lp)
     best.selected_theta = best_theta
     best.holdout_eta_err = best_err
-    best.p = p
-    if p != 1.0:  # the learner reported the Lp error at p = 1
-        best.emp_lp_robust_err = empirical_error(best.hypothesis, sample, U, Lp(p))
-    best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, Lp(p))
+    best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, lp)
     best.extra["grid"] = [(t, s, e) for t, s, e in trail]
     return best
 

@@ -54,12 +54,8 @@ def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
                 raise RobustRegError(
                     "majority certificate failed to pin the median"
                 )  # unreachable: a strict majority inside the tube pins it
-            return WeightedEnsemble(
-                members=tuple(ensemble.members[int(j)] for j in drawn),
-                alphas=(1.0,) * k,
-                sources=tuple(ensemble.sources[int(j)] for j in drawn),
-                aggregation="median",
-            )
+            return WeightedEnsemble.from_picks(ensemble.members, ensemble.sources,
+                                               drawn.tolist(), "median")
         best = worst if best is None else min(best, worst)
     raise SparsifyFailed(
         f"no accepted draw in {MAX_DRAWS} iterations (best violation count {best})",

@@ -16,7 +16,9 @@ aggregation, which stacks a row for every member, repeated or not;
 ``full_dual`` likewise keeps a dual column for every pool entry, and
 ``scalar_inflate`` is the former inflation, one example at a time.
 ``choice_draws`` is the pool's former draw, one ``rng.choice`` call per
-subset.
+subset.  ``loop_rerm_constant`` and ``sweep_max_fit_constant`` are the
+constant class's former RERM and largest-fit sweep, one subset and one
+midpoint at a time.
 Float sums add left to right in an explicit loop, as the library must
 on every Python version.
 """
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from robustreg.core import as_sample
+from robustreg.core import as_sample, constant_hypothesis
 from robustreg.errors import InvalidParameter
 
 
@@ -446,3 +448,31 @@ def choice_draws(rng, m: int, d: int, n: int) -> list[tuple[int, ...]]:
     replaced the loop: one ``rng.choice`` call each, sorted."""
     return [tuple(np.sort(rng.choice(m, size=d, replace=False)).tolist())
             for _ in range(n)]
+
+
+def loop_rerm_constant(sample, subsets, U, eta):
+    """``rerm_constant`` as it was: one label-interval intersection per subset."""
+    ys = as_sample(sample).ys
+    fits = []
+    for subset in subsets:
+        labels = ys[np.asarray(subset, dtype=np.intp)]
+        lo = float((labels - eta).max(initial=0.0))
+        hi = float((labels + eta).min(initial=1.0))
+        fits.append(constant_hypothesis((lo + hi) / 2.0, U.domain_size) if lo <= hi else None)
+    return fits
+
+
+def sweep_max_fit_constant(sample, U, eta):
+    """``ConstantClassOracle.max_fit_subset`` as it was: one midpoint at a time."""
+    if not sample:
+        return (), constant_hypothesis(0.5, U.domain_size)
+    ys = as_sample(sample).ys
+    endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
+    mids = (endpoints[:-1] + endpoints[1:]) / 2.0
+    best_c, best_count = 0.5, int((np.abs(ys - 0.5) < eta).sum())
+    for c in np.clip(mids, 0.0, 1.0):
+        count = int((np.abs(ys - c) < eta).sum())
+        if count > best_count:
+            best_c, best_count = float(c), count
+    fit = tuple(i for i, y in enumerate(ys) if abs(y - best_c) < eta)
+    return fit, constant_hypothesis(best_c, U.domain_size)

@@ -254,6 +254,11 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             Lp(0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_lp_needs_a_finite_p(self, p):
+        with pytest.raises(InvalidParameter, match="^p must be finite and >= 1"):
+            Lp(p)
+
 
 class TestDomainDocument:
     DOC = {

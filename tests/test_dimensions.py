@@ -92,6 +92,17 @@ class TestFatShattering:
                 assert fat_shattering(matrix, gamma) == fat_shattering(matrix.astype(float), gamma)
         assert fat_shattering(np.array([[True, False], [False, True]]), 0.5) == 1
 
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 0.25], [0.75]],
+        [["a", "b"], ["c", "d"]],
+        [[0.5, None]],
+        np.array([[0.5, 0.25], [0.75, 0.0]]) + 0j,
+    ], ids=["ragged", "strings", "none", "complex"])
+    def test_a_class_of_other_than_real_numbers_is_refused(self, matrix):
+        # read as floats, a complex class would lose its imaginary part
+        with pytest.raises(InvalidParameter, match="class"):
+            fat_shattering(matrix, 0.1)
+
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             fat_shattering(np.full((4, 20), 0.5), 0.1)

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -122,6 +122,15 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert all(dict(zip(CSV_HEADER, r))["status"] == "UnrealizableSpec"
                    for r in rows)
+
+    def test_no_holdout_leaves_the_holdout_error_empty(self):
+        # the same row as with a holdout, but for the holdout error
+        cfg = ExperimentConfig(m_grid=(20,), holdout_size=0, seed=3)
+        row = dict(zip(CSV_HEADER, run_experiment(cfg)[0]))
+        held = dict(zip(CSV_HEADER, run_experiment(replace(cfg, holdout_size=5))[0]))
+        assert row["status"] == "ok" and row["holdout_robust_err"] == ""
+        assert held["holdout_robust_err"] == "0.0"
+        assert row == {**held, "holdout_robust_err": ""}
 
     def test_rows_are_sorted(self):
         cfg = config_for(trials=2, m_grid=(12, 8))
@@ -279,6 +288,15 @@ class TestCli:
         doc = json.loads(out)
         assert doc["pipeline"] == "agnostic-regress"
         assert doc["selected_theta"] is not None
+
+    @pytest.mark.parametrize("command, p", [("agnostic-regress", "nan"), ("regress", "inf"),
+                                            ("agnostic-regress", "inf"), ("regress", "nan")])
+    def test_a_p_that_is_not_finite_exits_one(self, domain_file, capsys, command, p):
+        delta = ["--delta", "0.5"] if command == "agnostic-regress" else []
+        code, out = run_cli([command, "--config", domain_file, "--epsilon", "0.5",
+                             *delta, "--p", p])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: p must be finite and >= 1, got {p}")
 
     def test_broken_replay_is_a_runtime_failure(self, domain_file, monkeypatch, capsys):
         monkeypatch.setattr(pipelines, "reconstruct", shifted_reconstruct)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustreg import (
+    FiniteClass,
     PerturbationMap,
     PointDistribution,
     constant_hypothesis,
@@ -18,7 +19,8 @@ from robustreg import (
 from robustreg.errors import InvalidParameter, WeakLearnerNotFound
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, load_class_csv
 
-from conftest import labeled, make_class, pool_setup, violations
+from conftest import LEVELS, labeled, make_class, pool_setup, violations
+from reference import loop_rerm_constant, sweep_max_fit_constant
 
 
 TWO_CONSTANTS = make_class([[0.2], [0.8]])
@@ -65,6 +67,19 @@ class TestRermFinite:
             return
         assert (robust_deviations(h.values, pts, U) <= eta).all()
 
+    def test_one_hypothesis_per_fitted_row(self, monkeypatch):
+        # subsets 0, 2 and 3 fit row 0 and subset 1 fits row 1: one object each
+        calls = []
+        build = FiniteClass.hypothesis
+        monkeypatch.setattr(FiniteClass, "hypothesis",
+                            lambda cls, row: calls.append(row) or build(cls, row))
+        pts = labeled([(0, 0.25), (0, 0.75), (0, 0.5)])
+        fits = rerm_finite(TWO_CONSTANTS, pts, [[0], [1], [0, 0], [0], [2]], ID1, 0.1)
+        assert sorted(calls) == [0, 1]
+        assert fits[0] is fits[2] is fits[3] and fits[4] is None
+        assert [h.descriptor for h in fits[:4]] == [("finite", 0), ("finite", 1),
+                                                    ("finite", 0), ("finite", 0)]
+
     @given(st.floats(0.05, 0.5), st.floats(0.5, 1.0))
     def test_monotone_in_eta(self, small, large):
         pts = labeled([(0, 0.55)])
@@ -102,6 +117,27 @@ class TestRermConstant:
         assert all(abs(ours.descriptor[1] - ex.y) <= eta + 1e-12 for ex in pts)
         if theirs is not None:
             assert all(abs(theirs(0) - ex.y) <= eta + 1e-9 for ex in pts)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_constant_class_equals_the_former_sweeps(data):
+    # labels and radii on a few levels, so that endpoints and midpoints tie
+    ys = data.draw(st.lists(st.sampled_from(LEVELS), max_size=8))
+    eta = data.draw(st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.5, 1.0]))
+    pts = labeled([(i, y) for i, y in enumerate(ys)])
+    U = PerturbationMap.identity(max(len(ys), 1))
+    subsets = data.draw(st.lists(st.lists(st.integers(0, len(ys) - 1), max_size=4)
+                                 if ys else st.just([]), max_size=5))
+    for ours, theirs in zip(rerm_constant(pts, subsets, U, eta),
+                            loop_rerm_constant(pts, subsets, U, eta), strict=True):
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours.descriptor == theirs.descriptor
+            assert ours.values.tobytes() == theirs.values.tobytes()
+    fit, witness = ConstantClassOracle().max_fit_subset(pts, U, eta)
+    old_fit, old_witness = sweep_max_fit_constant(pts, U, eta)
+    assert fit == old_fit and witness.descriptor == old_witness.descriptor
 
 
 class TestWeakLearnerCheck:
@@ -180,6 +216,23 @@ class TestOracleWrappers:
         cls = make_class(np.full((4, 40), 0.5))
         oracle = FiniteClassOracle(cls)
         assert oracle.fat(0.1) == 2  # log2(4) bound, exact search capped
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5, 0.25], [0.75]],
+    [["a", "b"], ["c", "d"]],
+    [[0.5, "0.25"]],
+    [[0.5, None]],
+    np.array([[0.5, 0.25]]) + 0j,
+], ids=["ragged", "strings", "a-string", "none", "complex"])
+def test_a_class_of_other_than_real_numbers_is_refused(matrix):
+    with pytest.raises(InvalidParameter, match="class"):
+        FiniteClass(matrix)
+
+
+def test_a_boolean_class_reads_as_its_float_copy():
+    cls = FiniteClass(np.array([[True, False], [False, True]]))
+    assert cls.matrix.dtype == float and cls.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestClassCsv:

@@ -350,6 +350,17 @@ class TestRealizableRegression:
         assert 0.1 * (1 - 0.1) + 0.1 == pytest.approx(0.19)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("learner", ["regress", "agnostic-regress"])
+def test_both_regressions_refuse_a_p_outside_the_lp_rule(learner, p):
+    # past the check, an infinite p makes the tube radius epsilon^(1/p) = 1,
+    # and a NaN p runs the sweep and reports "p": NaN, which is not JSON
+    oracle, U, sample, holdout = smooth_instance(83, m=32, eta=0.2)
+    with pytest.raises(InvalidParameter, match="^p must be finite and >= 1"):
+        run_pipeline(learner, oracle, sample, U, holdout=holdout, epsilon=0.3,
+                     delta=0.2, p=p)
+
+
 class TestThetaGrid:
     def test_doubling_grid_m8(self):
         assert theta_grid(8) == [1 / 8, 1 / 4, 1 / 2, 1.0]
