@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypothesis, Sample, SampleLike, as_sample
+from .core import Hypothesis, Sample
 from .errors import DegenerateWeights, InvalidParameter, WeakLearnerNotFound
 
 # The paper's refit radii, as fractions of eta: every RERM fit of a median
@@ -184,22 +184,21 @@ def find_weak_learner(P: PointDistribution, violated: np.ndarray) -> int:
     return best
 
 
-def cover_values(cover: SampleLike, pool: Sequence[Hypothesis],
-                 sources: Sequence[tuple[int, ...]], T: int) -> tuple[Sample, np.ndarray]:
-    """The checked inputs of a booster: the cover as a Sample and the
-    (pool x cover) matrix of every member's values on the cover points."""
+def cover_values(cover: Sample, pool: Sequence[Hypothesis],
+                 sources: Sequence[tuple[int, ...]], T: int) -> np.ndarray:
+    """The (pool x cover) matrix of every member's values on the cover
+    points, once a booster's inputs are checked."""
     if T < 1:
         raise InvalidParameter(f"T must be >= 1, got {T}")
-    cover = as_sample(cover)
     if not cover:
         raise InvalidParameter("cover must be nonempty")
     if not pool or len(pool) != len(sources):
         raise InvalidParameter("pool and sources must be equal-length and nonempty")
-    return cover, np.stack([h.values[cover.xs] for h in pool])
+    return np.stack([h.values[cover.xs] for h in pool])
 
 
 def medboost(
-    cover: SampleLike,
+    cover: Sample,
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
@@ -216,7 +215,7 @@ def medboost(
     copies of that member with unit weights.  The run stops once the
     median is within eta/4 on every cover point.
     """
-    cover, values = cover_values(cover, pool, sources, T)
+    values = cover_values(cover, pool, sources, T)
     violated = np.abs(values - cover.ys) > eta / 4
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []

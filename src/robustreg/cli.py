@@ -123,7 +123,7 @@ def _cmd_fatdim(args) -> str:
 def _cmd_cover(args) -> str:
     domain = _require_config(args)
     oracle = _oracle_from(domain)
-    inflated = inflate(list(domain.sample), domain.perturbations)
+    inflated = inflate(domain.sample, domain.perturbations)
     pool = [oracle.cls.hypothesis(i) for i in range(oracle.cls.n_hypotheses)]
     dual = dual_embed(pool, inflated)
     centers, assignment = greedy_cover(dual, args.t)
@@ -134,8 +134,8 @@ def _cmd_cover(args) -> str:
 
 def _cmd_learn(args) -> str:
     domain = _require_config(args)
-    report = run_pipeline(LEARN[args.command], _oracle_from(domain), list(domain.sample),
-                          domain.perturbations, holdout=list(domain.holdout),
+    report = run_pipeline(LEARN[args.command], _oracle_from(domain), domain.sample,
+                          domain.perturbations, holdout=domain.holdout,
                           seed=args.seed if args.seed is not None else 0,
                           **{k: getattr(args, k) for k in _learn_params(args.command)})
     return report.to_json() + "\n"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
-from .core import Hypothesis, PerturbationMap, SampleLike, as_sample
+from .core import Hypothesis, PerturbationMap, Sample, SampleLike, as_sample
 from .errors import InvalidParameter, NotCompressible, ReconstructionFailed
 
 
@@ -61,7 +61,7 @@ class CompressionScheme:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def compress(ensemble: WeightedEnsemble, sample: SampleLike,
+def compress(ensemble: WeightedEnsemble, sample: Sample,
              eta: float) -> CompressionScheme:
     """Encode an ensemble as one group of sample indices per member, its
     source, with the coefficients as side information unless all are 1."""

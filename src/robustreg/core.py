@@ -1,8 +1,9 @@
 """Instances, labeled samples, perturbation maps, robust losses, inflation.
 
 Instances are integer ids into a finite domain ``{0, ..., n-1}``.  A
-sample is a :class:`Sample`, an id array and a label array, which every
-function that reads one builds once from a list of examples.  A
+sample is a :class:`Sample`, an id array and a label array; the learners
+and ``reconstruct`` build one once from a list of examples, with
+:func:`as_sample`, and every other function takes a Sample.  A
 perturbation map sends each instance to the finite set of corruptions an
 adversary may apply at test time; the instance itself is always a member
 of its own set.  The robust losses take the worst case over that set,
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -25,14 +26,10 @@ from .errors import EmptySample, InvalidParameter, MissingPerturbation
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """An instance id with a label in [0, 1]."""
+    """An instance id with a label, checked when it becomes a :class:`Sample`."""
 
     x: int
     y: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.y <= 1.0:
-            raise InvalidParameter(f"label must be in [0, 1], got {self.y}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,16 +147,6 @@ class PerturbationMap:
         })
 
 
-class _FunctionValues:
-    """Index access to a function of the instance id."""
-
-    def __init__(self, fn: Callable[[int], float]):
-        self.fn = fn
-
-    def __getitem__(self, z):
-        return self.fn(z)
-
-
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
     """A map from instance ids ``0..n-1`` to [0, 1], held as its n values.
@@ -173,12 +160,9 @@ class Hypothesis:
     values: np.ndarray
     descriptor: tuple
 
-    def __post_init__(self):
-        if callable(self.values):
-            object.__setattr__(self, "values", _FunctionValues(self.values))
-
     def __call__(self, z: int) -> float:
-        return float(self.values[z])
+        values = self.values
+        return float(values(z) if callable(values) else values[z])
 
 
 def constant_hypothesis(value: float, domain_size: int) -> Hypothesis:
@@ -213,7 +197,7 @@ class Lp:
 LossMode = EtaBall | Lp
 
 
-def inflate(sample: SampleLike, U: PerturbationMap) -> Sample:
+def inflate(sample: Sample, U: PerturbationMap) -> Sample:
     """Expand a sample to all reachable perturbed points.
 
     Each distinct perturbed point appears once, labeled by its
@@ -221,23 +205,21 @@ def inflate(sample: SampleLike, U: PerturbationMap) -> Sample:
     ids ascending within one origin (the first occurrences in the flattened
     sorted rows of ``U.index``), so downstream covers and boosting replay.
     """
-    sample = as_sample(sample)
     rows = np.sort(U.index(sample.xs), axis=1)
     _, first = np.unique(rows.ravel(), return_index=True)  # stable: first occurrences
     first.sort()
     return Sample(rows.ravel()[first], sample.ys[first // rows.shape[1]])
 
 
-def robust_deviations(values: np.ndarray, sample: SampleLike,
+def robust_deviations(values: np.ndarray, sample: Sample,
                       U: PerturbationMap) -> np.ndarray:
     """Exact worst ``|values[r, z] - y|`` over z in U(x), for every row r
     of a (rows x n) value matrix and every example (x, y): (rows, m)."""
-    sample = as_sample(sample)
     values = np.atleast_2d(values)
     return np.abs(values[:, U.index(sample.xs)] - sample.ys[:, None]).max(axis=2)
 
 
-def empirical_error(h: Hypothesis, sample: SampleLike,
+def empirical_error(h: Hypothesis, sample: Sample,
                     U: PerturbationMap, mode: LossMode) -> float:
     if len(sample) == 0:
         raise EmptySample("empirical error over an empty sample")
@@ -254,24 +236,25 @@ class DomainData:
     """Contents of a domain JSON document."""
 
     domain_size: int
-    sample: tuple[LabeledExample, ...]
+    sample: Sample
     perturbations: PerturbationMap
+    holdout: Sample
     class_matrix: np.ndarray | None = None
-    holdout: tuple[LabeledExample, ...] = ()
 
 
-def _parse_examples(raw, domain_size, what):
+def _parse_examples(raw, domain_size, what) -> Sample:
     if not isinstance(raw, list):
         raise InvalidParameter(f"{what} must be a list of [id, label] pairs")
-    out = []
+    xs, ys = [], []
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise InvalidParameter(f"{what} entries must be [id, label] pairs")
         x, y = as_number(item[0], int, what), as_number(item[1], float, what)
         if not 0 <= x < domain_size:
             raise InvalidParameter(f"{what} id {x} outside domain of size {domain_size}")
-        out.append(LabeledExample(x=x, y=y))
-    return tuple(out)
+        xs.append(x)
+        ys.append(y)
+    return Sample(np.array(xs, dtype=np.intp), np.array(ys, dtype=float))
 
 
 def as_number(value, kind: type, key: str):
@@ -323,14 +306,12 @@ def load_domain(source) -> DomainData:
             if not 0 <= z < n:
                 raise InvalidParameter(f"perturbations id {z} outside domain of size {n}")
     U = PerturbationMap(table)
-    matrix = None
-    if doc.get("class_matrix") is not None:
-        try:
-            matrix = np.asarray(doc["class_matrix"], dtype=float)
-        except (TypeError, ValueError):
-            matrix = None
-        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != n:
+    matrix, rows = None, doc.get("class_matrix")
+    if rows is not None:
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
             raise InvalidParameter("class_matrix must be 2-D with one column per instance")
+        matrix = np.array([[as_number(v, float, "class_matrix") for v in row] for row in rows])
     holdout = _parse_examples(doc.get("holdout", []), n, "holdout")
     return DomainData(domain_size=n, sample=sample, perturbations=U,
-                      class_matrix=matrix, holdout=holdout)
+                      holdout=holdout, class_matrix=matrix)

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .boosting import MEDIAN_REFIT
-from .core import EtaBall, LabeledExample, PerturbationMap, as_number, empirical_error, read_document
+from .core import (EtaBall, LabeledExample, PerturbationMap, as_number, as_sample,
+                   empirical_error, read_document)
 from .errors import InvalidParameter, RobustRegError, UnrealizableSpec
 from .oracles import FiniteClass, FiniteClassOracle
 from .pipelines import PIPELINES, PipelineConfig, run_pipeline
@@ -259,6 +260,7 @@ def run_experiment(config: ExperimentConfig) -> list[list]:
             }
             try:
                 cls, U, sample, holdout = gen_instance(config, run_seed, m=m)
+                holdout = as_sample(holdout)
                 oracle = FiniteClassOracle(cls)
                 report = run_pipeline(
                     config.pipeline, oracle, sample, U, holdout=holdout,

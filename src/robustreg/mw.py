@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .boosting import PointDistribution, WeightedEnsemble, cover_values, least_violated
-from .core import Hypothesis, SampleLike
+from .core import Hypothesis, Sample
 from .errors import InvalidParameter, StrongLearnerNotFound
 
 MAX_DOUBLINGS = 4
@@ -46,7 +46,7 @@ def find_strong_learner(P: PointDistribution, violated: np.ndarray,
 
 
 def mw_boost(
-    cover: SampleLike,
+    cover: Sample,
     pool: Sequence[Hypothesis],
     sources: Sequence[tuple[int, ...]],
     eta: float,
@@ -65,7 +65,7 @@ def mw_boost(
     The last ensemble is returned either way; callers recompute the
     condition and fail loudly.
     """
-    cover, values = cover_values(cover, pool, sources, T)
+    values = cover_values(cover, pool, sources, T)
     dev = np.abs(values - cover.ys)
     violated, correct = dev >= eta / 2, dev <= eta / 2
     P = PointDistribution.uniform(len(cover))

@@ -22,8 +22,7 @@ from . import dimensions
 from .core import (
     Hypothesis,
     PerturbationMap,
-    SampleLike,
-    as_sample,
+    Sample,
     constant_hypothesis,
     robust_deviations,
 )
@@ -76,7 +75,7 @@ def load_class_csv(path) -> FiniteClass:
     return FiniteClass(matrix[:, np.argsort(ids)])
 
 
-def rerm_finite(cls: FiniteClass, sample: SampleLike,
+def rerm_finite(cls: FiniteClass, sample: Sample,
                 subsets: Sequence[Sequence[int]], U: PerturbationMap,
                 eta: float) -> list[Hypothesis | None]:
     """For each subset of sample indices, the lowest-index row whose worst
@@ -92,7 +91,7 @@ def rerm_finite(cls: FiniteClass, sample: SampleLike,
     used, where = np.unique(points, return_inverse=True)
     member = np.zeros((used.size, len(subsets)))
     member[where, cols] = 1.0
-    exceeds = robust_deviations(cls.matrix, as_sample(sample).take(used), U) > eta
+    exceeds = robust_deviations(cls.matrix, sample.take(used), U) > eta
     fits = exceeds.astype(float) @ member == 0.0
     rows = np.where(fits.any(axis=0), fits.argmax(axis=0), -1).tolist()
     fitted = {r: cls.hypothesis(r) for r in set(rows) if r >= 0}
@@ -108,7 +107,7 @@ def _batch(subsets: Sequence[Sequence[int]], eta: float) -> tuple[np.ndarray, np
     return np.fromiter(chain.from_iterable(subsets), np.intp, cols.size), cols
 
 
-def rerm_constant(sample: SampleLike, subsets: Sequence[Sequence[int]],
+def rerm_constant(sample: Sample, subsets: Sequence[Sequence[int]],
                   U: PerturbationMap, eta: float) -> list[Hypothesis | None]:
     """For each subset of sample indices, the midpoint of the feasible
     constant interval intersect [0, 1], or None if it is empty.
@@ -117,7 +116,7 @@ def rerm_constant(sample: SampleLike, subsets: Sequence[Sequence[int]],
     label intervals intersecting.
     """
     points, cols = _batch(subsets, eta)
-    labels = as_sample(sample).ys[points]
+    labels = sample.ys[points]
     lo, hi = np.zeros(len(subsets)), np.ones(len(subsets))
     np.maximum.at(lo, cols, labels - eta)
     np.minimum.at(hi, cols, labels + eta)
@@ -198,7 +197,7 @@ class ConstantClassOracle:
         endpoints, so midpoints of consecutive endpoints (clamped into
         [0, 1]) enumerate every achievable fit set.
         """
-        ys = as_sample(sample).ys
+        ys = sample.ys
         endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
         mids = np.clip((endpoints[:-1] + endpoints[1:]) / 2.0, 0.0, 1.0)
         counts = (np.abs(ys - mids[:, None]) < eta).sum(axis=1)

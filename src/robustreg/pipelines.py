@@ -43,6 +43,7 @@ from .errors import (
     ReconstructionFailed,
     RobustRegError,
     SparsifyFailed,
+    WeakLearnerNotFound,
 )
 from .mw import mw_boost
 from .sparsify import default_k, sparsify
@@ -122,7 +123,7 @@ class PipelineReport:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d: int, *,
+def build_pool(sample: Sample, U: PerturbationMap, rerm, eta_rerm: float, d: int, *,
                rng: np.random.Generator) -> tuple[list[Hypothesis], list[tuple[int, ...]], int]:
     """One RERM output per chosen size-d sample subset, all from one
     batched ``rerm(sample, subsets, U, eta_rerm)`` call.
@@ -140,7 +141,6 @@ def build_pool(sample: SampleLike, U: PerturbationMap, rerm, eta_rerm: float, d:
         raise InvalidParameter(f"d must be an integer, got {d!r}")
     if d < 1:
         raise InvalidParameter(f"d must be >= 1, got {d}")
-    sample = as_sample(sample)
     m = len(sample)
     if m == 0:
         raise InvalidParameter("pool construction needs a nonempty sample")
@@ -212,15 +212,13 @@ def _choice_subsets(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndar
     return subsets
 
 
-def dual_embed(pool: Sequence[Hypothesis],
-               inflated: SampleLike) -> np.ndarray:
+def dual_embed(pool: Sequence[Hypothesis], inflated: Sample) -> np.ndarray:
     """Deviation profile of every inflated point across the distinct pool
     members: (points x members) matrix of |h(z) - y|, a column per member
     object in first-occurrence order (a repeated member would only add an
     equal column, which changes no sup-norm distance)."""
     if not pool:
         raise InvalidParameter("pool must be nonempty")
-    inflated = as_sample(inflated)
     members = {id(h): h for h in pool}.values()
     return np.abs(np.stack([h.values[inflated.xs] for h in members], axis=1)
                   - inflated.ys[:, None])
@@ -346,14 +344,26 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
                   fit: Sequence[int]):
     """The median learner fitted to the points ``fit`` of the sample and
     compressed over the whole sample.  Returns the report, the head, k and
-    the worst robust deviation of the replay on the fitted points."""
+    the worst robust deviation of the replay on the fitted points.
+
+    A pool with no weak learner reruns the head with d doubled, up to the
+    number of fitted points, where the one all-point fit violates no cover
+    point; the report's ``extra`` then holds the count as ``d_doublings``."""
     eta = loss.eta
     sub = sample.take(fit)
     pool_ss, sparsify_ss = _seeds(seed, 2)
-    head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
-
-    t2 = time.perf_counter()
-    ensemble = medboost(head.cover, head.pool, head.sources, eta, head.T)
+    doublings = 0
+    while True:
+        head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
+        t2 = time.perf_counter()
+        try:
+            ensemble = medboost(head.cover, head.pool, head.sources, eta, head.T)
+            break
+        except WeakLearnerNotFound:
+            if head.d >= len(sub):
+                raise
+            config = replace(config or PipelineConfig(), d=min(2 * head.d, len(sub)))
+            doublings += 1
     head.timings["boost"] = time.perf_counter() - t2
 
     # guarantee chain of the boosted median, re-evaluated directly
@@ -388,7 +398,8 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
 
     report = _report(pipeline, eta, seed, sample, U, scheme, h, head,
                      empirical_error(h, sample, U, loss), rounds=len(ensemble),
-                     sparsify_failed=sparsify_failed)
+                     sparsify_failed=sparsify_failed,
+                     extra={"d_doublings": doublings} if doublings else {})
     return report, head, k, worst
 
 
@@ -407,7 +418,7 @@ def improper_learn(oracle, sample: SampleLike, U: PerturbationMap,
         oracle, sample, U, EtaBall(eta), config, seed, "improper", range(len(sample)))
     report.uniform = bool(worst <= eta)
     report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
-                    "d": head.d, "k": k, "max_robust_dev": worst}
+                    "d": head.d, "k": k, "max_robust_dev": worst} | report.extra
     return report
 
 
@@ -431,7 +442,7 @@ def agnostic_eta_learn(oracle, sample: SampleLike,
     report.subset_size = len(fit)
     report.extra = {"cover_certificate": head.cert, "d": head.d, "k": k,
                     "subset_error_bound": 1.0 - len(fit) / len(sample),
-                    "fit_witness": witness.descriptor}
+                    "fit_witness": witness.descriptor} | report.extra
     return report
 
 

@@ -16,14 +16,14 @@ from functools import reduce
 import numpy as np
 
 from .boosting import WeightedEnsemble, weighted_median_columns
-from .core import SampleLike, as_sample
+from .core import Sample
 from .errors import InvalidParameter, RobustRegError, SparsifyFailed
 
 # Draws of k members tried before sparsification gives up.
 MAX_DRAWS = 200
 
 
-def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
+def sparsify(ensemble: WeightedEnsemble, cover: Sample,
              eta: float, k: int, seed: int = 0) -> WeightedEnsemble:
     """First sampled k-subset whose per-point violators stay below k/2.
 
@@ -39,7 +39,6 @@ def sparsify(ensemble: WeightedEnsemble, cover: SampleLike,
     if total <= 0:
         raise InvalidParameter("ensemble alphas are not normalizable")
     probs = np.asarray(ensemble.alphas, dtype=float) / total
-    cover = as_sample(cover)
     values = np.stack([h.values[cover.xs] for h in ensemble.members])  # (T, n_cover)
     rng = np.random.default_rng(seed)
     best = None

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from robustreg import (
     FiniteClass,
     Hypothesis,
-    LabeledExample,
     PerturbationMap,
     PointDistribution,
+    Sample,
     reconstruct,
 )
-from robustreg.core import as_sample
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -21,8 +20,10 @@ def make_class(rows) -> FiniteClass:
     return FiniteClass(np.asarray(rows, dtype=float))
 
 
-def labeled(pairs):
-    return [LabeledExample(x, y) for x, y in pairs]
+def labeled(pairs) -> Sample:
+    """The sample of the (id, label) pairs, in their order."""
+    pairs = list(pairs)
+    return Sample(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs], dtype=float))
 
 
 def shifted_reconstruct(*args):
@@ -67,5 +68,4 @@ def pool_setup(rows, ys, mults=None):
 
 def violations(pool, cover, test):
     """(pool x cover) mask of ``test(|h(z) - y|)``, as the boosters build it."""
-    cover = as_sample(cover)
     return test(np.abs(np.stack([h.values[cover.xs] for h in pool]) - cover.ys))

@@ -20,7 +20,8 @@ subset.  ``loop_rerm_constant`` and ``sweep_max_fit_constant`` are the
 constant class's former RERM and largest-fit sweep, one subset and one
 midpoint at a time.
 Float sums add left to right in an explicit loop, as the library must
-on every Python version.
+on every Python version.  Every sample is a ``Sample``; the scalar loops
+read it one (id, label) pair at a time through ``pairs``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from robustreg.core import as_sample, constant_hypothesis
+from robustreg.core import constant_hypothesis
 from robustreg.errors import InvalidParameter
 
 
@@ -312,9 +313,9 @@ def brute_max_fit_subsets(matrix, sample, U, eta: float):
     matrix = np.asarray(matrix, dtype=float)
     m = len(sample)
     fits = np.zeros((matrix.shape[0], m), dtype=bool)
-    for i, ex in enumerate(sample):
-        zs = list(U.of(ex.x))
-        fits[:, i] = np.abs(matrix[:, zs] - ex.y).max(axis=1) < eta
+    for i, (x, y) in enumerate(pairs(sample)):
+        zs = list(U.of(x))
+        fits[:, i] = np.abs(matrix[:, zs] - y).max(axis=1) < eta
     best_size, best = 0, [frozenset()]
     for mask in range(1, 1 << m):
         idx = [i for i in range(m) if mask >> i & 1]
@@ -348,14 +349,21 @@ def stacked_aggregate(members, alphas, median: bool) -> np.ndarray:
     return np.array([np.mean(col.tolist()) for col in matrix.T])
 
 
-def scalar_robust_deviation(values, ex, U) -> float:
+def pairs(sample) -> list[tuple[int, float]]:
+    """The (id, label) of every example of a Sample, in sample order."""
+    return list(zip(sample.xs.tolist(), sample.ys.tolist()))
+
+
+def scalar_robust_deviation(values, x: int, y: float, U) -> float:
     """max over z in U(x) of |values[z] - y|, one perturbation at a time."""
-    return max(abs(float(values[z]) - ex.y) for z in U.of(ex.x))
+    return max(abs(float(values[z]) - y) for z in U.of(x))
 
 
 def scalar_rerm(matrix, subset, U, eta):
-    """(lowest feasible row or None, per-row worst deviation), row by row."""
-    worst = [max((scalar_robust_deviation(row, ex, U) for ex in subset), default=0.0)
+    """(lowest feasible row or None, per-row worst deviation) on the Sample
+    ``subset``, row by row."""
+    worst = [max((scalar_robust_deviation(row, x, y, U) for x, y in pairs(subset)),
+                 default=0.0)
              for row in np.asarray(matrix, dtype=float)]
     feasible = [r for r, w in enumerate(worst) if w <= eta]
     return (feasible[0] if feasible else None), worst
@@ -366,8 +374,8 @@ def scalar_max_fit_subset(matrix, sample, U, eta):
     robust deviation strictly below eta."""
     best_row, best_fit = 0, ()
     for r, row in enumerate(np.asarray(matrix, dtype=float)):
-        fit = tuple(i for i, ex in enumerate(sample)
-                    if scalar_robust_deviation(row, ex, U) < eta)
+        fit = tuple(i for i, (x, y) in enumerate(pairs(sample))
+                    if scalar_robust_deviation(row, x, y, U) < eta)
         if len(fit) > len(best_fit):
             best_row, best_fit = r, fit
     return best_fit, best_row
@@ -385,8 +393,8 @@ def scalar_empirical_error(values, sample, U, eta=None, p=None) -> float:
     """Mean tube loss (eta given) or mean p-th power loss, added left to
     right in sample order."""
     losses = []
-    for ex in sample:
-        dev = scalar_robust_deviation(values, ex, U)
+    for x, y in pairs(sample):
+        dev = scalar_robust_deviation(values, x, y, U)
         losses.append((1.0 if dev >= eta else 0.0) if eta is not None else dev ** p)
     return left_to_right_sum(losses) / len(sample)
 
@@ -402,16 +410,15 @@ def scalar_inflate(sample, U) -> list[tuple[int, float]]:
     lowest-index origin, in origin order with ids ascending within one
     origin: one dict insertion per example and perturbation."""
     labels: dict[int, float] = {}  # insertion order is the output order
-    for ex in sample:
-        for z in sorted(U.of(ex.x)):
-            labels.setdefault(z, ex.y)
+    for x, y in pairs(sample):
+        for z in sorted(U.of(x)):
+            labels.setdefault(z, y)
     return list(labels.items())
 
 
 def full_dual(pool, inflated) -> np.ndarray:
     """(points x pool) matrix of |h(z) - y|, a column for every pool entry
     however often its object repeats."""
-    inflated = as_sample(inflated)
     return np.abs(np.stack([h.values[inflated.xs] for h in pool]) - inflated.ys).T
 
 
@@ -426,7 +433,6 @@ def weak_learner_check(h, P, points, eta: float, beta: float) -> bool:
         raise InvalidParameter(f"beta must be in [0, 1/2], got {beta}")
     if len(P) != len(points):
         raise InvalidParameter("distribution and point list lengths differ")
-    points = as_sample(points)
     return P.mass(np.abs(h.values[points.xs] - points.ys) > eta) < 0.5 - beta - 1e-12
 
 
@@ -437,7 +443,7 @@ def scalar_pick(pool, P, cover, violates, accept):
     ``accept(member, mass)`` rejects that member."""
     best, best_mass = None, None
     for i, h in enumerate(pool):
-        mass = P.mass(np.array([violates(float(h.values[pt.x]), pt.y) for pt in cover]))
+        mass = P.mass(np.array([violates(float(h.values[x]), y) for x, y in pairs(cover)]))
         if best is None or mass < best_mass:
             best, best_mass = i, mass
     return (best if accept(pool[best], best_mass) else None), best_mass
@@ -452,7 +458,7 @@ def choice_draws(rng, m: int, d: int, n: int) -> list[tuple[int, ...]]:
 
 def loop_rerm_constant(sample, subsets, U, eta):
     """``rerm_constant`` as it was: one label-interval intersection per subset."""
-    ys = as_sample(sample).ys
+    ys = sample.ys
     fits = []
     for subset in subsets:
         labels = ys[np.asarray(subset, dtype=np.intp)]
@@ -466,7 +472,7 @@ def sweep_max_fit_constant(sample, U, eta):
     """``ConstantClassOracle.max_fit_subset`` as it was: one midpoint at a time."""
     if not sample:
         return (), constant_hypothesis(0.5, U.domain_size)
-    ys = as_sample(sample).ys
+    ys = sample.ys
     endpoints = np.unique(np.concatenate([ys - eta, ys + eta]))
     mids = (endpoints[:-1] + endpoints[1:]) / 2.0
     best_c, best_count = 0.5, int((np.abs(ys - 0.5) < eta).sum())

@@ -13,6 +13,7 @@ import numpy as np
 from robustreg import (
     PerturbationMap,
     agnostic_regression,
+    as_sample,
     build_pool,
     compress,
     default_k,
@@ -114,7 +115,7 @@ def _medboost_family(seed):
                                       radius=int(rng.choice([1, 2]))),
         eta=eta, m_grid=(m,), holdout_size=10, seed=seed)
     cls, U, sample, _ = gen_instance(cfg, seed, m=m)
-    return FiniteClassOracle(cls), U, sample, eta
+    return FiniteClassOracle(cls), U, as_sample(sample), eta
 
 
 def test_medboost_uniform_approximation():
@@ -145,7 +146,7 @@ def test_compression_epsilon_independence():
         d = max(1, math.ceil(oracle.fat(eta / 64) * log_factor))
         sizes = []
         for m in (len(sample) // 2, len(sample)):
-            rep = improper_learn(oracle, sample[:m], U, eta, seed=seed)
+            rep = improper_learn(oracle, sample.take(range(m)), U, eta, seed=seed)
             assert not rep.sparsify_failed
             assert rep.scheme.size == k * min(d, m)
             sizes.append(rep.scheme.size)

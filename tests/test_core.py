@@ -23,7 +23,7 @@ from robustreg import (
 from robustreg.errors import EmptySample, InvalidParameter, MissingPerturbation
 
 from conftest import labeled
-from reference import left_to_right_sum, scalar_empirical_error
+from reference import left_to_right_sum, pairs, scalar_empirical_error
 
 
 def hyp_from_values(values):
@@ -48,10 +48,10 @@ class TestSample:
     def test_refuses_labels_outside_the_unit_interval(self, y):
         with pytest.raises(InvalidParameter) as err:
             Sample(np.array([0, 1]), np.array([0.5, y]))
-        # the message LabeledExample gives for the same label
+        # the same check, with the same message, when a list is converted
         with pytest.raises(InvalidParameter) as single:
-            LabeledExample(1, y)
-        assert str(err.value) == str(single.value)
+            as_sample([LabeledExample(1, y)])
+        assert str(err.value) == str(single.value) == f"label must be in [0, 1], got {y}"
 
     @pytest.mark.parametrize("x", [2.5, math.nan, math.inf, 1e30])
     def test_refuses_ids_that_are_not_integers(self, x):
@@ -85,25 +85,20 @@ def test_hypotheses_compare_by_identity():
     assert len({low, high, low}) == 2
 
 
-def pairs_of(sample):
-    """The (id, label) pairs of a Sample, in order."""
-    return list(zip(sample.xs.tolist(), sample.ys.tolist()))
-
-
 class TestInflate:
     def test_identity_perturbation_is_the_sample(self):
         out = inflate(labeled([(0, 0.3)]), PerturbationMap.identity(1))
-        assert pairs_of(out) == [(0, 0.3)]
+        assert pairs(out) == [(0, 0.3)]
 
     def test_shared_perturbation_takes_min_index_label(self):
         U = PerturbationMap({0: (0, 2), 1: (1, 2), 2: (2,)})
         out = inflate(labeled([(0, 0.3), (1, 0.7)]), U)
-        assert pairs_of(out) == [(0, 0.3), (2, 0.3), (1, 0.7)]
+        assert pairs(out) == [(0, 0.3), (2, 0.3), (1, 0.7)]
 
     def test_duplicate_point_suppressed_with_min_index_label(self):
         U = PerturbationMap({0: (0, 1), 1: (1,)})
         out = inflate(labeled([(0, 0.2), (1, 0.9)]), U)
-        assert pairs_of(out) == [(0, 0.2), (1, 0.2)]
+        assert pairs(out) == [(0, 0.2), (1, 0.2)]
 
     def test_missing_entry_names_the_instance(self):
         with pytest.raises(MissingPerturbation, match="3"):
@@ -112,10 +107,10 @@ class TestInflate:
     @given(st.lists(st.tuples(st.integers(0, 14),
                               st.floats(0, 1, allow_nan=False)),
                     min_size=1, max_size=10, unique_by=lambda t: t[0]))
-    def test_identity_inflation_is_a_bijection(self, pairs):
-        out = inflate(labeled(pairs), PerturbationMap.identity(15))
+    def test_identity_inflation_is_a_bijection(self, examples):
+        out = inflate(labeled(examples), PerturbationMap.identity(15))
         assert out.xs.dtype == np.intp and out.ys.dtype == float
-        assert pairs_of(out) == [(x, float(y)) for x, y in pairs]
+        assert pairs(out) == [(x, float(y)) for x, y in examples]
 
     @given(st.data())
     @settings(max_examples=60)
@@ -128,51 +123,51 @@ class TestInflate:
             for x in range(n)
         }
         U = PerturbationMap(table)
-        sample = labeled([(x, (x + 1) / (n + 1)) for x in range(n)])
-        out = inflate(sample, U)
+        examples = [(x, (x + 1) / (n + 1)) for x in range(n)]
+        out = inflate(labeled(examples), U)
         # the origin of a point is the first example whose set holds it
-        origins = [next(j for j, ex in enumerate(sample) if z in U.of(ex.x))
+        origins = [next(j for j, (x, _) in enumerate(examples) if z in U.of(x))
                    for z in out.xs.tolist()]
-        assert out.ys.tolist() == [sample[j].y for j in origins]
+        assert out.ys.tolist() == [examples[j][1] for j in origins]
         keys = [(j, z) for j, z in zip(origins, out.xs.tolist())]
         assert keys == sorted(set(keys))
-        assert set(out.xs.tolist()) == {z for ex in sample for z in U.of(ex.x)}
+        assert set(out.xs.tolist()) == {z for x, _ in examples for z in U.of(x)}
 
 
 def robust_loss(h, ex, U, mode):
-    return empirical_error(h, [ex], U, mode)
+    return empirical_error(h, labeled([ex]), U, mode)
 
 
 def robust_deviation(h, ex, U):
-    return robust_deviations(h.values, [ex], U)[0, 0]
+    return robust_deviations(h.values, labeled([ex]), U)[0, 0]
 
 
 class TestRobustLoss:
-    """The loss of one example, read through ``empirical_error`` and the
-    deviation kernel."""
+    """The loss of one example ``(id, label)``, read through
+    ``empirical_error`` and the deviation kernel."""
 
     def test_zero_deviation(self):
         h = constant_hypothesis(0.5, 1)
-        ex = LabeledExample(0, 0.5)
+        ex = (0, 0.5)
         assert robust_loss(h, ex, PerturbationMap.identity(1), EtaBall(0.1)) == 0.0
 
     def test_sup_over_two_points(self):
         h = hyp_from_values([0.3, 0.9])
         U = PerturbationMap({0: (0, 1)})
-        ex = LabeledExample(0, 0.5)
+        ex = (0, 0.5)
         # worst deviation is |0.9 - 0.5| = 0.4
         assert robust_loss(h, ex, U, EtaBall(0.3)) == 1.0
         assert robust_loss(h, ex, U, Lp(2)) == pytest.approx(0.16)
 
     def test_boundary_deviation_counts(self):
         h = constant_hypothesis(0.75, 1)
-        ex = LabeledExample(0, 0.5)
+        ex = (0, 0.5)
         assert robust_loss(h, ex, PerturbationMap.identity(1), EtaBall(0.25)) == 1.0
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     def test_eta_ball_monotone_in_eta(self, v, y, eta):
         h = constant_hypothesis(v, 1)
-        ex = LabeledExample(0, round(y, 6))
+        ex = (0, round(y, 6))
         U = PerturbationMap.identity(1)
         small = robust_loss(h, ex, U, EtaBall(min(eta, 0.5)))
         large = robust_loss(h, ex, U, EtaBall(max(eta, 0.5)))
@@ -181,7 +176,7 @@ class TestRobustLoss:
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(1, 4))
     def test_lp_loss_is_power_of_deviation(self, v, y, p):
         h = constant_hypothesis(v, 1)
-        ex = LabeledExample(0, y)
+        ex = (0, y)
         U = PerturbationMap.identity(1)
         dev = robust_deviation(h, ex, U)
         assert robust_loss(h, ex, U, Lp(p)) == pytest.approx(dev ** p)
@@ -189,7 +184,7 @@ class TestRobustLoss:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_singleton_set_equals_plain_loss(self, v, y):
         h = constant_hypothesis(v, 1)
-        ex = LabeledExample(0, y)
+        ex = (0, y)
         U = PerturbationMap.identity(1)
         assert robust_deviation(h, ex, U) == abs(v - y)
 
@@ -225,7 +220,7 @@ class TestEmpiricalError:
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
-            empirical_error(constant_hypothesis(0.5, 1), [],
+            empirical_error(constant_hypothesis(0.5, 1), labeled([]),
                             PerturbationMap.identity(1), EtaBall(0.1))
 
 
@@ -246,7 +241,7 @@ class TestValidation:
 
     def test_label_range(self):
         with pytest.raises(InvalidParameter):
-            LabeledExample(0, 1.5)
+            as_sample([LabeledExample(0, 1.5)])
 
     def test_loss_mode_ranges(self):
         with pytest.raises(InvalidParameter):
@@ -272,10 +267,12 @@ class TestDomainDocument:
     def test_roundtrip(self):
         dom = load_domain(dict(self.DOC))
         assert dom.domain_size == 3
-        assert [(e.x, e.y) for e in dom.sample] == [(0, 0.25), (2, 0.75)]
+        assert isinstance(dom.sample, Sample) and isinstance(dom.holdout, Sample)
+        assert pairs(dom.sample) == [(0, 0.25), (2, 0.75)]
         assert dom.perturbations.of(0) == (0, 1)
-        assert dom.class_matrix.shape == (2, 3)
-        assert [(e.x, e.y) for e in dom.holdout] == [(1, 0.5)]
+        assert dom.class_matrix.tolist() == self.DOC["class_matrix"]
+        assert pairs(dom.holdout) == [(1, 0.5)]
+        assert len(load_domain({**self.DOC, "holdout": []}).holdout) == 0
 
     def test_missing_key(self):
         doc = dict(self.DOC)
@@ -290,6 +287,12 @@ class TestDomainDocument:
         ("perturbations", {"a": [0]}), ("perturbations", {"0": ["1"]}),
         ("class_matrix", [[0.1, 0.2], [0.3]]), ("class_matrix", "rows"),
         ("holdout", [[1, None]]),
+        ("class_matrix", []), ("class_matrix", [[0.1, 0.2, 0.3], "row"]),
+        # strings, booleans and non-finite entries are not JSON numbers
+        ("class_matrix", [["0.5", "1e-1", "0"], [0.1, 0.2, 0.3]]),
+        ("class_matrix", [[True, 0, 0.5], [0.1, 0.2, 0.3]]),
+        ("class_matrix", [[0.1, None, 0.3], [0.1, 0.2, 0.3]]),
+        ("class_matrix", [[0.1, math.nan, 0.3], [0.1, 0.2, 0.3]]),
     ])
     def test_ill_typed_field_names_its_key(self, key, value):
         with pytest.raises(InvalidParameter, match=key):

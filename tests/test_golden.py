@@ -1,13 +1,20 @@
 """Golden bytes: fixed configs must keep producing byte-identical output.
 
-The sha256 of the experiment CSV and of ``PipelineReport.to_json()`` is
-pinned for three small configs (improper, proper, agnostic regression).
-A refactor that changes any float, row or failure shows up here.  When a
-change to what the pipelines compute is intended, record the new hashes
-and log the reason in CHANGES.md.
+The experiment CSV and the ``PipelineReport.to_json()`` lines of three
+small configs (improper, proper, agnostic regression) are checked in
+under ``tests/golden/``.  A refactor that changes any float, row or
+failure shows up here, and the failure names the CSV rows or the report
+fields that moved.  When a change to what the pipelines compute is
+intended, re-record a file with
+
+    PYTHONPATH=src python tests/test_golden.py improper.csv > tests/golden/improper.csv
+
+review its diff, and log the reason in CHANGES.md.
 """
 
-import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +23,14 @@ from robustreg import (
     FiniteClassOracle,
     PipelineConfig,
     RobustRegError,
-    agnostic_regression,
     gen_instance,
-    improper_learn,
-    proper_learn,
     run_experiment,
+    run_pipeline,
     write_csv,
 )
 from robustreg.harness import InstanceSpec, PerturbationSpec, TargetSpec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CONFIGS = {
     "improper": ExperimentConfig(
@@ -49,56 +56,81 @@ CONFIGS = {
         holdout_size=60, trials=2, seed=13, realizable_margin=0.001),
 }
 
-GOLDEN_CSV = {
-    "improper":
-        "ca38a5347e51912900bb6665251fdd5d92f0c2608ebf311e5b2e61012d11c8e2",
-    "proper":
-        "d9711d22b982faf68d715ce0cf6cec1bbbdd973afb07915da93e92e40a707721",
-    "agnostic-regress":
-        "9980ad8e9ecf21d0d7eecbc793fe68e0bff365ab99e0d61e6807c431f3720779",
-}
-
-GOLDEN_JSON = {
-    "improper":
-        "42e05b3f960fc101fda98605699d1996e1839cb0c0dc120e6b860c3ebdfe6800",
-    "proper":
-        "1ea4494a9cea82ce38fa17b0f0a7fe1fcca006d2b4cd61814a28ba7416e5540a",
-    "agnostic-regress":
-        "c80b54a0c190854fc3b1fe4e56cafa00c87117255d86ade3892585df198359a8",
-}
-
-
-def sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
 
 def report_lines(config: ExperimentConfig, seeds=(1, 2, 3)) -> str:
     """One ``to_json()`` line per seed, or the class of the raised error."""
     lines = []
     for seed in seeds:
         cls, U, sample, holdout = gen_instance(config, seed)
-        oracle, pcfg = FiniteClassOracle(cls), config.pipeline_config
         try:
-            if config.pipeline == "improper":
-                report = improper_learn(oracle, sample, U, config.eta, pcfg, seed)
-            elif config.pipeline == "proper":
-                report = proper_learn(oracle, sample, U, config.eta,
-                                      config.epsilon, pcfg, seed)
-            else:
-                report = agnostic_regression(oracle, sample, holdout, U,
-                                             config.epsilon, config.delta,
-                                             config.p, pcfg, seed)
+            report = run_pipeline(
+                config.pipeline, FiniteClassOracle(cls), sample, U, holdout=holdout,
+                eta=config.eta, epsilon=config.epsilon, delta=config.delta, p=config.p,
+                config=config.pipeline_config, seed=seed)
             lines.append(report.to_json())
         except RobustRegError as exc:
             lines.append(type(exc).__name__)
     return "\n".join(lines) + "\n"
 
 
+def produce(file_name: str) -> str:
+    """The current output for a golden file: ``<config>.csv`` is the
+    experiment CSV, ``<config>-reports.txt`` the report lines."""
+    if file_name.endswith(".csv"):
+        return write_csv(run_experiment(CONFIGS[file_name.removesuffix(".csv")]))
+    return report_lines(CONFIGS[file_name.removesuffix("-reports.txt")])
+
+
+def differences(produced: str, expected: str) -> list[str]:
+    """The lines (CSV rows counted from 0 at the header, or report lines)
+    that differ, each with the top-level JSON fields that differ in it."""
+    got, want = produced.splitlines(), expected.splitlines()
+    found = [f"{len(got)} lines, expected {len(want)}"] if len(got) != len(want) else []
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a == b:
+            continue
+        try:
+            a_doc, b_doc = json.loads(a), json.loads(b)
+        except ValueError:
+            found.append(f"line {i}: {a!r}, expected {b!r}")
+            continue
+        keys = [k for k in dict.fromkeys([*b_doc, *a_doc]) if a_doc.get(k) != b_doc.get(k)]
+        found.append(f"line {i}: fields {', '.join(keys) or '(order or spacing)'}")
+    return found
+
+
+def check(file_name: str) -> None:
+    produced, expected = produce(file_name), (GOLDEN / file_name).read_bytes()
+    if produced.encode() != expected:
+        pytest.fail(f"{file_name} differs: "
+                    + "; ".join(differences(produced, expected.decode())))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_experiment_csv_bytes(name):
-    assert sha(write_csv(run_experiment(CONFIGS[name]))) == GOLDEN_CSV[name]
+    check(f"{name}.csv")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_json_bytes(name):
-    assert sha(report_lines(CONFIGS[name])) == GOLDEN_JSON[name]
+    check(f"{name}-reports.txt")
+
+
+def test_a_mismatch_names_the_rows_and_fields_that_moved():
+    expected = (GOLDEN / "proper-reports.txt").read_text()
+    first, *rest = expected.splitlines(keepends=True)
+    doc = json.loads(first)
+    doc["cover_size"] += 1
+    moved = json.dumps(doc, separators=(",", ":")) + "\n"
+    assert differences("".join([moved, *rest]), expected) == ["line 0: fields cover_size"]
+    rows = (GOLDEN / "improper.csv").read_text().splitlines()
+    assert differences("\n".join(rows[:2]), "\n".join(rows[:3])) == ["2 lines, expected 3"]
+
+
+def print_output(file_name: str) -> None:
+    """Print the current output for the golden file ``file_name``."""
+    sys.stdout.write(produce(file_name))
+
+
+if __name__ == "__main__":
+    print_output(sys.argv[1])

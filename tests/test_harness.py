@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustreg.pipelines as pipelines
-from robustreg import load_domain, rerm_finite
+from robustreg import as_sample, load_domain, rerm_finite
 from robustreg.cli import _parser, main
 from robustreg.errors import InvalidParameter, UnrealizableSpec
 from robustreg.harness import (
@@ -66,7 +66,7 @@ class TestGenInstance:
     def test_realizable_sample_is_feasible_at_eta(self):
         cfg = config_for()
         cls, U, sample, _ = gen_instance(cfg, 3, m=12)
-        (h,) = rerm_finite(cls, sample, [range(len(sample))], U, cfg.eta)
+        (h,) = rerm_finite(cls, as_sample(sample), [range(len(sample))], U, cfg.eta)
         assert h is not None
 
     def test_noise_rate_flips_labels(self):
@@ -230,6 +230,19 @@ class TestCli:
             code, out = run_cli([command, "--config", str(path), "--eta", "0.2"])
             assert code == 2 and out == ""
             assert capsys.readouterr().err.startswith("runtime failure: EmptyPool")
+
+    @pytest.mark.parametrize("command", [["learn-improper", "--eta", "0.2"],
+                                         ["cover", "--t", "0.1"]])
+    def test_class_matrix_entries_must_be_numbers(self, tmp_path, capsys, command):
+        # this matrix of strings and booleans once loaded as [[0.5, 0.1], [1.0, 0.0]]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({
+            "domain_size": 2, "samples": [[0, 0.5]], "perturbations": {"0": [0], "1": [1]},
+            "class_matrix": [["0.5", "1e-1"], [True, 0]],
+        }))
+        code, out = run_cli([command[0], "--config", str(path), *command[1:]])
+        assert code == 1 and out == ""
+        assert "'class_matrix'" in capsys.readouterr().err
 
     def test_bounds_values(self):
         code, out = run_cli(["bounds", "--kind", "realizable", "--k", "10",

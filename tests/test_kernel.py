@@ -22,7 +22,6 @@ from robustreg import (
     FiniteClass,
     FiniteClassOracle,
     Hypothesis,
-    LabeledExample,
     Lp,
     MissingPerturbation,
     PerturbationMap,
@@ -40,10 +39,12 @@ from robustreg.compression import CompressionScheme
 from robustreg.errors import ReconstructionFailed
 from robustreg.pipelines import POOL_DRAWS, POOL_ENUMERATE_MAX, _choice_subsets
 
+from conftest import labeled
 from reference import (
     brute_max_fit_subsets,
     choice_draws,
     full_dual,
+    pairs,
     scalar_empirical_error,
     scalar_inflate,
     scalar_max_fit_subset,
@@ -76,8 +77,7 @@ def instances(draw, max_m=10):
     ys = rng.uniform(size=m)
     if levels:
         ys = np.round(ys * (levels - 1)) / (levels - 1)
-    sample = [LabeledExample(x, float(y)) for x, y in zip(xs, ys)]
-    return matrix, U, sample
+    return matrix, U, labeled(zip(xs, ys.tolist()))
 
 
 ETAS = st.sampled_from([0.125, 0.25, 0.5, 0.3, 0.75, 1.0])
@@ -89,8 +89,8 @@ def test_kernel_matches_scalar_maxima(inst):
     devs = robust_deviations(matrix, sample, U)
     assert devs.shape == (matrix.shape[0], len(sample))
     for r, row in enumerate(matrix):
-        for i, ex in enumerate(sample):
-            assert devs[r, i] == scalar_robust_deviation(row, ex, U)
+        for i, (x, y) in enumerate(pairs(sample)):
+            assert devs[r, i] == scalar_robust_deviation(row, x, y, U)
 
 
 @st.composite
@@ -108,7 +108,7 @@ def test_rerm_matches_scalar(inst, eta, data):
     fits = rerm_finite(FiniteClass(matrix), sample, subsets, U, eta)
     assert len(fits) == len(subsets)
     for subset, h in zip(subsets, fits):
-        row, _ = scalar_rerm(matrix, [sample[i] for i in subset], U, eta)
+        row, _ = scalar_rerm(matrix, sample.take(subset), U, eta)
         assert (h is None) if row is None else h.descriptor == ("finite", row)
 
 
@@ -131,7 +131,7 @@ def test_rerm_fits_one_object_per_row(inst, eta, data):
 def test_rerm_on_exact_ties(subsets, rows):
     # rows 0.25 and 0.75; points 0 and 1 sit exactly eta = 1/8 from one row
     cls = FiniteClass(np.array([[0.25] * 4, [0.75] * 4]))
-    sample = [LabeledExample(x, y) for x, y in enumerate([0.125, 0.875, 0.5, 0.25])]
+    sample = labeled(enumerate([0.125, 0.875, 0.5, 0.25]))
     fits = rerm_finite(cls, sample, subsets, PerturbationMap.identity(4), 0.125)
     assert [None if h is None else h.descriptor[1] for h in fits] == rows
 
@@ -146,7 +146,7 @@ def test_inflate_matches_the_scalar_loop(inst):
 @pytest.mark.parametrize("U", [PerturbationMap.identity(5), PerturbationMap.grid_ball(5, 2)])
 def test_inflate_keeps_labels_at_the_ends_of_the_range(U):
     # repeated ids and overlapping balls, labels exactly 0 and 1
-    sample = [LabeledExample(x, y) for x, y in [(3, 1.0), (0, 0.0), (3, 0.0), (4, 1.0)]]
+    sample = labeled([(3, 1.0), (0, 0.0), (3, 0.0), (4, 1.0)])
     out = inflate(sample, U)
     assert list(zip(out.xs.tolist(), out.ys.tolist())) == scalar_inflate(sample, U)
 
@@ -186,7 +186,7 @@ def test_rerm_constant_matches_interval_intersection(inst, eta, data):
     fits = rerm_constant(sample, subsets, U, eta)
     assert len(fits) == len(subsets)
     for subset, h in zip(subsets, fits):
-        mid = interval_midpoint([sample[i].y for i in subset], eta)
+        mid = interval_midpoint(sample.ys[subset].tolist(), eta)
         assert (h is None) if mid is None else h.descriptor == ("constant", mid)
 
 
@@ -199,8 +199,8 @@ def test_build_pool_equals_a_scalar_rerm_loop(d):
     rng = np.random.default_rng(7)
     matrix = np.round(rng.uniform(size=(12, 16)) * 4) / 4
     U = PerturbationMap.grid_ball(16, 1)
-    sample = [LabeledExample(int(x), float(y)) for x, y in
-              zip(rng.integers(0, 16, size=11), np.round(rng.uniform(size=11) * 4) / 4)]
+    sample = labeled(zip(rng.integers(0, 16, size=11).tolist(),
+                         (np.round(rng.uniform(size=11) * 4) / 4).tolist()))
     pool, sources, skipped = build_pool(
         sample, U, FiniteClassOracle(FiniteClass(matrix)).rerm, 0.25, d,
         rng=np.random.default_rng(3))
@@ -208,7 +208,7 @@ def test_build_pool_equals_a_scalar_rerm_loop(d):
         subsets = list(itertools.combinations(range(11), d))
     else:
         subsets = list(dict.fromkeys(choice_draws(np.random.default_rng(3), 11, d, POOL_DRAWS)))
-    rows = [scalar_rerm(matrix, [sample[i] for i in s], U, 0.25)[0] for s in subsets]
+    rows = [scalar_rerm(matrix, sample.take(s), U, 0.25)[0] for s in subsets]
     assert [h.descriptor for h in pool] == [("finite", r) for r in rows if r is not None]
     assert sources == [s for s, r in zip(subsets, rows) if r is not None]
     assert skipped == rows.count(None) > 0
@@ -252,7 +252,7 @@ def test_choice_subsets_equal_one_choice_call_per_subset(shape, seed):
 def test_reconstruct_names_the_infeasible_group():
     # group 1 holds labels 0 and 1, which no row fits within 0.2 / 8
     cls = FiniteClass(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-    sample = [LabeledExample(0, 0.0), LabeledExample(1, 0.0), LabeledExample(2, 1.0)]
+    sample = labeled([(0, 0.0), (1, 0.0), (2, 1.0)])
     scheme = CompressionScheme(eta=0.2, aggregation="median",
                                groups=((0, 1), (0, 2), (1, 0)), alphas=(1.0, 1.0, 1.0))
     with pytest.raises(ReconstructionFailed, match=r"group 1 \(0, 2\) is infeasible at 0.025"):
@@ -293,7 +293,7 @@ class TestMissingPerturbation:
 
     @pytest.mark.parametrize("x", [2, 4, 9, -1])
     def test_every_user_of_the_kernel_raises(self, x):
-        sample = [LabeledExample(0, 0.1), LabeledExample(x, 0.3)]
+        sample = labeled([(0, 0.1), (x, 0.3)])
         h = self.cls.hypothesis(0)
         with pytest.raises(MissingPerturbation, match=str(x)):
             robust_deviations(self.cls.matrix, sample, self.U)
@@ -305,7 +305,7 @@ class TestMissingPerturbation:
             empirical_error(h, sample, self.U, Lp(1.0))
 
     def test_ids_with_entries_still_evaluate(self):
-        sample = [LabeledExample(3, 0.3)]
+        sample = labeled([(3, 0.3)])
         # U(3) = {3, 2}: id 2 is a perturbation even without its own entry
         assert robust_deviations(self.cls.matrix, sample, self.U)[:, 0].tolist() == [
             pytest.approx(0.1), pytest.approx(0.2)]

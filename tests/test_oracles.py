@@ -34,7 +34,7 @@ def fit_all(rerm, pts, U, eta):
 
 class TestRermFinite:
     def test_empty_subset_returns_first_row(self):
-        h = fit_all(partial(rerm_finite, TWO_CONSTANTS), [], ID1, 0.1)
+        h = fit_all(partial(rerm_finite, TWO_CONSTANTS), labeled([]), ID1, 0.1)
         assert h.descriptor == ("finite", 0)
 
     def test_feasibility_scan(self):
@@ -114,9 +114,9 @@ class TestRermConstant:
             assert theirs is None
             return
         # both must be feasible constants (grid may miss a sub-resolution window)
-        assert all(abs(ours.descriptor[1] - ex.y) <= eta + 1e-12 for ex in pts)
+        assert all(abs(ours.descriptor[1] - y) <= eta + 1e-12 for y in pts.ys.tolist())
         if theirs is not None:
-            assert all(abs(theirs(0) - ex.y) <= eta + 1e-9 for ex in pts)
+            assert all(abs(theirs(0) - y) <= eta + 1e-9 for y in pts.ys.tolist())
 
 
 @given(st.data())
@@ -200,7 +200,7 @@ class TestOracleWrappers:
         fit, witness = ConstantClassOracle().max_fit_subset(sample, U, 0.15)
         assert fit == (0, 1, 2)
         c = witness.descriptor[1]
-        assert all(abs(c - sample[i].y) < 0.15 for i in fit)
+        assert all(abs(c - sample.ys[i]) < 0.15 for i in fit)
 
     def test_constant_fold_average(self):
         members = [constant_hypothesis(v, 1) for v in (0.2, 0.4)]

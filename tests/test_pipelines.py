@@ -10,6 +10,7 @@ from robustreg import (
     PipelineConfig,
     agnostic_eta_learn,
     agnostic_regression,
+    as_sample,
     build_pool,
     dual_embed,
     empirical_error,
@@ -22,12 +23,19 @@ from robustreg import (
     theta_grid,
 )
 import robustreg.pipelines as pl
-from robustreg.errors import EmptyPool, InvalidParameter, ReconstructionFailed
+from robustreg.errors import (
+    EmptyPool,
+    InvalidParameter,
+    ReconstructionFailed,
+    UnrealizableSpec,
+    WeakLearnerNotFound,
+)
 from robustreg.harness import (
     ExperimentConfig,
     InstanceSpec,
     PerturbationSpec,
     TargetSpec,
+    _build_class,
     gen_instance,
 )
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, rerm_constant
@@ -47,7 +55,7 @@ def smooth_instance(seed, m=40, eta=0.2, n_hyp=25, domain=30, noise=0.0,
         realizable_margin=margin,
     )
     cls, U, sample, holdout = gen_instance(cfg, seed, m=m)
-    return FiniteClassOracle(cls), U, sample, holdout
+    return FiniteClassOracle(cls), U, as_sample(sample), as_sample(holdout)
 
 
 def recording_rerm():
@@ -223,6 +231,81 @@ class TestImproperLearn:
         # the kept ensemble is a short-circuit one, whose unit weights are not stored
         assert len(rep.scheme.groups) == rep.rounds
         assert rep.scheme.alphas is None
+
+
+class TestWeakLearnerDoubling:
+    """Realizable samples whose pool at the d of the fat-shattering
+    dimension has no weak learner (each member misses a third of the cover
+    mass); the median learner reruns its head with d doubled."""
+
+    @staticmethod
+    def drawn_blocks():
+        cfg = ExperimentConfig(
+            instance=InstanceSpec(kind="blocks", n_hypotheses=22, domain_size=12,
+                                  blocks=3, defect_blocks=1),
+            eta=0.3, m_grid=(6,))
+        cls, U, sample, _ = gen_instance(cfg, 9374)
+        return FiniteClassOracle(cls), U, as_sample(sample)
+
+    def test_a_drawn_blocks_sample(self):
+        oracle, U, sample = self.drawn_blocks()
+        rep = improper_learn(oracle, sample, U, 0.3)
+        assert rep.uniform is True
+        assert rep.extra["d"] == 4 and rep.extra["d_doublings"] == 1  # from d = 2
+
+    def test_a_hand_picked_blocks_sample(self):
+        spec = InstanceSpec(kind="blocks", n_hypotheses=8, domain_size=8, blocks=4,
+                            defect_blocks=2)
+        cls = _build_class(spec, np.random.default_rng(2), 0)
+        sample = labeled([(x, cls.matrix[3, x]) for x in (2, 4, 6)])
+        rep = improper_learn(FiniteClassOracle(cls), sample, PerturbationMap.identity(8), 0.4)
+        assert rep.uniform is True
+        # from d = 2 to every point: the whole sample is stored
+        assert rep.extra["d"] == len(sample) and rep.extra["d_doublings"] == 1
+
+    def test_a_given_d_is_where_the_doubling_starts(self):
+        oracle, U, sample = self.drawn_blocks()
+        for d, doublings in ((1, 2), (2, 1), (3, 0)):
+            rep = improper_learn(oracle, sample, U, 0.3, PipelineConfig(d=d))
+            assert rep.extra.get("d_doublings", 0) == doublings
+
+    def test_d_stops_at_the_fitted_points(self, monkeypatch):
+        sizes = []
+
+        def recording_pool(sample, U, rerm, eta, d, **kwargs):
+            sizes.append(d)
+            return build_pool(sample, U, rerm, eta, d, **kwargs)
+
+        def refuse(*args):
+            raise WeakLearnerNotFound("forced", best_mass=0.5)
+
+        monkeypatch.setattr(pl, "build_pool", recording_pool)
+        monkeypatch.setattr(pl, "medboost", refuse)
+        oracle, U, sample = self.drawn_blocks()
+        with pytest.raises(WeakLearnerNotFound, match="forced"):
+            improper_learn(oracle, sample, U, 0.3)
+        assert sizes == [2, 4, 6]
+
+    def test_a_realizable_blocks_family_always_learns(self):
+        doubled = 0
+        for seed in range(20000, 20200):
+            rng = np.random.default_rng(seed)
+            blocks = int(rng.integers(2, 5))
+            spec = InstanceSpec(kind="blocks", n_hypotheses=int(rng.integers(4, 25)),
+                                domain_size=int(rng.integers(6, 17)), blocks=blocks,
+                                defect_blocks=int(rng.integers(1, blocks)))
+            eta = (0.3, 0.4)[seed // 2 % 2]
+            cfg = ExperimentConfig(
+                instance=spec, eta=eta, m_grid=(int(rng.integers(3, 9)),), holdout_size=0,
+                perturbation=PerturbationSpec(kind=("identity", "grid_ball")[seed % 2]))
+            try:
+                cls, U, sample, _ = gen_instance(cfg, seed)
+            except UnrealizableSpec:
+                continue
+            learner = (improper_learn, agnostic_eta_learn)[seed // 4 % 2]
+            rep = learner(FiniteClassOracle(cls), sample, U, eta, seed=seed)
+            doubled += "d_doublings" in rep.extra
+        assert doubled >= 10  # the family holds samples that need it
 
 
 class TestAgnosticEtaLearn:
@@ -409,7 +492,7 @@ class TestAgnosticRegression:
         oracle = FiniteClassOracle(make_class([[0.5] * 5]))
         U = PerturbationMap.identity(5)
         sample = labeled([(i, 0.41) for i in range(5)])
-        rep = agnostic_regression(oracle, sample, sample[:3], U, epsilon=0.5,
+        rep = agnostic_regression(oracle, sample, sample.take(range(3)), U, epsilon=0.5,
                                   delta=0.5, p=1.0, seed=3)
         assert rep.extra["grid"] == [(0.2, "EmptyPool", None), (0.4, "EmptyPool", None),
                                      (0.8, "ok", 0.0), (1.0, "InvalidParameter", None)]
@@ -418,7 +501,7 @@ class TestAgnosticRegression:
     def test_holdout_size_precondition(self):
         oracle, U, sample, holdout = smooth_instance(89, m=10)
         with pytest.raises(InvalidParameter):
-            agnostic_regression(oracle, sample, holdout[:2], U, epsilon=0.05,
+            agnostic_regression(oracle, sample, holdout.take(range(2)), U, epsilon=0.05,
                                 delta=0.05, p=1.0)
 
 

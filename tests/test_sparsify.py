@@ -74,8 +74,7 @@ class TestSparsify:
                 out = sparsify(ens, cover, eta=0.12, k=5, seed=seed)
             except SparsifyFailed:
                 continue
-            for pt in cover:
-                assert abs(out.values[pt.x] - pt.y) <= 0.12
+            assert (np.abs(out.values[cover.xs] - cover.ys) <= 0.12).all()
 
     def test_sparsified_size_shrinks_when_k_below_t(self):
         ens = ensemble_of([0.5] * 9, [1.0] * 9, sources=tuple((i, i) for i in range(9)))
