@@ -252,6 +252,8 @@ def _parse_examples(raw, domain_size, what) -> Sample:
         x, y = as_number(item[0], int, what), as_number(item[1], float, what)
         if not 0 <= x < domain_size:
             raise InvalidParameter(f"{what} id {x} outside domain of size {domain_size}")
+        if not 0.0 <= y <= 1.0:
+            raise InvalidParameter(f"{what} label {y} outside [0, 1]")
         xs.append(x)
         ys.append(y)
     return Sample(np.array(xs, dtype=np.intp), np.array(ys, dtype=float))

@@ -1,12 +1,14 @@
-"""End-to-end learners: inflate, pool, dual cover, boost, compress.
+"""End-to-end learners: one fit loop (inflate, size d, then pool, dual
+cover and boost, doubling d while the pool holds no weak or strong learner)
+and one tail (compress, reconstruct, require the replay to equal the run).
 
-Every learner runs one head (inflate, size d, pool, cover), a booster, and
-one tail (compress, reconstruct, require the replay to equal the run).
-Every guarantee a pipeline reports is recomputed from the reconstructed
-hypothesis rather than trusted from the run, and each link of the
-guarantee chain (cover set, inflated set, original sample) is evaluated
-directly; a broken link raises :class:`ChainAssertionFailed`, and a replay
-that differs from the run raises :class:`ReconstructionFailed`.
+Reported errors are recomputed from the reconstruction.  The averaging
+learner checks its chain links (cover, inflated set, sample) on the
+reconstruction; the median learners check them on the boosted ensemble,
+before sparsification, and check the reconstruction only for robust
+deviation at most eta on the fitted points.  A broken link raises
+:class:`ChainAssertionFailed`, a replay that differs from the run
+:class:`ReconstructionFailed`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     ReconstructionFailed,
     RobustRegError,
     SparsifyFailed,
+    StrongLearnerNotFound,
     WeakLearnerNotFound,
 )
 from .mw import mw_boost
@@ -229,36 +232,50 @@ def _seeds(seed: int, n: int):
 
 
 _Head = NamedTuple("_Head", [("inflated", Sample), ("pool", list), ("sources", list),
-                             ("skipped", int), ("cover", Sample), ("cert", float),
-                             ("d", int), ("T", int), ("timings", dict)])
+                             ("skipped", int), ("cover", Sample), ("cert", float), ("d", int),
+                             ("T", int), ("doublings", int), ("timings", dict)])
 
 
-def _head(oracle, sample, U, eta, median: bool, epsilon: float,
-          config: PipelineConfig | None, pool_ss) -> _Head:
-    """Inflate; d from the fat-shattering dimension over ``epsilon`` (1 for
-    median schemes); pool RERM fits at the scheme's refit radius; cover the
-    inflated set in the dual at eta/4 (median) or eta/2 (average)."""
+def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
+         config: PipelineConfig | None, pool_ss, boost):
+    """Inflate, size d from the fat-shattering dimension over ``epsilon`` (1
+    for median schemes), pool RERM fits at the refit radius, cover the
+    inflated set in the dual at eta/4 (median) or eta/2 (average), and
+    return the head and ``boost(head)``.  While the pool has no weak or
+    strong learner, d was too small: pool, cover and boost rerun with d
+    doubled, up to the sample size (whose one fit violates no cover point)."""
     cfg = config or PipelineConfig()
     t0 = time.perf_counter()
     inflated = inflate(sample, U)
     fat = oracle.fat(eta * (MEDIAN_FAT if median else AVERAGE_FAT))
     log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
     d = cfg.d or max(1, math.ceil(fat * log_factor / epsilon))
-    pool, sources, skipped = build_pool(
-        sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
-        rng=np.random.default_rng(pool_ss))
-    timings = {"pool": time.perf_counter() - t0}
-
-    t1 = time.perf_counter()
     radius = eta / 4 if median else eta / 2
-    dual = dual_embed(pool, inflated)
-    centers, assignment = greedy_cover(dual, radius)
-    cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
-    _check("cover certificate", cert, radius)
-    cover = inflated.take(centers)
-    timings["cover"] = time.perf_counter() - t1
-    T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
-    return _Head(inflated, pool, sources, skipped, cover, cert, d, T, timings)
+    timings = dict.fromkeys(("pool", "cover", "boost"), 0.0)
+    for doublings in itertools.count():
+        pool, sources, skipped = build_pool(
+            sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
+            rng=np.random.default_rng(pool_ss))
+        t1 = time.perf_counter()
+        timings["pool"] += t1 - t0
+        dual = dual_embed(pool, inflated)
+        centers, assignment = greedy_cover(dual, radius)
+        cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
+        _check("cover certificate", cert, radius)
+        cover = inflated.take(centers)
+        T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
+        head = _Head(inflated, pool, sources, skipped, cover, cert, d, T, doublings, timings)
+        t2 = time.perf_counter()
+        timings["cover"] += t2 - t1
+        try:
+            return head, boost(head)
+        except (WeakLearnerNotFound, StrongLearnerNotFound):
+            if d >= len(sample):
+                raise
+            d = min(2 * d, len(sample))
+        finally:
+            t0 = time.perf_counter()
+            timings["boost"] += t0 - t2
 
 
 def _check(what: str, value: float, bound: float) -> None:
@@ -279,7 +296,8 @@ def _replay(ensemble: WeightedEnsemble, sample, rerm, U, eta: float):
 
 def _report(pipeline, eta, seed, sample, U, scheme, h, head: _Head,
             eta_err: float, **fields) -> PipelineReport:
-    """The report fields every pipeline fills the same way, plus ``fields``."""
+    """The report fields every pipeline fills the same way, plus ``fields``;
+    ``extra`` holds the d doublings, if any, after each learner's own keys."""
     bounds = []
     for kind in ("realizable", "agnostic"):
         try:
@@ -294,6 +312,7 @@ def _report(pipeline, eta, seed, sample, U, scheme, h, head: _Head,
         compression_size=scheme.size, cover_size=len(head.cover),
         pool_size=len(head.pool),
         bound_realizable=bounds[0], bound_agnostic=bounds[1],
+        extra={"d_doublings": head.doublings} if head.doublings else {},
         timings=head.timings, **fields,
     )
 
@@ -312,11 +331,8 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
     sample = as_sample(sample)
     (pool_ss,) = _seeds(seed, 1)
-    head = _head(oracle, sample, U, eta, False, epsilon, config, pool_ss)
-
-    t2 = time.perf_counter()
-    ensemble = mw_boost(head.cover, head.pool, head.sources, eta, epsilon, head.T)
-    head.timings["boost"] = time.perf_counter() - t2
+    head, ensemble = _fit(oracle, sample, U, eta, False, epsilon, config, pool_ss,
+                          lambda h: mw_boost(h.cover, h.pool, h.sources, eta, epsilon, h.T))
 
     t3 = time.perf_counter()
     scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta)
@@ -330,41 +346,26 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     head.timings["verify"] = time.perf_counter() - t3
 
     folded = oracle.fold_average(ensemble.members)
-    return _report(
+    report = _report(
         "proper", eta, seed, sample, U, scheme, h, head, sample_err,
         epsilon=epsilon, rounds=len(ensemble),
-        properness=folded.descriptor if folded is not None else None,
-        extra={"cover_certificate": head.cert, "cover_rate": cover_rate,
-               "inflated_rate": inflated_rate, "pool_skipped": head.skipped,
-               "d": head.d},
-    )
+        properness=folded.descriptor if folded is not None else None)
+    report.extra = {"cover_certificate": head.cert, "cover_rate": cover_rate,
+                    "inflated_rate": inflated_rate, "pool_skipped": head.skipped,
+                    "d": head.d} | report.extra
+    return report
 
 
 def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
                   fit: Sequence[int]):
     """The median learner fitted to the points ``fit`` of the sample and
     compressed over the whole sample.  Returns the report, the head, k and
-    the worst robust deviation of the replay on the fitted points.
-
-    A pool with no weak learner reruns the head with d doubled, up to the
-    number of fitted points, where the one all-point fit violates no cover
-    point; the report's ``extra`` then holds the count as ``d_doublings``."""
+    the worst robust deviation of the replay on the fitted points."""
     eta = loss.eta
     sub = sample.take(fit)
     pool_ss, sparsify_ss = _seeds(seed, 2)
-    doublings = 0
-    while True:
-        head = _head(oracle, sub, U, eta, True, 1.0, config, pool_ss)
-        t2 = time.perf_counter()
-        try:
-            ensemble = medboost(head.cover, head.pool, head.sources, eta, head.T)
-            break
-        except WeakLearnerNotFound:
-            if head.d >= len(sub):
-                raise
-            config = replace(config or PipelineConfig(), d=min(2 * head.d, len(sub)))
-            doublings += 1
-    head.timings["boost"] = time.perf_counter() - t2
+    head, ensemble = _fit(oracle, sub, U, eta, True, 1.0, config, pool_ss,
+                          lambda h: medboost(h.cover, h.pool, h.sources, eta, h.T))
 
     # guarantee chain of the boosted median, re-evaluated directly
     cover, inflated = head.cover, head.inflated
@@ -376,15 +377,13 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
            robust_deviations(ensemble.values, sub, U).max(), eta / 2)
 
     t3 = time.perf_counter()
-    fat_star = max(1, oracle.dual_fat(eta))
-    k = default_k(fat_star, eta)
+    k = default_k(max(1, oracle.dual_fat(eta)), eta)
     sparsify_failed = False
     try:
         final = sparsify(ensemble, head.cover, eta / 2, k,
                          seed=int(sparsify_ss.generate_state(1)[0]))
     except SparsifyFailed:
-        final = ensemble
-        sparsify_failed = True
+        final, sparsify_failed = ensemble, True
     head.timings["sparsify"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
@@ -398,8 +397,7 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
 
     report = _report(pipeline, eta, seed, sample, U, scheme, h, head,
                      empirical_error(h, sample, U, loss), rounds=len(ensemble),
-                     sparsify_failed=sparsify_failed,
-                     extra={"d_doublings": doublings} if doublings else {})
+                     sparsify_failed=sparsify_failed)
     return report, head, k, worst
 
 
@@ -511,8 +509,7 @@ def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: Pert
             f"holdout of size {len(holdout)} is below the required {needed}")
     grid = theta_grid(len(sample))
     children = _seeds(seed, len(grid))
-    candidates = []
-    trail = []
+    candidates, trail = [], []
     for theta, child in zip(grid, children):
         child_seed = int(child.generate_state(1)[0])
         try:
@@ -531,7 +528,7 @@ def agnostic_regression(oracle, sample: SampleLike, holdout: SampleLike, U: Pert
     best.selected_theta = best_theta
     best.holdout_eta_err = best_err
     best.holdout_lp_err = empirical_error(best.hypothesis, holdout, U, lp)
-    best.extra["grid"] = [(t, s, e) for t, s, e in trail]
+    best.extra["grid"] = trail
     return best
 
 

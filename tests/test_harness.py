@@ -244,6 +244,18 @@ class TestCli:
         assert code == 1 and out == ""
         assert "'class_matrix'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, entry", [("samples", [0, 1.5]), ("holdout", [1, -0.5])])
+    def test_a_label_outside_the_unit_interval_names_its_key(self, tmp_path, capsys, key,
+                                                             entry):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({
+            "domain_size": 2, "samples": [[0, 0.5]], "perturbations": {"0": [0], "1": [1]},
+            key: [entry],
+        }))
+        code, out = run_cli(["learn-improper", "--config", str(path), "--eta", "0.2"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {key} label {entry[1]} outside [0, 1]\n"
+
     def test_bounds_values(self):
         code, out = run_cli(["bounds", "--kind", "realizable", "--k", "10",
                              "--m", "1000", "--delta", "0.36787944117144233"])

@@ -27,6 +27,7 @@ from robustreg.errors import (
     EmptyPool,
     InvalidParameter,
     ReconstructionFailed,
+    StrongLearnerNotFound,
     UnrealizableSpec,
     WeakLearnerNotFound,
 )
@@ -233,10 +234,17 @@ class TestImproperLearn:
         assert rep.scheme.alphas is None
 
 
+# the median and the averaged scheme on TestWeakLearnerDoubling.drawn_blocks,
+# whose pools at d = 1 and 2 hold no weak or (at epsilon 0.2) strong learner
+SCHEMES = {
+    "median": lambda oracle, sample, U, config: improper_learn(oracle, sample, U, 0.3, config),
+    "average": lambda oracle, sample, U, config: proper_learn(oracle, sample, U, 0.3, 0.2, config),
+}
+
+
 class TestWeakLearnerDoubling:
-    """Realizable samples whose pool at the d of the fat-shattering
-    dimension has no weak learner (each member misses a third of the cover
-    mass); the median learner reruns its head with d doubled."""
+    """Realizable samples whose pool at the starting d has no weak or strong
+    learner; the learner reruns pool, cover and boost with d doubled."""
 
     @staticmethod
     def drawn_blocks():
@@ -263,13 +271,30 @@ class TestWeakLearnerDoubling:
         # from d = 2 to every point: the whole sample is stored
         assert rep.extra["d"] == len(sample) and rep.extra["d_doublings"] == 1
 
-    def test_a_given_d_is_where_the_doubling_starts(self):
+    def test_the_golden_proper_instance_learns(self):
+        # tests/golden's proper config at m = 40, seed 2: no strong learner at d = 6
+        cfg = ExperimentConfig(
+            instance=InstanceSpec(kind="blocks", n_hypotheses=40, domain_size=120,
+                                  blocks=12, defect_blocks=3),
+            perturbation=PerturbationSpec(kind="grid_ball", radius=1),
+            pipeline="proper", eta=0.2, epsilon=0.2, m_grid=(40,), holdout_size=50)
+        cls, U, sample, _ = gen_instance(cfg, 2)
+        rep = proper_learn(FiniteClassOracle(cls), sample, U, 0.2, 0.2,
+                           PipelineConfig(d=6, T=9), seed=2)
+        assert rep.extra["d"] == 12 and rep.extra["d_doublings"] == 1
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_a_given_d_is_where_the_doubling_starts(self, scheme):
         oracle, U, sample = self.drawn_blocks()
         for d, doublings in ((1, 2), (2, 1), (3, 0)):
-            rep = improper_learn(oracle, sample, U, 0.3, PipelineConfig(d=d))
+            rep = SCHEMES[scheme](oracle, sample, U, PipelineConfig(d=d))
             assert rep.extra.get("d_doublings", 0) == doublings
 
-    def test_d_stops_at_the_fitted_points(self, monkeypatch):
+    @pytest.mark.parametrize("scheme, booster, error, config", [
+        ("median", "medboost", WeakLearnerNotFound, None),  # its own d is 2
+        ("average", "mw_boost", StrongLearnerNotFound, PipelineConfig(d=2)),
+    ], ids=["median", "average"])
+    def test_d_stops_at_the_fitted_points(self, monkeypatch, scheme, booster, error, config):
         sizes = []
 
         def recording_pool(sample, U, rerm, eta, d, **kwargs):
@@ -277,16 +302,33 @@ class TestWeakLearnerDoubling:
             return build_pool(sample, U, rerm, eta, d, **kwargs)
 
         def refuse(*args):
-            raise WeakLearnerNotFound("forced", best_mass=0.5)
+            raise error("forced", best_mass=0.5)
 
         monkeypatch.setattr(pl, "build_pool", recording_pool)
-        monkeypatch.setattr(pl, "medboost", refuse)
+        monkeypatch.setattr(pl, booster, refuse)
         oracle, U, sample = self.drawn_blocks()
-        with pytest.raises(WeakLearnerNotFound, match="forced"):
-            improper_learn(oracle, sample, U, 0.3)
+        with pytest.raises(error, match="forced"):
+            SCHEMES[scheme](oracle, sample, U, config)
         assert sizes == [2, 4, 6]
 
-    def test_a_realizable_blocks_family_always_learns(self):
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_a_doubling_inflates_and_sizes_d_once(self, monkeypatch, scheme):
+        calls = []
+        oracle, U, sample = self.drawn_blocks()
+        fat = oracle.fat
+        monkeypatch.setattr(pl, "inflate", lambda *args: calls.append("inflate") or inflate(*args))
+        monkeypatch.setattr(oracle, "fat", lambda *args: calls.append("fat") or fat(*args))
+        rep = SCHEMES[scheme](oracle, sample, U, PipelineConfig(d=2))
+        assert rep.extra["d_doublings"] == 1
+        assert calls == ["inflate", "fat"]
+
+    @pytest.mark.parametrize("learn", [
+        lambda seed, *args: (improper_learn, agnostic_eta_learn)[seed // 4 % 2](*args, seed=seed),
+        # at the paper's d every pool of the family holds a strong learner, so
+        # the averaged scheme starts at d = 1, where 107 of the 200 are too small
+        lambda seed, *args: proper_learn(*args, 0.2, PipelineConfig(d=1), seed=seed),
+    ], ids=["median", "average"])
+    def test_a_realizable_blocks_family_always_learns(self, learn):
         doubled = 0
         for seed in range(20000, 20200):
             rng = np.random.default_rng(seed)
@@ -302,8 +344,7 @@ class TestWeakLearnerDoubling:
                 cls, U, sample, _ = gen_instance(cfg, seed)
             except UnrealizableSpec:
                 continue
-            learner = (improper_learn, agnostic_eta_learn)[seed // 4 % 2]
-            rep = learner(FiniteClassOracle(cls), sample, U, eta, seed=seed)
+            rep = learn(seed, FiniteClassOracle(cls), sample, U, eta)
             doubled += "d_doublings" in rep.extra
         assert doubled >= 10  # the family holds samples that need it
 
