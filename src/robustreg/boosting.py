@@ -213,7 +213,9 @@ def medboost(
     passed check leaves less than 1/3 of the mass violated, so the
     coefficient is positive.  An infinite coefficient short-circuits to T
     copies of that member with unit weights.  The run stops once the
-    median is within eta/4 on every cover point.
+    median is within eta/4 on every cover point; T rounds that end short
+    of it raise :class:`WeakLearnerNotFound`, as does a round with no weak
+    learner in the pool.
     """
     values = cover_values(cover, pool, sources, T)
     violated = np.abs(values - cover.ys) > eta / 4
@@ -233,4 +235,7 @@ def medboost(
         med = weighted_median_columns(values[picks], np.array(alphas))
         if (np.abs(med - cover.ys) <= eta / 4).all():
             break
+    else:
+        raise WeakLearnerNotFound(
+            f"the {T}-round median misses a cover point by more than {eta / 4:.6g}")
     return WeightedEnsemble.from_picks(pool, sources, picks, "median", alphas)

@@ -6,8 +6,9 @@ distribution, then points the learner handles within half the
 working radius are downweighted by e^(-XI).  Note the direction: the
 update discounts correctly handled points rather than upweighting
 mistakes, which is equivalent after renormalization but is kept as
-written.  The output averages the round learners, so for classes closed
-under averaging the result stays inside the class.
+written.  The output averages the T round learners, so for classes
+closed under averaging the result stays inside the class.  An average
+that misses the cover condition raises instead of being returned.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .boosting import PointDistribution, WeightedEnsemble, cover_values, least_v
 from .core import Hypothesis, Sample
 from .errors import InvalidParameter, StrongLearnerNotFound
 
-MAX_DOUBLINGS = 4
 # The discount of a cover point the round's learner handles within eta/2.
 XI = 0.5
 
@@ -53,31 +53,28 @@ def mw_boost(
     epsilon: float,
     T: int,
 ) -> WeightedEnsemble:
-    """Pick strong pool members with the correctness-discount update and
-    average them; ``sources[i]`` are the sample indices whose fit is
-    ``pool[i]``.
+    """Pick strong pool members for T rounds with the correctness-discount
+    update and average them; ``sources[i]`` are the sample indices whose
+    fit is ``pool[i]``.
 
-    The round count has no sharp constant, so the run checks the cover
-    condition (fraction of cover points where the average deviates by
-    >= eta/2 is at most epsilon) after T rounds and again after each
-    doubling of the round count, up to ``MAX_DOUBLINGS`` of them.  The
-    pick is deterministic, so running on equals a restart with doubled T.
-    The last ensemble is returned either way; callers recompute the
-    condition and fail loudly.
+    The average must meet the cover condition: at most an epsilon share
+    of the cover points deviate by eta/2 or more.  A run that misses it
+    raises :class:`StrongLearnerNotFound`, as does a round with no strong
+    learner in the pool.
     """
     values = cover_values(cover, pool, sources, T)
     dev = np.abs(values - cover.ys)
     violated, correct = dev >= eta / 2, dev <= eta / 2
     P = PointDistribution.uniform(len(cover))
     picks: list[int] = []
-    for doubling in range(MAX_DOUBLINGS + 1):
-        while len(picks) < T * 2 ** doubling:
-            i = find_strong_learner(P, violated, epsilon)
-            picks.append(i)
-            P = mw_update(P, correct[i])
-        ensemble = WeightedEnsemble.from_picks(pool, sources, picks, "average")
-        # the aggregation the returned ensemble and its reconstruction use
-        rate = float((np.abs(ensemble.values[cover.xs] - cover.ys) >= eta / 2).mean())
-        if rate <= epsilon:
-            break
+    for _ in range(T):
+        i = find_strong_learner(P, violated, epsilon)
+        picks.append(i)
+        P = mw_update(P, correct[i])
+    ensemble = WeightedEnsemble.from_picks(pool, sources, picks, "average")
+    # the aggregation the returned ensemble and its reconstruction use
+    rate = float((np.abs(ensemble.values[cover.xs] - cover.ys) >= eta / 2).mean())
+    if rate > epsilon:
+        raise StrongLearnerNotFound(
+            f"cover rate {rate:.6g} of the {T}-round average exceeds {epsilon}")
     return ensemble

@@ -1,5 +1,5 @@
 """End-to-end learners: one fit loop (inflate, size d, then pool, dual
-cover and boost, doubling d while the pool holds no weak or strong learner)
+cover and boost, doubling d while the booster misses its cover condition)
 and one tail (compress, reconstruct, require the replay to equal the run).
 
 Reported errors are recomputed from the reconstruction.  The averaging
@@ -133,9 +133,8 @@ def build_pool(sample: Sample, U: PerturbationMap, rerm, eta_rerm: float, d: int
 
     Every subset is enumerated while there are at most
     ``POOL_ENUMERATE_MAX`` of them; beyond that, the subsets are the ones
-    ``POOL_DRAWS`` calls of ``rng.choice(m, d, replace=False)`` give,
-    taken from one generator call (:func:`_choice_subsets`), and
-    deduplicated in the order drawn.
+    ``POOL_DRAWS`` calls of ``rng.choice(m, d, replace=False)`` give
+    (:func:`_choice_subsets`), deduplicated in the order drawn.
     Infeasible subsets (a None fit) are skipped.  Returns the pool, the
     subset (sorted sample indices) each member was fit on, and the count
     of skipped subsets.
@@ -164,35 +163,25 @@ def build_pool(sample: Sample, U: PerturbationMap, rerm, eta_rerm: float, d: int
 
 def _choice_subsets(rng: np.random.Generator, m: int, d: int, n: int) -> np.ndarray:
     """The sorted results of ``n`` successive ``rng.choice(m, d,
-    replace=False)`` calls as an (n x d) array, from one ``rng.integers``
-    call that consumes the same generator stream.
+    replace=False)`` calls as an (n x d) array.
 
-    ``choice`` runs Floyd's sampling: step t = 0, ..., d-1 draws v in
-    [0, j] for j = m-d+t and takes v, or j when v is already taken; it
-    then shuffles its result with draws in [0, i] for i = d-1, ..., 1,
-    which sorting discards but which must be consumed.  For m > 10000 and
-    d > m // 50 it instead swaps position i = m-1, ..., max(m-d, 1) of
-    range(m) with a draw in [0, i] and keeps the last d positions.
+    For m > 10000 and d > m // 50 ``choice`` shuffles, and the calls run
+    as they are.  Otherwise it runs Floyd's sampling, batched here into one
+    ``rng.integers`` call that consumes the same stream: step t = 0, ...,
+    d-1 draws v in [0, j] for j = m-d+t and takes v, or j when v is
+    already taken; then it shuffles its result with draws in [0, i] for
+    i = d-1, ..., 1, which sorting discards but which must be consumed.
     """
-    floyd = not (m > 10000 and d > m // 50)
+    if m > 10000 and d > m // 50:
+        return np.sort([rng.choice(m, d, replace=False) for _ in range(n)], axis=1)
     steps = np.arange(m - d, m)
-    highs = (np.concatenate([steps, np.arange(d - 1, 0, -1)]) if floyd
-             else np.arange(m - 1, max(m - d, 1) - 1, -1))
+    highs = np.concatenate([steps, np.arange(d - 1, 0, -1)])
     draws = rng.integers(0, np.broadcast_to(highs, (n, highs.size)), endpoint=True)
     subsets = np.empty((n, d), dtype=np.int64)
     block = max(1, (1 << 22) // m)  # rows whose (rows x m) table is at most 32 MB
     for lo in range(0, n, block):
-        drawn = draws[lo:lo + block]
+        drawn = draws[lo:lo + block, :d]
         k = len(drawn)
-        if not floyd:
-            perm, rows = np.tile(np.arange(m), (k, 1)), np.arange(k)
-            for i, j in zip(highs.tolist(), drawn.T):
-                held = perm[:, i].copy()
-                perm[:, i] = perm[rows, j]
-                perm[rows, j] = held
-            subsets[lo:lo + k] = perm[:, m - d:]
-            continue
-        drawn = drawn[:, :d]
         # step t takes its j when its value was drawn at an earlier step ...
         t = np.tile(np.arange(d), k)
         flat = (drawn + np.arange(0, k * m, m)[:, None]).ravel()
@@ -241,9 +230,10 @@ def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
     """Inflate, size d from the fat-shattering dimension over ``epsilon`` (1
     for median schemes), pool RERM fits at the refit radius, cover the
     inflated set in the dual at eta/4 (median) or eta/2 (average), and
-    return the head and ``boost(head)``.  While the pool has no weak or
-    strong learner, d was too small: pool, cover and boost rerun with d
-    doubled, up to the sample size (whose one fit violates no cover point)."""
+    return the head and ``boost(head)``.  A booster meets its cover
+    condition or raises; when it raises, d was too small: pool, cover and
+    boost rerun with d doubled, up to the sample size (whose one fit
+    violates no cover point)."""
     cfg = config or PipelineConfig()
     t0 = time.perf_counter()
     inflated = inflate(sample, U)

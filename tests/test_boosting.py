@@ -260,6 +260,20 @@ class TestMedboost:
         with pytest.raises(WeakLearnerNotFound):
             medboost(cover, pool, [(0,), (1,)], eta=0.2, T=3)
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 9])
+    def test_t_rounds_meet_the_cover_condition_or_raise(self, T):
+        # on SPREAD three rounds bring the median within eta/4 of every label
+        pool, cover, _ = pool_setup(SPREAD, [0.5] * 9)
+        sources = [(i,) for i in range(5)]
+        if T < 3:
+            with pytest.raises(WeakLearnerNotFound,
+                               match=f"the {T}-round median misses a cover point"):
+                medboost(cover, pool, sources, eta=0.2, T=T)
+            return
+        ens = medboost(cover, pool, sources, eta=0.2, T=T)
+        assert len(ens) == 3
+        assert (np.abs(ens.values[:9] - 0.5) <= 0.05).all()
+
     def test_reweighting_concentrates_on_violations(self):
         # one violated point must gain mass when 0 < alpha < inf
         P = PointDistribution.uniform(4)

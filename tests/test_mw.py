@@ -139,20 +139,24 @@ class TestMwBoost:
         assert np.array_equal(h.values, ens.values)
         assert float((np.abs(h.values[cover.xs] - cover.ys) >= 0.1).mean()) <= 0.1
 
-    @pytest.mark.parametrize("T, rounds", [(1, 1), (2, 4), (3, 6)])
-    def test_running_on_equals_a_restart_with_doubled_rounds(self, T, rounds):
+    @pytest.mark.parametrize("T, rate", [(1, None), (2, "0.444444"), (3, "0.666667"),
+                                         (4, None), (6, None)])
+    def test_t_rounds_meet_the_cover_condition_or_raise(self, T, rate):
         # nine points labeled 0.5; member i misses points 2i and 2i + 1
-        # (mod 9) by 0.3, so T = 2 and T = 3 fail the cover condition and
-        # double once.  The picks are deterministic, so the doubled run is
-        # the run started with that many rounds.
+        # (mod 9) by 0.3, so the averages of T = 2 and T = 3 rounds miss
+        # more than a quarter of the cover and raise, naming their rate
         rows = [[0.2 if j in (2 * i % 9, (2 * i + 1) % 9) else 0.5 for j in range(9)]
                 for i in range(5)]
         pool = [make_class(rows).hypothesis(i) for i in range(5)]
         U, sample, cover = cover_of(range(9), [0.5] * 9)
         sources = [(i, i + 1) for i in range(5)]
+        if rate is not None:
+            with pytest.raises(StrongLearnerNotFound,
+                               match=f"cover rate {rate} of the {T}-round average"):
+                mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, T=T)
+            return
         ens = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, T=T)
-        again = mw_boost(cover, pool, sources, eta=0.2, epsilon=0.25, T=rounds)
-        assert len(ens) == rounds and again.members == ens.members
+        assert len(ens) == T
         assert ens.sources == tuple(sources[h.descriptor[1]] for h in ens.members)
         assert float((np.abs(ens.values[:9] - 0.5) >= 0.1).mean()) <= 0.25
 

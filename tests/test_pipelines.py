@@ -8,6 +8,7 @@ from robustreg import (
     Lp,
     PerturbationMap,
     PipelineConfig,
+    WeightedEnsemble,
     agnostic_eta_learn,
     agnostic_regression,
     as_sample,
@@ -24,6 +25,7 @@ from robustreg import (
 )
 import robustreg.pipelines as pl
 from robustreg.errors import (
+    ChainAssertionFailed,
     EmptyPool,
     InvalidParameter,
     ReconstructionFailed,
@@ -255,6 +257,17 @@ class TestWeakLearnerDoubling:
         cls, U, sample, _ = gen_instance(cfg, 9374)
         return FiniteClassOracle(cls), U, as_sample(sample)
 
+    @staticmethod
+    def pool_sizes(monkeypatch):
+        """The d of every pool the learners build from here on."""
+        sizes = []
+
+        def recording_pool(sample, U, rerm, eta, d, **kwargs):
+            sizes.append(d)
+            return build_pool(sample, U, rerm, eta, d, **kwargs)
+        monkeypatch.setattr(pl, "build_pool", recording_pool)
+        return sizes
+
     def test_a_drawn_blocks_sample(self):
         oracle, U, sample = self.drawn_blocks()
         rep = improper_learn(oracle, sample, U, 0.3)
@@ -295,21 +308,32 @@ class TestWeakLearnerDoubling:
         ("average", "mw_boost", StrongLearnerNotFound, PipelineConfig(d=2)),
     ], ids=["median", "average"])
     def test_d_stops_at_the_fitted_points(self, monkeypatch, scheme, booster, error, config):
-        sizes = []
-
-        def recording_pool(sample, U, rerm, eta, d, **kwargs):
-            sizes.append(d)
-            return build_pool(sample, U, rerm, eta, d, **kwargs)
-
         def refuse(*args):
             raise error("forced", best_mass=0.5)
 
-        monkeypatch.setattr(pl, "build_pool", recording_pool)
+        sizes = self.pool_sizes(monkeypatch)
         monkeypatch.setattr(pl, booster, refuse)
         oracle, U, sample = self.drawn_blocks()
         with pytest.raises(error, match="forced"):
             SCHEMES[scheme](oracle, sample, U, config)
         assert sizes == [2, 4, 6]
+
+    @pytest.mark.parametrize("scheme, booster, link", [
+        ("median", "medboost", "median deviation on the cover"),
+        ("average", "mw_boost", "cover rate"),
+    ], ids=["median", "average"])
+    def test_a_broken_chain_link_is_not_retried(self, monkeypatch, scheme, booster, link):
+        def farthest_member(cover, pool, sources, *args):
+            # a pool member, so the replay matches, that is far from the cover
+            dev = [np.abs(h.values[cover.xs] - cover.ys).mean() for h in pool]
+            return WeightedEnsemble.from_picks(pool, sources, [int(np.argmax(dev))], scheme)
+
+        sizes = self.pool_sizes(monkeypatch)
+        monkeypatch.setattr(pl, booster, farthest_member)
+        oracle, U, sample = self.drawn_blocks()
+        with pytest.raises(ChainAssertionFailed, match=f"^{link} "):
+            SCHEMES[scheme](oracle, sample, U, PipelineConfig(d=2))
+        assert sizes == [2]
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_a_doubling_inflates_and_sizes_d_once(self, monkeypatch, scheme):
@@ -324,10 +348,17 @@ class TestWeakLearnerDoubling:
 
     @pytest.mark.parametrize("learn", [
         lambda seed, *args: (improper_learn, agnostic_eta_learn)[seed // 4 % 2](*args, seed=seed),
+        # one round's median misses a cover point unless the pool holds a
+        # member within eta/4 of all of them
+        lambda seed, *args: (improper_learn, agnostic_eta_learn)[seed // 4 % 2](
+            *args, PipelineConfig(T=1), seed=seed),
         # at the paper's d every pool of the family holds a strong learner, so
         # the averaged scheme starts at d = 1, where 107 of the 200 are too small
         lambda seed, *args: proper_learn(*args, 0.2, PipelineConfig(d=1), seed=seed),
-    ], ids=["median", "average"])
+        # at epsilon 0.5 a round's learner may miss half the cover, and the
+        # average of T such rounds may miss more
+        lambda seed, *args: proper_learn(*args, 0.5, PipelineConfig(d=1), seed=seed),
+    ], ids=["median", "median-T1", "average", "average-eps0.5"])
     def test_a_realizable_blocks_family_always_learns(self, learn):
         doubled = 0
         for seed in range(20000, 20200):
