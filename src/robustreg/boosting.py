@@ -11,7 +11,6 @@ weighted median, over the distinct members when the weights are all 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,6 +85,16 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.take_along_axis(np.take_along_axis(v, order, 0), idx[None, :], 0)[0]
 
 
+def distinct(items: Sequence) -> tuple[list, list[int]]:
+    """The distinct objects of ``items``, told apart by identity, in
+    first-occurrence order, and for each item its object's position among
+    them: repeated slots that share one object are worked on once."""
+    ids = list(map(id, items))
+    objects = dict(zip(ids, items))
+    where = {key: j for j, key in enumerate(objects)}
+    return list(objects.values()), list(map(where.__getitem__, ids))
+
+
 def aggregate(members: Sequence[Hypothesis], alphas: Sequence[float],
               median: bool) -> np.ndarray:
     """Per point, the lower weighted median or the average of the members.
@@ -98,10 +107,9 @@ def aggregate(members: Sequence[Hypothesis], alphas: Sequence[float],
     reduces rows of the (n x members) stack, as ``np.mean`` over a point does."""
     if not median:
         return np.stack([h.values for h in members], axis=1).mean(axis=1)
-    if all(a == 1.0 for a in alphas):
-        counts = Counter(map(id, members))
-        members = list({id(h): h for h in members}.values())
-        alphas = [counts[id(h)] for h in members]
+    if all(a == 1.0 for a in set(alphas)):
+        members, slots = distinct(members)
+        alphas = np.bincount(slots)
     return weighted_median_columns(np.stack([h.values for h in members]), alphas)
 
 
@@ -123,7 +131,7 @@ class WeightedEnsemble:
             raise InvalidParameter("members, alphas, sources must be equal-length and nonempty")
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
-        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
+        if not all(math.isfinite(a) and a >= 0 for a in set(self.alphas)):
             raise InvalidParameter("alphas must be finite and nonnegative")
         if self.aggregation == "median" and not any(self.alphas):
             raise InvalidParameter("weighted median needs some positive alpha")
@@ -197,13 +205,8 @@ def cover_values(cover: Sample, pool: Sequence[Hypothesis],
     return np.stack([h.values[cover.xs] for h in pool])
 
 
-def medboost(
-    cover: Sample,
-    pool: Sequence[Hypothesis],
-    sources: Sequence[tuple[int, ...]],
-    eta: float,
-    T: int,
-) -> WeightedEnsemble:
+def medboost(cover: Sample, pool: Sequence[Hypothesis], sources: Sequence[tuple[int, ...]],
+             eta: float, T: int) -> WeightedEnsemble:
     """Boost pool members into a weighted-median ensemble; ``sources[i]``
     are the sample indices whose fit is ``pool[i]``.
 

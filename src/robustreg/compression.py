@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate, distinct
 from .core import Hypothesis, PerturbationMap, Sample, SampleLike, as_sample
 from .errors import InvalidParameter, NotCompressible, ReconstructionFailed
 
@@ -39,9 +39,10 @@ class CompressionScheme:
         object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
-        if not self.groups or any(len(g) == 0 for g in self.groups):
+        sizes = {len(g) for g in distinct(self.groups)[0]}
+        if not sizes or 0 in sizes:
             raise InvalidParameter("groups must be nonempty")
-        if len({len(g) for g in self.groups}) != 1:
+        if len(sizes) != 1:
             raise InvalidParameter("groups must share one fixed size")
         if self.alphas is not None and len(self.alphas) != len(self.groups):
             raise InvalidParameter("one alpha per group required")
@@ -65,13 +66,14 @@ def compress(ensemble: WeightedEnsemble, sample: Sample,
              eta: float) -> CompressionScheme:
     """Encode an ensemble as one group of sample indices per member, its
     source, with the coefficients as side information unless all are 1."""
-    if any(len(src) == 0 for src in ensemble.sources):
+    sources = distinct(ensemble.sources)[0]
+    if any(len(src) == 0 for src in sources):
         raise NotCompressible("an ensemble member carries no source indices")
-    indices = np.concatenate(list(dict.fromkeys(map(tuple, ensemble.sources))))
+    indices = np.concatenate(sources)
     outside = indices[(indices < 0) | (indices >= len(sample))]
     if outside.size:
         raise NotCompressible(f"source index {outside[0]} outside the sample")
-    unit = all(a == 1.0 for a in ensemble.alphas)
+    unit = all(a == 1.0 for a in set(ensemble.alphas))
     return CompressionScheme(
         eta=eta, aggregation=ensemble.aggregation,
         groups=ensemble.sources,
@@ -84,22 +86,25 @@ def reconstruct(scheme: CompressionScheme, sample: SampleLike,
     """Refit every group at the scheme's refit radius and recombine under
     the stored aggregation.
 
-    The distinct groups, each read once as its sorted index set, are refit
-    in one batched ``rerm(sample, sets, U, radius)`` call (the oracle is
-    deterministic); groups it refits with one hypothesis object, as RERM
-    does groups that fit the same row, are one member, weighed by their
-    count.  A group the oracle cannot fit raises :class:`ReconstructionFailed`.
+    Slots that share one group object, as repeated picks do, are read once
+    as one sorted index set; equal sets, such as the groups of a scheme
+    read back from JSON, are one.  The sets are refit in one batched
+    ``rerm(sample, sets, U, radius)`` call (the oracle is deterministic);
+    groups it refits with one hypothesis object, as RERM does groups that
+    fit the same row, are one member, weighed by their count.  A group the
+    oracle cannot fit raises :class:`ReconstructionFailed`.
     """
     median = scheme.aggregation == "median"
     scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
-    points = {g: tuple(sorted(set(g))) for g in dict.fromkeys(scheme.groups)}
-    distinct = list(dict.fromkeys(points.values()))
-    refits = dict(zip(distinct, rerm(as_sample(sample), distinct, U, scale)))
-    members = [refits[points[g]] for g in scheme.groups]
-    for g, h in enumerate(members):
-        if h is None:
-            raise ReconstructionFailed(
-                f"group {g} {scheme.groups[g]} is infeasible at {scale:.6g}")
+    groups, slots = distinct(scheme.groups)
+    points = [tuple(sorted(set(g))) for g in groups]
+    sets = list(dict.fromkeys(points))
+    refits = dict(zip(sets, rerm(as_sample(sample), sets, U, scale)))
+    fitted = [refits[p] for p in points]
+    if None in fitted:  # the first infeasible group's first slot is the first infeasible slot
+        g = slots.index(fitted.index(None))
+        raise ReconstructionFailed(f"group {g} {scheme.groups[g]} is infeasible at {scale:.6g}")
+    members = list(map(fitted.__getitem__, slots))
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
     values = aggregate(members, alphas, median)
     descriptor = ("reconstruction", scheme.aggregation,

@@ -45,14 +45,8 @@ def find_strong_learner(P: PointDistribution, violated: np.ndarray,
     return best
 
 
-def mw_boost(
-    cover: Sample,
-    pool: Sequence[Hypothesis],
-    sources: Sequence[tuple[int, ...]],
-    eta: float,
-    epsilon: float,
-    T: int,
-) -> WeightedEnsemble:
+def mw_boost(cover: Sample, pool: Sequence[Hypothesis], sources: Sequence[tuple[int, ...]],
+             eta: float, epsilon: float, T: int) -> WeightedEnsemble:
     """Pick strong pool members for T rounds with the correctness-discount
     update and average them; ``sources[i]`` are the sample indices whose
     fit is ``pool[i]``.

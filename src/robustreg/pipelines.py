@@ -23,20 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, medboost
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, distinct, medboost
 from .compression import CompressionScheme, compress, generalization_bound, reconstruct
-from .core import (
-    EtaBall,
-    Hypothesis,
-    Lp,
-    PerturbationMap,
-    Sample,
-    SampleLike,
-    as_sample,
-    empirical_error,
-    inflate,
-    robust_deviations,
-)
+from .core import (EtaBall, Hypothesis, Lp, PerturbationMap, Sample, SampleLike, as_sample,
+                   empirical_error, inflate, robust_deviations)
 from .dimensions import greedy_cover
 from .errors import (
     ChainAssertionFailed,
@@ -211,8 +201,7 @@ def dual_embed(pool: Sequence[Hypothesis], inflated: Sample) -> np.ndarray:
     equal column, which changes no sup-norm distance)."""
     if not pool:
         raise InvalidParameter("pool must be nonempty")
-    members = {id(h): h for h in pool}.values()
-    return np.abs(np.stack([h.values[inflated.xs] for h in members], axis=1)
+    return np.abs(np.stack([h.values[inflated.xs] for h in distinct(pool)[0]], axis=1)
                   - inflated.ys[:, None])
 
 
@@ -220,9 +209,23 @@ def _seeds(seed: int, n: int):
     return np.random.SeedSequence(seed).spawn(n)
 
 
+class _Clock:
+    """Seconds per stage, in the given stage order: each lap adds the time
+    since the previous lap (or since the clock was made) to its stage, so
+    the stages sum to the whole span."""
+
+    def __init__(self, *stages: str):
+        self.timings, self.last = dict.fromkeys(stages, 0.0), time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.timings[stage] += now - self.last
+        self.last = now
+
+
 _Head = NamedTuple("_Head", [("inflated", Sample), ("pool", list), ("sources", list),
                              ("skipped", int), ("cover", Sample), ("cert", float), ("d", int),
-                             ("T", int), ("doublings", int), ("timings", dict)])
+                             ("T", int), ("doublings", int), ("clock", _Clock)])
 
 
 def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
@@ -235,28 +238,25 @@ def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
     boost rerun with d doubled, up to the sample size (whose one fit
     violates no cover point)."""
     cfg = config or PipelineConfig()
-    t0 = time.perf_counter()
+    clock = _Clock("pool", "cover", "boost", *(("sparsify",) if median else ()), "verify")
     inflated = inflate(sample, U)
     fat = oracle.fat(eta * (MEDIAN_FAT if median else AVERAGE_FAT))
     log_factor = max(1, math.ceil(math.log(1.0 / eta) ** 2))
     d = cfg.d or max(1, math.ceil(fat * log_factor / epsilon))
     radius = eta / 4 if median else eta / 2
-    timings = dict.fromkeys(("pool", "cover", "boost"), 0.0)
     for doublings in itertools.count():
         pool, sources, skipped = build_pool(
             sample, U, oracle.rerm, eta * (MEDIAN_REFIT if median else AVERAGE_REFIT), d,
             rng=np.random.default_rng(pool_ss))
-        t1 = time.perf_counter()
-        timings["pool"] += t1 - t0
+        clock.lap("pool")
         dual = dual_embed(pool, inflated)
         centers, assignment = greedy_cover(dual, radius)
         cert = float(np.abs(dual - dual[assignment]).max(initial=0.0))
         _check("cover certificate", cert, radius)
         cover = inflated.take(centers)
         T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
-        head = _Head(inflated, pool, sources, skipped, cover, cert, d, T, doublings, timings)
-        t2 = time.perf_counter()
-        timings["cover"] += t2 - t1
+        head = _Head(inflated, pool, sources, skipped, cover, cert, d, T, doublings, clock)
+        clock.lap("cover")
         try:
             return head, boost(head)
         except (WeakLearnerNotFound, StrongLearnerNotFound):
@@ -264,8 +264,7 @@ def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
                 raise
             d = min(2 * d, len(sample))
         finally:
-            t0 = time.perf_counter()
-            timings["boost"] += t0 - t2
+            clock.lap("boost")
 
 
 def _check(what: str, value: float, bound: float) -> None:
@@ -303,7 +302,7 @@ def _report(pipeline, eta, seed, sample, U, scheme, h, head: _Head,
         pool_size=len(head.pool),
         bound_realizable=bounds[0], bound_agnostic=bounds[1],
         extra={"d_doublings": head.doublings} if head.doublings else {},
-        timings=head.timings, **fields,
+        timings=head.clock.timings, **fields,
     )
 
 
@@ -324,7 +323,6 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     head, ensemble = _fit(oracle, sample, U, eta, False, epsilon, config, pool_ss,
                           lambda h: mw_boost(h.cover, h.pool, h.sources, eta, epsilon, h.T))
 
-    t3 = time.perf_counter()
     scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta)
     cover, inflated = head.cover, head.inflated
     cover_rate = float(np.mean(np.abs(h.values[cover.xs] - cover.ys) >= eta / 2))
@@ -333,13 +331,13 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     _check("inflated-set rate", inflated_rate, epsilon)
     sample_err = empirical_error(h, sample, U, loss)
     _check("robust sample error", sample_err, epsilon)
-    head.timings["verify"] = time.perf_counter() - t3
 
     folded = oracle.fold_average(ensemble.members)
     report = _report(
         "proper", eta, seed, sample, U, scheme, h, head, sample_err,
         epsilon=epsilon, rounds=len(ensemble),
         properness=folded.descriptor if folded is not None else None)
+    head.clock.lap("verify")
     report.extra = {"cover_certificate": head.cert, "cover_rate": cover_rate,
                     "inflated_rate": inflated_rate, "pool_skipped": head.skipped,
                     "d": head.d} | report.extra
@@ -365,8 +363,8 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
            np.abs(ensemble.values[inflated.xs] - inflated.ys).max(), eta / 2)
     _check("median robust deviation on the sample",
            robust_deviations(ensemble.values, sub, U).max(), eta / 2)
+    head.clock.lap("verify")
 
-    t3 = time.perf_counter()
     k = default_k(max(1, oracle.dual_fat(eta)), eta)
     sparsify_failed = False
     try:
@@ -374,20 +372,19 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
                          seed=int(sparsify_ss.generate_state(1)[0]))
     except SparsifyFailed:
         final, sparsify_failed = ensemble, True
-    head.timings["sparsify"] = time.perf_counter() - t3
+    head.clock.lap("sparsify")
 
-    t4 = time.perf_counter()
     # member sources index the fitted points; the scheme indexes the sample
-    remapped = np.asarray(fit)[np.asarray(final.sources)].tolist()
-    final = replace(final, sources=tuple(map(tuple, remapped)))
+    groups, slots = distinct(final.sources)
+    remapped = list(map(tuple, np.asarray(fit)[np.asarray(groups)].tolist()))
+    final = replace(final, sources=tuple(map(remapped.__getitem__, slots)))
     scheme, h = _replay(final, sample, oracle.rerm, U, eta)
     worst = float(robust_deviations(h.values, sub, U).max())
     _check("robust deviation of the reconstruction on the fitted points", worst, eta)
-    head.timings["verify"] = time.perf_counter() - t4
-
     report = _report(pipeline, eta, seed, sample, U, scheme, h, head,
                      empirical_error(h, sample, U, loss), rounds=len(ensemble),
                      sparsify_failed=sparsify_failed)
+    head.clock.lap("verify")
     return report, head, k, worst
 
 

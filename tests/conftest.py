@@ -16,6 +16,15 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
+def pytest_collection_modifyitems(config, items):
+    """The ``filterwarnings`` of pyproject.toml as a mark on every test: a
+    ``-W`` filter on the command line outranks the ini list, and a mark
+    outranks both."""
+    for item in items:
+        for rule in config.getini("filterwarnings"):
+            item.add_marker(pytest.mark.filterwarnings(rule))
+
+
 def make_class(rows) -> FiniteClass:
     return FiniteClass(np.asarray(rows, dtype=float))
 

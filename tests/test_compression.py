@@ -1,9 +1,11 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from robustreg import (
@@ -146,6 +148,95 @@ class TestReconstruct:
                                    groups=((0, 1),), alphas=(1.0,))
         with pytest.raises(ReconstructionFailed, match=r"group 0 \(0, 1\)"):
             reconstruct(scheme, sample, rerm_constant, PerturbationMap.identity(2))
+
+
+class TestSharedSlots:
+    """Repeated picks share one source object (``from_picks``); a scheme read
+    back from JSON holds an equal copy in every slot.  Which one a scheme
+    holds never changes its bytes, its replay or its refits."""
+
+    @given(st.data())
+    def test_sharing_never_changes_the_output(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+        n = 6
+        oracle = FiniteClassOracle(FiniteClass(rng.choice(LEVELS, size=(4, n))))
+        U = PerturbationMap.identity(n)
+        sample = labeled([(x, float(oracle.cls.matrix[rng.integers(4), x])) for x in range(n)])
+        median = data.draw(st.booleans())
+        scale = 0.2 * (MEDIAN_REFIT if median else AVERAGE_REFIT)
+        size = data.draw(st.integers(1, 3))
+        sets = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
+            .map(lambda s: tuple(sorted(s))), min_size=1, max_size=4, unique=True))
+        fitted = [(h, s) for h, s in zip(oracle.rerm(sample, sets, U, scale), sets)
+                  if h is not None]
+        assume(fitted)
+        pool, sources = zip(*fitted)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        alphas = data.draw(st.one_of(st.none(), st.lists(
+            st.sampled_from([0.5, 1.0, 2.0]), min_size=len(picks), max_size=len(picks))))
+        shared = WeightedEnsemble.from_picks(pool, sources, picks,
+                                             "median" if median else "average", alphas)
+        copied = replace(shared, sources=tuple(map(tuple, json.loads(json.dumps(shared.sources)))))
+        assert len(set(map(id, copied.sources))) == len(picks)
+        scheme, copy = compress(shared, sample, 0.2), compress(copied, sample, 0.2)
+        assert scheme.to_json() == copy.to_json()
+        calls = []
+
+        def rerm(sample, subsets, U, eta):
+            calls.append(list(subsets))
+            return oracle.rerm(sample, subsets, U, eta)
+
+        read = CompressionScheme(**json.loads(copy.to_json()))
+        values = {reconstruct(s, sample, rerm, U).values.tobytes() for s in (scheme, copy, read)}
+        assert values == {shared.values.tobytes()}
+        assert calls == [list(dict.fromkeys(sources[i] for i in picks))] * 3
+
+
+K = 7  # slots of the schemes below; each fault sits in the last one only
+
+
+def last_differs(shared, fault):
+    """K slots: K - 1 that share ``shared``, then ``fault``."""
+    return (shared,) * (K - 1) + (fault,)
+
+
+class TestValidationReachesEverySlot:
+    sample = labeled([(0, 0.5), (1, 0.5), (2, 1.0)])
+    h = constant_hypothesis(0.5, 3)
+
+    def ensemble(self, sources, alphas=(1.0,) * K):
+        return median_ensemble([self.h] * K, sources, alphas)
+
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0])
+    def test_a_bad_alpha(self, alpha):
+        with pytest.raises(InvalidParameter, match="^alphas must be finite and nonnegative$"):
+            self.ensemble(((0, 1),) * K, last_differs(1.0, alpha))
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ((), NotCompressible, "an ensemble member carries no source indices"),
+        ((0,), InvalidParameter, "groups must share one fixed size"),
+        ((1, 7), NotCompressible, "source index 7 outside the sample"),
+    ])
+    def test_a_bad_source(self, fault, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            compress(self.ensemble(last_differs((0, 1), fault)), self.sample, 0.2)
+
+    @pytest.mark.parametrize("fault, message", [
+        ((), "groups must be nonempty"), ((0,), "groups must share one fixed size")])
+    def test_a_bad_group(self, fault, message):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            CompressionScheme(eta=0.2, aggregation="median", groups=last_differs((0, 1), fault))
+
+    @pytest.mark.parametrize("read_back", [False, True])
+    def test_an_infeasible_group_names_its_first_slot(self, read_back):
+        scheme = CompressionScheme(eta=0.2, aggregation="median",
+                                   groups=last_differs((0, 1), (0, 2)))
+        if read_back:  # every slot its own object
+            scheme = CompressionScheme(**json.loads(scheme.to_json()))
+        with pytest.raises(ReconstructionFailed,
+                           match=rf"^group {K - 1} \(0, 2\) is infeasible at 0.025$"):
+            reconstruct(scheme, self.sample, rerm_constant, PerturbationMap.identity(3))
 
 
 class TestVerifyApproximation:

@@ -472,6 +472,28 @@ class TestRefitRadius:
         assert list(rep.timings) == ["pool", "cover", "boost", "sparsify", "verify"]
 
 
+@pytest.mark.parametrize("learn, instance", [
+    (lambda o, s, U: improper_learn(o, s, U, eta=0.2, seed=4), {"seed": 43, "m": 20}),
+    (lambda o, s, U: agnostic_eta_learn(o, s, U, eta=0.2, seed=6), {"seed": 53, "m": 20}),
+    (lambda o, s, U: proper_learn(o, s, U, eta=0.2, epsilon=0.1, seed=17),
+     {"seed": 17, "m": 50, "margin": 0.2 / 8}),
+], ids=["improper", "agnostic-eta", "proper"])
+def test_the_stages_sum_to_the_span_of_the_clock(monkeypatch, learn, instance):
+    """With a clock that ticks once per read, no stretch of a learner call
+    between its first and last reading goes untimed or is timed twice."""
+    oracle, U, sample, _ = smooth_instance(**instance)
+    reads = []
+
+    def tick():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    monkeypatch.setattr(pl.time, "perf_counter", tick)
+    rep = learn(oracle, sample, U)
+    assert len(reads) >= 2
+    assert sum(rep.timings.values()) == reads[-1] - reads[0]
+
+
 class TestRealizableRegression:
     def test_eta_is_epsilon_root(self):
         oracle, U, sample, _ = smooth_instance(61, m=20, eta=0.2)
