@@ -5,7 +5,7 @@ cover certifies: the member with the least mass of violated cover points
 under the current round distribution, ties to the lowest pool index.  It
 is kept only if it passes the weak-learner mass check.  The same pick
 serves the strong-learner rounds of ``mw``.  Aggregation is the lower
-weighted median, over the distinct members when the weights are all 1.
+weighted median or the average.
 """
 
 from __future__ import annotations
@@ -85,31 +85,13 @@ def weighted_median_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.take_along_axis(np.take_along_axis(v, order, 0), idx[None, :], 0)[0]
 
 
-def distinct(items: Sequence) -> tuple[list, list[int]]:
-    """The distinct objects of ``items``, told apart by identity, in
-    first-occurrence order, and for each item its object's position among
-    them: repeated slots that share one object are worked on once."""
-    ids = list(map(id, items))
-    objects = dict(zip(ids, items))
-    where = {key: j for j, key in enumerate(objects)}
-    return list(objects.values()), list(map(where.__getitem__, ids))
-
-
 def aggregate(members: Sequence[Hypothesis], alphas: Sequence[float],
               median: bool) -> np.ndarray:
-    """Per point, the lower weighted median or the average of the members.
-
-    A median with all alphas 1 stacks each distinct member object once,
-    weighed by its count: whole weights sum exactly in any order, and the
-    lower median does not depend on the order among equal values, so this
-    is the full stack's median (up to the sign of a zero).  Float alphas
-    keep a row each, as merging would re-associate their sums.  The average
-    reduces rows of the (n x members) stack, as ``np.mean`` over a point does."""
+    """Per point, the lower weighted median or the average of the members,
+    one row per member.  The average reduces rows of the (n x members)
+    stack, as ``np.mean`` over a point does."""
     if not median:
         return np.stack([h.values for h in members], axis=1).mean(axis=1)
-    if all(a == 1.0 for a in set(alphas)):
-        members, slots = distinct(members)
-        alphas = np.bincount(slots)
     return weighted_median_columns(np.stack([h.values for h in members]), alphas)
 
 
@@ -131,7 +113,7 @@ class WeightedEnsemble:
             raise InvalidParameter("members, alphas, sources must be equal-length and nonempty")
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
-        if not all(math.isfinite(a) and a >= 0 for a in set(self.alphas)):
+        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
             raise InvalidParameter("alphas must be finite and nonnegative")
         if self.aggregation == "median" and not any(self.alphas):
             raise InvalidParameter("weighted median needs some positive alpha")

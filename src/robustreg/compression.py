@@ -4,12 +4,12 @@ An ensemble compresses to one group of original-sample indices per
 member: the pool subset it was fit on, all of one size, so group
 boundaries decode without delimiters.  Reconstruction refits each
 distinct group once with the deterministic RERM oracle and recombines
-the distinct refits under the stored aggregation tag, which replays the
-original ensemble bit-identically.  Median schemes refit at eta/8; average schemes at
+the refits under the stored aggregation tag, which replays the original
+ensemble bit-identically.  Median schemes refit at eta/8; average schemes at
 eta/4 (``boosting.MEDIAN_REFIT`` and ``AVERAGE_REFIT``, the radii the
 runs fit at).  Coefficients are stored as side information unless all
-are 1 (averages and sparsified medians), which reconstruct the same
-without them.
+are 1 (averages, sparsified medians and one-member medians), which
+reconstruct the same without them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate, distinct
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, aggregate
 from .core import Hypothesis, PerturbationMap, Sample, SampleLike, as_sample
 from .errors import InvalidParameter, NotCompressible, ReconstructionFailed
 
@@ -39,10 +39,9 @@ class CompressionScheme:
         object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
         if self.aggregation not in ("median", "average"):
             raise InvalidParameter(f"unknown aggregation {self.aggregation!r}")
-        sizes = {len(g) for g in distinct(self.groups)[0]}
-        if not sizes or 0 in sizes:
+        if not self.groups or any(len(g) == 0 for g in self.groups):
             raise InvalidParameter("groups must be nonempty")
-        if len(sizes) != 1:
+        if len({len(g) for g in self.groups}) != 1:
             raise InvalidParameter("groups must share one fixed size")
         if self.alphas is not None and len(self.alphas) != len(self.groups):
             raise InvalidParameter("one alpha per group required")
@@ -66,14 +65,13 @@ def compress(ensemble: WeightedEnsemble, sample: Sample,
              eta: float) -> CompressionScheme:
     """Encode an ensemble as one group of sample indices per member, its
     source, with the coefficients as side information unless all are 1."""
-    sources = distinct(ensemble.sources)[0]
-    if any(len(src) == 0 for src in sources):
+    if any(len(src) == 0 for src in ensemble.sources):
         raise NotCompressible("an ensemble member carries no source indices")
-    indices = np.concatenate(sources)
+    indices = np.concatenate(ensemble.sources)
     outside = indices[(indices < 0) | (indices >= len(sample))]
     if outside.size:
         raise NotCompressible(f"source index {outside[0]} outside the sample")
-    unit = all(a == 1.0 for a in set(ensemble.alphas))
+    unit = all(a == 1.0 for a in ensemble.alphas)
     return CompressionScheme(
         eta=eta, aggregation=ensemble.aggregation,
         groups=ensemble.sources,
@@ -86,25 +84,21 @@ def reconstruct(scheme: CompressionScheme, sample: SampleLike,
     """Refit every group at the scheme's refit radius and recombine under
     the stored aggregation.
 
-    Slots that share one group object, as repeated picks do, are read once
-    as one sorted index set; equal sets, such as the groups of a scheme
-    read back from JSON, are one.  The sets are refit in one batched
-    ``rerm(sample, sets, U, radius)`` call (the oracle is deterministic);
-    groups it refits with one hypothesis object, as RERM does groups that
-    fit the same row, are one member, weighed by their count.  A group the
-    oracle cannot fit raises :class:`ReconstructionFailed`.
+    Each group is read as its sorted index set, and equal sets, such as
+    the repeated groups of an average or a sparsified median, are refit
+    once, in one batched ``rerm(sample, sets, U, radius)`` call (the oracle
+    is deterministic).  A group the oracle cannot fit raises
+    :class:`ReconstructionFailed`.
     """
     median = scheme.aggregation == "median"
     scale = scheme.eta * (MEDIAN_REFIT if median else AVERAGE_REFIT)
-    groups, slots = distinct(scheme.groups)
-    points = [tuple(sorted(set(g))) for g in groups]
+    points = [tuple(sorted(set(g))) for g in scheme.groups]
     sets = list(dict.fromkeys(points))
     refits = dict(zip(sets, rerm(as_sample(sample), sets, U, scale)))
-    fitted = [refits[p] for p in points]
-    if None in fitted:  # the first infeasible group's first slot is the first infeasible slot
-        g = slots.index(fitted.index(None))
+    members = [refits[p] for p in points]
+    if None in members:
+        g = members.index(None)
         raise ReconstructionFailed(f"group {g} {scheme.groups[g]} is infeasible at {scale:.6g}")
-    members = list(map(fitted.__getitem__, slots))
     alphas = scheme.alphas if scheme.alphas is not None else (1.0,) * len(members)
     values = aggregate(members, alphas, median)
     descriptor = ("reconstruction", scheme.aggregation,

@@ -4,9 +4,9 @@ and one tail (compress, reconstruct, require the replay to equal the run).
 
 Reported errors are recomputed from the reconstruction.  The averaging
 learner checks its chain links (cover, inflated set, sample) on the
-reconstruction; the median learners check them on the boosted ensemble,
-before sparsification, and check the reconstruction only for robust
-deviation at most eta on the fitted points.  A broken link raises
+reconstruction; the median learners check them on the merged boosted
+ensemble, before sparsification, and check the reconstruction only for
+robust deviation at most eta on the fitted points.  A broken link raises
 :class:`ChainAssertionFailed`, a replay that differs from the run
 :class:`ReconstructionFailed`.
 """
@@ -18,12 +18,12 @@ import json
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, distinct, medboost
+from .boosting import AVERAGE_REFIT, MEDIAN_REFIT, WeightedEnsemble, medboost
 from .compression import CompressionScheme, compress, generalization_bound, reconstruct
 from .core import (EtaBall, Hypothesis, Lp, PerturbationMap, Sample, SampleLike, as_sample,
                    empirical_error, inflate, robust_deviations)
@@ -201,7 +201,7 @@ def dual_embed(pool: Sequence[Hypothesis], inflated: Sample) -> np.ndarray:
     equal column, which changes no sup-norm distance)."""
     if not pool:
         raise InvalidParameter("pool must be nonempty")
-    return np.abs(np.stack([h.values[inflated.xs] for h in distinct(pool)[0]], axis=1)
+    return np.abs(np.stack([h.values[inflated.xs] for h in dict.fromkeys(pool)], axis=1)
                   - inflated.ys[:, None])
 
 
@@ -223,20 +223,21 @@ class _Clock:
         self.last = now
 
 
-_Head = NamedTuple("_Head", [("inflated", Sample), ("pool", list), ("sources", list),
-                             ("skipped", int), ("cover", Sample), ("cert", float), ("d", int),
-                             ("T", int), ("doublings", int), ("clock", _Clock)])
+_Head = NamedTuple("_Head", [("inflated", Sample), ("pool", list), ("skipped", int),
+                             ("cover", Sample), ("cert", float), ("d", int),
+                             ("doublings", int), ("clock", _Clock)])
 
 
 def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
-         config: PipelineConfig | None, pool_ss, boost):
+         config: PipelineConfig | None, pool_ss):
     """Inflate, size d from the fat-shattering dimension over ``epsilon`` (1
     for median schemes), pool RERM fits at the refit radius, cover the
     inflated set in the dual at eta/4 (median) or eta/2 (average), and
-    return the head and ``boost(head)``.  A booster meets its cover
-    condition or raises; when it raises, d was too small: pool, cover and
-    boost rerun with d doubled, up to the sample size (whose one fit
-    violates no cover point)."""
+    return the head and the ensemble ``medboost`` (median) or ``mw_boost``
+    (average) boosts on the cover.  A booster meets its cover condition or
+    raises; when it raises, d was too small: pool, cover and boost rerun
+    with d doubled, up to the sample size (whose one fit violates no cover
+    point)."""
     cfg = config or PipelineConfig()
     clock = _Clock("pool", "cover", "boost", *(("sparsify",) if median else ()), "verify")
     inflated = inflate(sample, U)
@@ -255,10 +256,11 @@ def _fit(oracle, sample, U, eta, median: bool, epsilon: float,
         _check("cover certificate", cert, radius)
         cover = inflated.take(centers)
         T = cfg.T or math.ceil(ROUNDS_PER_LOG_COVER * math.log(max(len(cover), 2)))
-        head = _Head(inflated, pool, sources, skipped, cover, cert, d, T, doublings, clock)
+        head = _Head(inflated, pool, skipped, cover, cert, d, doublings, clock)
         clock.lap("cover")
         try:
-            return head, boost(head)
+            return head, (medboost(cover, pool, sources, eta, T) if median
+                          else mw_boost(cover, pool, sources, eta, epsilon, T))
         except (WeakLearnerNotFound, StrongLearnerNotFound):
             if d >= len(sample):
                 raise
@@ -320,8 +322,7 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
         raise InvalidParameter(f"epsilon must be in (0, 1], got {epsilon}")
     sample = as_sample(sample)
     (pool_ss,) = _seeds(seed, 1)
-    head, ensemble = _fit(oracle, sample, U, eta, False, epsilon, config, pool_ss,
-                          lambda h: mw_boost(h.cover, h.pool, h.sources, eta, epsilon, h.T))
+    head, ensemble = _fit(oracle, sample, U, eta, False, epsilon, config, pool_ss)
 
     scheme, h = _replay(ensemble, sample, oracle.rerm, U, eta)
     cover, inflated = head.cover, head.inflated
@@ -344,16 +345,34 @@ def proper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     return report
 
 
+def _merged(ensemble: WeightedEnsemble, fit: Sequence[int]) -> WeightedEnsemble:
+    """The median ensemble with each distinct member once, under the
+    left-to-right sum of its rounds' alphas (a lone member under alpha 1)
+    and with the source it was picked with, mapped from the fitted points
+    ``fit`` to the sample.  Picks of one object are picks of one pool
+    index, since the pick goes to the lowest index among equal rows."""
+    alphas, sources = {}, {}
+    for h, alpha, src in zip(ensemble.members, ensemble.alphas, ensemble.sources):
+        alphas[h] = alphas.get(h, 0.0) + alpha
+        sources.setdefault(h, tuple(fit[i] for i in src))
+    return WeightedEnsemble(members=tuple(alphas),
+                            alphas=tuple(alphas.values()) if len(alphas) > 1 else (1.0,),
+                            sources=tuple(sources.values()), aggregation="median")
+
+
 def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
                   fit: Sequence[int]):
     """The median learner fitted to the points ``fit`` of the sample and
-    compressed over the whole sample.  Returns the report, the head, k and
-    the worst robust deviation of the replay on the fitted points."""
+    compressed over the whole sample.  The boosted ensemble is merged
+    (:func:`_merged`) and sparsified only when k is below its member
+    count; a failed sparsification keeps it.  Returns the report, the
+    head, k and the worst robust deviation of the replay on the fitted
+    points."""
     eta = loss.eta
     sub = sample.take(fit)
     pool_ss, sparsify_ss = _seeds(seed, 2)
-    head, ensemble = _fit(oracle, sub, U, eta, True, 1.0, config, pool_ss,
-                          lambda h: medboost(h.cover, h.pool, h.sources, eta, h.T))
+    head, boosted = _fit(oracle, sub, U, eta, True, 1.0, config, pool_ss)
+    ensemble = _merged(boosted, fit)
 
     # guarantee chain of the boosted median, re-evaluated directly
     cover, inflated = head.cover, head.inflated
@@ -366,23 +385,20 @@ def _median_learn(oracle, sample, U, loss: EtaBall, config, seed, pipeline: str,
     head.clock.lap("verify")
 
     k = default_k(max(1, oracle.dual_fat(eta)), eta)
-    sparsify_failed = False
-    try:
-        final = sparsify(ensemble, head.cover, eta / 2, k,
-                         seed=int(sparsify_ss.generate_state(1)[0]))
-    except SparsifyFailed:
-        final, sparsify_failed = ensemble, True
+    final, sparsify_failed = ensemble, False
+    if k < len(ensemble):
+        try:
+            final = sparsify(ensemble, cover, eta / 2, k,
+                             seed=int(sparsify_ss.generate_state(1)[0]))
+        except SparsifyFailed:
+            sparsify_failed = True
     head.clock.lap("sparsify")
 
-    # member sources index the fitted points; the scheme indexes the sample
-    groups, slots = distinct(final.sources)
-    remapped = list(map(tuple, np.asarray(fit)[np.asarray(groups)].tolist()))
-    final = replace(final, sources=tuple(map(remapped.__getitem__, slots)))
     scheme, h = _replay(final, sample, oracle.rerm, U, eta)
     worst = float(robust_deviations(h.values, sub, U).max())
     _check("robust deviation of the reconstruction on the fitted points", worst, eta)
     report = _report(pipeline, eta, seed, sample, U, scheme, h, head,
-                     empirical_error(h, sample, U, loss), rounds=len(ensemble),
+                     empirical_error(h, sample, U, loss), rounds=len(boosted),
                      sparsify_failed=sparsify_failed)
     head.clock.lap("verify")
     return report, head, k, worst
@@ -394,14 +410,15 @@ def improper_learn(oracle, sample: SampleLike, U: PerturbationMap,
     """Median-boosting learner with an accuracy-independent compression.
 
     On success every training point satisfies the uniform robust
-    condition: worst-case deviation at most eta over its perturbations.
-    A failed sparsification downgrades to the unsparsified ensemble and
-    is flagged; the uniform condition still holds.
+    condition: worst-case deviation at most eta over its perturbations
+    (a run that misses it raises).  The boosted ensemble is stored with
+    each member once, and sparsified only when that leaves fewer members;
+    a failed sparsification keeps it and is flagged.
     """
     sample = as_sample(sample)
     report, head, k, worst = _median_learn(
         oracle, sample, U, EtaBall(eta), config, seed, "improper", range(len(sample)))
-    report.uniform = bool(worst <= eta)
+    report.uniform = True
     report.extra = {"cover_certificate": head.cert, "pool_skipped": head.skipped,
                     "d": head.d, "k": k, "max_robust_dev": worst} | report.extra
     return report

@@ -137,8 +137,10 @@ def test_medboost_uniform_approximation():
 
 
 def test_compression_epsilon_independence():
-    # the scheme's size is set by the dimensions, k * min(d, m), not by
-    # accuracy: on m/2 and on m points of one instance it is the same
+    # the scheme's size is set by the dimensions, its groups times min(d, m),
+    # not by accuracy: on m/2 and on m points of one instance it is the
+    # same.  A group is a distinct boosted member, and there are at most
+    # k of them, as many as sparsification keeps.
     for seed in (3, 11, 29):
         oracle, U, sample, eta = _medboost_family(200 + seed)
         k = default_k(max(1, oracle.dual_fat(eta)), eta)
@@ -148,7 +150,9 @@ def test_compression_epsilon_independence():
         for m in (len(sample) // 2, len(sample)):
             rep = improper_learn(oracle, sample.take(range(m)), U, eta, seed=seed)
             assert not rep.sparsify_failed
-            assert rep.scheme.size == k * min(d, m)
+            groups = rep.scheme.groups
+            assert rep.scheme.size == len(groups) * min(d, m)
+            assert len(set(groups)) == len(groups) <= min(k, rep.rounds)
             sizes.append(rep.scheme.size)
         assert sizes[0] == sizes[1]
     report("compression epsilon-independence")
@@ -310,3 +314,22 @@ def test_learning_curve_sanity():
                         for i in range(len(medians) - 1))
     assert nonincreasing >= 3
     report(f"learning curve sanity (medians {[round(v, 4) for v in medians]})")
+
+
+def test_learning_curve_compression_size():
+    # the paper's headline shape: the scheme's size is set by the class, so
+    # it does not grow with m, and from some m on the compression bound is
+    # reported (its k is at most m/2)
+    cfg = ExperimentConfig(
+        instance=InstanceSpec(kind="blocks", n_hypotheses=60, domain_size=120,
+                              blocks=24, defect_blocks=3),
+        perturbation=PerturbationSpec(kind="grid_ball", radius=1),
+        eta=0.2, m_grid=(20, 40, 80, 160), holdout_size=120, trials=3, seed=78)
+    rows = [dict(zip(CSV_HEADER, r)) for r in run_experiment(cfg)]
+    assert all(r["status"] == "ok" for r in rows)
+    sizes = {m: [int(r["compression_size"]) for r in rows if int(r["m"]) == m]
+             for m in cfg.m_grid}
+    medians = [float(np.median(sizes[m])) for m in cfg.m_grid]
+    assert medians == sorted(medians, reverse=True)
+    assert all(r["bound_realizable"] for r in rows if int(r["m"]) == 160)
+    report(f"learning curve compression size (sizes {sizes})")

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustreg import (
+    Hypothesis,
     Lp,
     PerturbationMap,
     PipelineConfig,
@@ -21,6 +24,7 @@ from robustreg import (
     realizable_regression,
     reconstruct,
     run_pipeline,
+    sparsify,
     theta_grid,
 )
 import robustreg.pipelines as pl
@@ -43,8 +47,8 @@ from robustreg.harness import (
 )
 from robustreg.oracles import ConstantClassOracle, FiniteClassOracle, rerm_constant
 
-from conftest import labeled, make_class, shifted_reconstruct
-from reference import brute_max_fit_subsets
+from conftest import LEVELS, labeled, make_class, shifted_reconstruct
+from reference import brute_max_fit_subsets, stacked_aggregate
 
 
 def smooth_instance(seed, m=40, eta=0.2, n_hyp=25, domain=30, noise=0.0,
@@ -59,6 +63,37 @@ def smooth_instance(seed, m=40, eta=0.2, n_hyp=25, domain=30, noise=0.0,
     )
     cls, U, sample, holdout = gen_instance(cfg, seed, m=m)
     return FiniteClassOracle(cls), U, as_sample(sample), as_sample(holdout)
+
+
+def blocks_family(seeds=range(20000, 20200)):
+    """(seed, oracle, U, sample, eta) of a family of small realizable
+    blocks samples, skipping the seeds whose spec cannot be realized."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        blocks = int(rng.integers(2, 5))
+        spec = InstanceSpec(kind="blocks", n_hypotheses=int(rng.integers(4, 25)),
+                            domain_size=int(rng.integers(6, 17)), blocks=blocks,
+                            defect_blocks=int(rng.integers(1, blocks)))
+        eta = (0.3, 0.4)[seed // 2 % 2]
+        cfg = ExperimentConfig(
+            instance=spec, eta=eta, m_grid=(int(rng.integers(3, 9)),), holdout_size=0,
+            perturbation=PerturbationSpec(kind=("identity", "grid_ball")[seed % 2]))
+        try:
+            cls, U, sample, _ = gen_instance(cfg, seed)
+        except UnrealizableSpec:
+            continue
+        yield seed, FiniteClassOracle(cls), U, sample, eta
+
+
+def recording_boosts(monkeypatch):
+    """The ensemble of every medboost run from here on."""
+    boosted, medboost = [], pl.medboost
+
+    def recording(*args):
+        boosted.append(medboost(*args))
+        return boosted[-1]
+    monkeypatch.setattr(pl, "medboost", recording)
+    return boosted
 
 
 def recording_rerm():
@@ -200,8 +235,11 @@ class TestImproperLearn:
         sample = labeled([(i, 0.5) for i in range(8)])
         rep = improper_learn(ConstantClassOracle(), sample, U, eta=0.25, seed=2)
         assert rep.uniform is True
-        assert rep.compression_size == len(rep.scheme.groups) * len(rep.scheme.groups[0])
-        assert rep.compression_size == rep.extra["k"] * min(rep.extra["d"], len(sample))
+        groups = rep.scheme.groups
+        assert rep.compression_size == len(groups) * len(groups[0])
+        assert rep.compression_size == len(groups) * min(rep.extra["d"], len(sample))
+        # one group per merged member, so no group is stored twice
+        assert len(set(groups)) == len(groups) <= min(rep.extra["k"], rep.rounds)
 
     def test_uniform_condition_over_seeds(self):
         ok = 0
@@ -220,20 +258,54 @@ class TestImproperLearn:
             assert rebuilt(z) == rep.hypothesis(z)
 
     def test_sparsify_fallback_keeps_the_run_sound(self, monkeypatch):
-        import robustreg.pipelines as pl
         from robustreg.errors import SparsifyFailed
 
-        def refuse(*args, **kwargs):
+        refused = []
+
+        def refuse(ensemble, *args, **kwargs):
+            refused.append(ensemble)
             raise SparsifyFailed("forced", best_violations=1)
 
+        # a sample whose three boosting rounds pick three members, and a k
+        # of 1, below them, so that the learner asks to sparsify
         monkeypatch.setattr(pl, "sparsify", refuse)
-        oracle, U, sample, _ = smooth_instance(47, m=15)
-        rep = improper_learn(oracle, sample, U, eta=0.2, seed=8)
+        monkeypatch.setattr(pl, "default_k", lambda *args: 1)
+        boosted = recording_boosts(monkeypatch)
+        ((_, oracle, U, sample, eta),) = blocks_family([20033])
+        rep = improper_learn(oracle, sample, U, eta)
         assert rep.sparsify_failed is True
         assert rep.uniform is True
-        # the kept ensemble is a short-circuit one, whose unit weights are not stored
-        assert len(rep.scheme.groups) == rep.rounds
-        assert rep.scheme.alphas is None
+        # the kept ensemble is the merged one: each member once, under its alpha
+        (merged,) = refused
+        assert merged.members == tuple(dict.fromkeys(boosted[-1].members))
+        assert len(merged) == rep.rounds == 3
+        assert rep.scheme.groups == merged.sources
+        assert rep.scheme.alphas == merged.alphas == boosted[-1].alphas
+
+
+class TestMerged:
+    @given(st.data())
+    def test_merging_repeats_keeps_the_median(self, data):
+        # a few member objects on a few value levels, so that members tie at
+        # some points, each picked any number of times with one source and a
+        # small whole alpha, so that every sum is exact
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n),
+                                  min_size=1, max_size=5))
+        objects = [Hypothesis(np.asarray(r, dtype=float), ("table",)) for r in rows]
+        picks = data.draw(st.lists(st.integers(0, len(objects) - 1), min_size=1, max_size=40))
+        alphas = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                    min_size=len(picks), max_size=len(picks))
+                           .filter(any))
+        members = [objects[i] for i in picks]
+        boosted = WeightedEnsemble(members=tuple(members), alphas=tuple(alphas),
+                                   sources=tuple((i,) for i in picks), aggregation="median")
+        fit = [10 + i for i in range(len(objects))]
+        merged = pl._merged(boosted, fit)
+        order = list(dict.fromkeys(picks))
+        assert merged.members == tuple(objects[i] for i in order)
+        assert merged.sources == tuple((fit[i],) for i in order)
+        assert merged.values.tobytes() == stacked_aggregate(members, alphas, True).tobytes()
 
 
 # the median and the averaged scheme on TestWeakLearnerDoubling.drawn_blocks,
@@ -361,23 +433,25 @@ class TestWeakLearnerDoubling:
     ], ids=["median", "median-T1", "average", "average-eps0.5"])
     def test_a_realizable_blocks_family_always_learns(self, learn):
         doubled = 0
-        for seed in range(20000, 20200):
-            rng = np.random.default_rng(seed)
-            blocks = int(rng.integers(2, 5))
-            spec = InstanceSpec(kind="blocks", n_hypotheses=int(rng.integers(4, 25)),
-                                domain_size=int(rng.integers(6, 17)), blocks=blocks,
-                                defect_blocks=int(rng.integers(1, blocks)))
-            eta = (0.3, 0.4)[seed // 2 % 2]
-            cfg = ExperimentConfig(
-                instance=spec, eta=eta, m_grid=(int(rng.integers(3, 9)),), holdout_size=0,
-                perturbation=PerturbationSpec(kind=("identity", "grid_ball")[seed % 2]))
-            try:
-                cls, U, sample, _ = gen_instance(cfg, seed)
-            except UnrealizableSpec:
-                continue
-            rep = learn(seed, FiniteClassOracle(cls), sample, U, eta)
+        for seed, oracle, U, sample, eta in blocks_family():
+            rep = learn(seed, oracle, sample, U, eta)
             doubled += "d_doublings" in rep.extra
         assert doubled >= 10  # the family holds samples that need it
+
+    @pytest.mark.parametrize("learn", [improper_learn, agnostic_eta_learn])
+    def test_a_median_scheme_never_outgrows_its_boosted_members(self, monkeypatch, learn):
+        boosted, drawn = recording_boosts(monkeypatch), []
+        monkeypatch.setattr(pl, "sparsify",
+                            lambda *args, **kwargs: drawn.append(1) or sparsify(*args, **kwargs))
+        sparsified = 0
+        for seed, oracle, U, sample, eta in blocks_family():
+            drawn.clear()
+            rep = learn(oracle, sample, U, eta, seed=seed)
+            members = len(set(boosted[-1].members))
+            assert len(rep.scheme.groups) <= members
+            assert bool(drawn) == (rep.extra["k"] < members)
+            sparsified += bool(drawn)
+        assert sparsified >= 1  # the family holds a k below its members
 
 
 class TestAgnosticEtaLearn:
